@@ -11,62 +11,30 @@ round out the toolkit.
 from .conformal import (
     AciState,
     AgAciState,
-    PredictionInterval,
     ScoreBuffer,
     aci_step,
     aci_update,
     agaci_step,
     agaci_update,
     empirical_quantile,
-    pinball_loss,
-    residual_score,
-    split_cp_interval,
-    state_from_snapshot,
-    state_snapshot,
 )
 from .datagen import (
-    ArRegime,
     LorenzSpec,
-    MarkovChainSpec,
-    SwitchingArSpec,
     default_toy_spec,
     generate_lorenz,
     generate_toy,
-    lorenz_derivative,
-    rk4_step,
-    sample_regimes,
 )
 from .errors import AlignmentError, ConfigError, NumericError
 from .evaluate import (
-    ForecastRecord,
     RunConfig,
-    RunFailure,
     RunReport,
-    compute_metrics,
-    grid_run,
     run_rolling,
 )
 from .forecasters import (
     ArForecaster,
-    ArModel,
-    CusumDetector,
-    ExternalForecastTrace,
     Forecaster,
     PersistenceForecaster,
-    ReplayForecaster,
     SegmentedArForecaster,
-    ar_fit,
-)
-from .series import (
-    LagMatrix,
-    SplitSpec,
-    StandardScaler,
-    TimeSeries,
-    default_lag,
-    fit_scaler,
-    lag_embed,
-    load_series_csv,
-    write_series_csv,
 )
 
 __version__ = "0.1.0"
@@ -76,52 +44,22 @@ __all__ = [
     "AgAciState",
     "AlignmentError",
     "ArForecaster",
-    "ArModel",
-    "ArRegime",
     "ConfigError",
-    "CusumDetector",
-    "ExternalForecastTrace",
-    "ForecastRecord",
     "Forecaster",
-    "LagMatrix",
     "LorenzSpec",
-    "MarkovChainSpec",
     "NumericError",
     "PersistenceForecaster",
-    "PredictionInterval",
-    "ReplayForecaster",
     "RunConfig",
-    "RunFailure",
     "RunReport",
     "ScoreBuffer",
     "SegmentedArForecaster",
-    "SplitSpec",
-    "StandardScaler",
-    "SwitchingArSpec",
-    "TimeSeries",
     "aci_step",
     "aci_update",
     "agaci_step",
     "agaci_update",
-    "ar_fit",
-    "compute_metrics",
-    "default_lag",
     "default_toy_spec",
     "empirical_quantile",
-    "fit_scaler",
     "generate_lorenz",
     "generate_toy",
-    "grid_run",
-    "lag_embed",
-    "load_series_csv",
-    "lorenz_derivative",
-    "pinball_loss",
-    "residual_score",
-    "rk4_step",
     "run_rolling",
-    "sample_regimes",
-    "split_cp_interval",
-    "state_from_snapshot",
-    "state_snapshot",
-    "write_series_csv",
 ]

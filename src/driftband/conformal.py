@@ -3,18 +3,19 @@
 All machinery here is model-agnostic. A forecaster supplies point
 predictions; this module turns a rolling buffer of past absolute
 residuals into prediction intervals, and (for the adaptive variants)
-steers the miscoverage level from observed hits and misses.
+steers the miscoverage level from observed hits and misses. Split
+conformal is an adaptive track with gamma = 0, and an adaptive track is
+a bank of one expert, so every banded method runs as an ``AgAciState``.
 
 States are immutable; every update returns a fresh state. That keeps
-replay, snapshotting, and parallel evaluation trivially safe.
+replay and parallel evaluation trivially safe.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,14 +127,6 @@ class PredictionInterval:
         return self.lower <= y <= self.upper
 
 
-def split_cp_interval(buffer: ScoreBuffer, y_hat: float, alpha: float) -> PredictionInterval:
-    """Split conformal band at miscoverage alpha around a point forecast."""
-    if not 0 < alpha < 1:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    q = empirical_quantile(buffer, 1.0 - alpha)
-    return PredictionInterval(y_hat=float(y_hat), half_width=q, level=1.0 - alpha)
-
-
 @dataclass(frozen=True)
 class AciState:
     """State of one adaptive calibration track.
@@ -157,6 +150,18 @@ class AciState:
             object.__setattr__(self, "alpha_t", self.alpha_nominal)
 
 
+def _evolve(state, **changes):
+    """A copy of a frozen state with some fields changed.
+
+    Unlike ``dataclasses.replace`` this skips ``__post_init__``: the
+    updates below preserve every invariant it checks, and re-validating
+    a bank on each step would cost more than the step itself.
+    """
+    new = object.__new__(type(state))
+    new.__dict__.update(vars(state), **changes)
+    return new
+
+
 def aci_step(state: AciState, buffer: ScoreBuffer, y_hat: float) -> PredictionInterval:
     """Form the band at the current working level (no state change)."""
     q = empirical_quantile(buffer, 1.0 - state.alpha_t)
@@ -171,7 +176,7 @@ def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciSt
     (alpha_T - alpha_0) / gamma equals the accumulated coverage surplus.
     """
     err = 0.0 if interval.covers(float(y)) else 1.0
-    return replace(state, alpha_t=state.alpha_t + state.gamma * (state.alpha_nominal - err))
+    return _evolve(state, alpha_t=state.alpha_t + state.gamma * (state.alpha_nominal - err))
 
 
 def pinball_loss(tau: float, target: float, estimate: float) -> float:
@@ -227,6 +232,14 @@ class AgAciState:
         if any(e.alpha_nominal != self.alpha_nominal for e in self.experts):
             raise ConfigError("all experts must share the bank's nominal alpha")
 
+    @property
+    def alpha_t(self) -> float:
+        """Effective working level: the weight-average of the expert levels.
+
+        For a single expert this is exactly that expert's level.
+        """
+        return math.fsum(w * e.alpha_t for w, e in zip(self.weights, self.experts))
+
     @classmethod
     def from_gammas(
         cls,
@@ -253,49 +266,29 @@ class AgAciState:
         )
 
 
-def expert_intervals(
-    state: AgAciState, buffer: ScoreBuffer, y_hat: float
-) -> tuple[PredictionInterval, ...]:
-    """Each expert's own band at its current working level."""
-    return tuple(aci_step(e, buffer, y_hat) for e in state.experts)
-
-
-def aggregate_intervals(
-    state: AgAciState,
-    intervals: Sequence[PredictionInterval],
-    buffer: ScoreBuffer,
-    y_hat: float,
-) -> PredictionInterval:
-    """Weight-average the expert half-widths into one band.
-
-    An infinite expert band cannot enter a weighted mean directly, so it
-    is capped at (largest buffered score) * cap factor, a value that
-    still dominates every attainable finite band. If every expert is
-    infinite the aggregate stays infinite; nothing finite is known.
-    The reported level is the weight-average of the expert levels.
-    """
-    if len(intervals) != len(state.experts):
-        raise ConfigError(
-            f"got {len(intervals)} intervals for {len(state.experts)} experts"
-        )
-    widths = [iv.half_width for iv in intervals]
-    if all(math.isinf(w) for w in widths):
-        level = math.fsum(w * iv.level for w, iv in zip(state.weights, intervals))
-        return PredictionInterval(y_hat=float(y_hat), half_width=math.inf, level=level)
-    if any(math.isinf(w) for w in widths):
-        cap = buffer.max() * state.infinite_cap_factor
-        widths = [min(w, cap) for w in widths]
-    half_width = math.fsum(w * hw for w, hw in zip(state.weights, widths))
-    level = math.fsum(w * iv.level for w, iv in zip(state.weights, intervals))
-    return PredictionInterval(y_hat=float(y_hat), half_width=half_width, level=level)
-
-
 def agaci_step(
     state: AgAciState, buffer: ScoreBuffer, y_hat: float
 ) -> tuple[PredictionInterval, tuple[PredictionInterval, ...]]:
-    """Aggregate band plus the per-expert bands it was built from."""
-    per_expert = expert_intervals(state, buffer, y_hat)
-    return aggregate_intervals(state, per_expert, buffer, y_hat), per_expert
+    """Aggregate band plus the per-expert bands it was built from.
+
+    Each expert forms its own band at its working level, and the bank
+    weight-averages their half-widths. An infinite expert band cannot
+    enter a weighted mean directly, so it is capped at (largest
+    buffered score) * cap factor, a value that still dominates every
+    attainable finite band. If every expert is infinite the aggregate
+    stays infinite; nothing finite is known. The reported level is the
+    weight-average of the expert levels.
+    """
+    per_expert = tuple(aci_step(e, buffer, y_hat) for e in state.experts)
+    widths = [iv.half_width for iv in per_expert]
+    half_width = math.inf
+    if not all(math.isinf(w) for w in widths):
+        if any(math.isinf(w) for w in widths):
+            cap = buffer.max() * state.infinite_cap_factor
+            widths = [min(w, cap) for w in widths]
+        half_width = math.fsum(w * hw for w, hw in zip(state.weights, widths))
+    level = math.fsum(w * iv.level for w, iv in zip(state.weights, per_expert))
+    return PredictionInterval(y_hat=float(y_hat), half_width=half_width, level=level), per_expert
 
 
 def agaci_update(
@@ -310,7 +303,9 @@ def agaci_update(
     expert's half-width against the realized score, then mix with the
     uniform distribution at the floor rate so no expert's weight can
     vanish: w' = (1 - floor) * normalized + floor / K. An infinite band
-    has infinite loss and a zero factor.
+    has infinite loss and a zero factor. A lone expert's weight comes
+    out of that as exactly 1.0 ((1 - floor) + floor rounds to 1), so a
+    one-expert bank skips the reweighing.
     """
     if len(per_expert) != len(state.experts):
         raise ConfigError(
@@ -320,7 +315,7 @@ def agaci_update(
         aci_update(e, float(y), iv) for e, iv in zip(state.experts, per_expert)
     )
     weights = state.weights
-    if state.mode == "ewa" and state.eta > 0:
+    if state.mode == "ewa" and state.eta > 0 and len(weights) > 1:
         score = residual_score(y, y_hat)
         tau = 1.0 - state.alpha_nominal
         factors = []
@@ -336,69 +331,4 @@ def agaci_update(
             base = [1.0 / k] * k
         floor = state.weight_floor
         weights = tuple((1.0 - floor) * b + floor / k for b in base)
-    return replace(state, experts=experts, weights=weights)
-
-
-def state_snapshot(state: AciState | AgAciState, buffer: ScoreBuffer) -> str:
-    """Serialize calibration state plus buffer to a JSON string."""
-    payload: dict
-    if isinstance(state, AciState):
-        payload = {
-            "kind": "aci",
-            "alpha_nominal": state.alpha_nominal,
-            "gamma": state.gamma,
-            "alpha_t": state.alpha_t,
-        }
-    elif isinstance(state, AgAciState):
-        payload = {
-            "kind": "agaci",
-            "alpha_nominal": state.alpha_nominal,
-            "experts": [{"gamma": e.gamma, "alpha_t": e.alpha_t} for e in state.experts],
-            "weights": list(state.weights),
-            "eta": state.eta,
-            "weight_floor": state.weight_floor,
-            "mode": state.mode,
-            "infinite_cap_factor": state.infinite_cap_factor,
-        }
-    else:
-        raise ConfigError(f"cannot snapshot state of type {type(state).__name__}")
-    payload["buffer"] = {"capacity": buffer.capacity, "scores": buffer.values().tolist()}
-    return json.dumps(payload)
-
-
-def state_from_snapshot(text: str) -> tuple[AciState | AgAciState, ScoreBuffer]:
-    """Rebuild calibration state and buffer from a snapshot string."""
-    payload = json.loads(text)
-    try:
-        buf = payload["buffer"]
-        buffer = ScoreBuffer(capacity=buf["capacity"], scores=buf["scores"])
-        kind = payload["kind"]
-        if kind == "aci":
-            state: AciState | AgAciState = AciState(
-                alpha_nominal=payload["alpha_nominal"],
-                gamma=payload["gamma"],
-                alpha_t=payload["alpha_t"],
-            )
-        elif kind == "agaci":
-            experts = tuple(
-                AciState(
-                    alpha_nominal=payload["alpha_nominal"],
-                    gamma=e["gamma"],
-                    alpha_t=e["alpha_t"],
-                )
-                for e in payload["experts"]
-            )
-            state = AgAciState(
-                alpha_nominal=payload["alpha_nominal"],
-                experts=experts,
-                weights=tuple(payload["weights"]),
-                eta=payload["eta"],
-                weight_floor=payload["weight_floor"],
-                mode=payload["mode"],
-                infinite_cap_factor=payload["infinite_cap_factor"],
-            )
-        else:
-            raise ConfigError(f"unknown snapshot kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"snapshot is missing field {exc.args[0]!r}") from None
-    return state, buffer
+    return _evolve(state, experts=experts, weights=weights)

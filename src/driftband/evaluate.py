@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -26,7 +26,6 @@ from .series import (
     SplitSpec,
     StandardScaler,
     TimeSeries,
-    default_lag,
     fit_scaler,
     load_series_csv,
 )
@@ -43,9 +42,9 @@ class RunConfig:
     """Everything needed to reproduce one evaluation run.
 
     ``dataset`` is "toy", "lorenz" (generated on the fly with this
-    config's seed) or a path to a series CSV. ``lag`` defaults by
-    ``frequency`` when unset; the autoregression order defaults to
-    min(lag, train length / 4).
+    config's seed) or a path to a series CSV. The autoregression order
+    is min(lag, train length / 4) unless ``forecaster_params`` sets
+    ``order``, which is taken as is.
     """
 
     dataset: str
@@ -60,8 +59,7 @@ class RunConfig:
     weight_floor: float = 1e-6
     aggregation: str = "ewa"
     cap_factor: float = 2.0
-    lag: int | None = None
-    frequency: str | None = None
+    lag: int = 24
     split: tuple[float, float, float] = (0.5, 0.2, 0.3)
     seed: int = 0
     buffer_mode: str = "rolling"
@@ -95,7 +93,7 @@ class RunConfig:
             raise ConfigError(
                 f"aggregation must be 'ewa' or 'fixed', got {self.aggregation!r}"
             )
-        if self.lag is not None and self.lag < 1:
+        if self.lag < 1:
             raise ConfigError(f"lag must be >= 1, got {self.lag}")
         if not isinstance(self.forecaster_params, dict):
             raise ConfigError("forecaster_params must be an object")
@@ -107,30 +105,54 @@ class RunConfig:
         return f"{dataset_label(self.dataset)}-{self.forecaster}-{self.method}"
 
 
-_RUN_CONFIG_KEYS = {
-    "dataset", "forecaster", "method", "name", "forecaster_params", "alpha",
-    "gamma", "gamma_grid", "eta", "weight_floor", "aggregation", "cap_factor",
-    "lag", "frequency", "split", "seed", "buffer_mode",
+# The JSON type each key of a run config (and of its forecaster_params) must have.
+_RUN_CONFIG_TYPES = {
+    "dataset": "a string", "forecaster": "a string", "method": "a string",
+    "name": "a string or null", "forecaster_params": "an object", "alpha": "a number",
+    "gamma": "a number", "gamma_grid": "a list of numbers", "eta": "a number",
+    "weight_floor": "a number", "aggregation": "a string", "cap_factor": "a number",
+    "lag": "an integer", "split": "a list of numbers", "seed": "an integer",
+    "buffer_mode": "a string",
+}
+_FORECASTER_PARAM_TYPES = {
+    "order": "an integer", "refit_every": "an integer", "drift": "a number",
+    "threshold": "a number", "warmup": "an integer",
+}
+_JSON_TYPES = {
+    "a string": str, "a string or null": (str, type(None)), "a number": (int, float),
+    "an integer": int, "an object": dict,
 }
 
-_FORECASTER_PARAM_KEYS = {"order", "refit_every", "drift", "threshold", "warmup"}
+
+def _has_type(value, kind: str) -> bool:
+    """Whether a parsed JSON value has the named type; true/false are not
+    numbers, and neither is NaN (``value == value`` fails only for NaN)."""
+    if kind == "a list of numbers":
+        return isinstance(value, list) and all(_has_type(v, "a number") for v in value)
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind]) and value == value
+
+
+def _check_types(payload: dict, types: dict, where: str) -> None:
+    unknown = sorted(set(payload) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+    for key, value in payload.items():
+        if not _has_type(value, types[key]):
+            raise ConfigError(f"{where} key {key!r} must be {types[key]}, got {value!r}")
 
 
 def run_config_from_dict(payload: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON object. Unknown keys are an error."""
+    """Build a RunConfig from a parsed JSON object.
+
+    Unknown keys and values of the wrong JSON type are an error naming the key.
+    """
     if not isinstance(payload, dict):
         raise ConfigError("run config must be a JSON object")
-    unknown = sorted(set(payload) - _RUN_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown keys in run config: {', '.join(unknown)}")
+    _check_types(payload, _RUN_CONFIG_TYPES, "run config")
     if "dataset" not in payload:
         raise ConfigError("run config is missing 'dataset'")
     params = payload.get("forecaster_params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("forecaster_params must be an object")
-    bad = sorted(set(params) - _FORECASTER_PARAM_KEYS)
-    if bad:
-        raise ConfigError(f"unknown keys in forecaster_params: {', '.join(bad)}")
+    _check_types(params, _FORECASTER_PARAM_TYPES, "forecaster_params")
     kwargs = dict(payload)
     for key in ("gamma_grid", "split"):
         if key in kwargs:
@@ -156,7 +178,7 @@ def load_dataset(config: RunConfig) -> TimeSeries:
 
 @dataclass(frozen=True)
 class ForecastRecord:
-    """One test step, in both unit systems.
+    """One test step, in the original units of the data.
 
     ``alpha_t`` is the working miscoverage level the band was formed at
     (the nominal level for split, the weighted effective level for
@@ -170,10 +192,6 @@ class ForecastRecord:
     upper: float | None
     alpha_t: float | None
     covered: bool | None
-    y_scaled: float
-    y_hat_scaled: float
-    lower_scaled: float | None
-    upper_scaled: float | None
 
     @property
     def width(self) -> float | None:
@@ -239,10 +257,6 @@ def compute_metrics(records: Sequence[ForecastRecord]) -> dict:
     }
 
 
-def _resolve_lag(config: RunConfig) -> int:
-    return config.lag if config.lag is not None else default_lag(config.frequency)
-
-
 def _default_forecaster_factory(config: RunConfig):
     def build(scaler: StandardScaler, series: TimeSeries, split: SplitSpec) -> Forecaster:
         if config.forecaster == "replay":
@@ -251,7 +265,7 @@ def _default_forecaster_factory(config: RunConfig):
             )
         params = dict(config.forecaster_params)
         if config.forecaster in ("ar", "segmented_ar") and "order" not in params:
-            params["order"] = max(1, min(_resolve_lag(config), split.train_end // 4))
+            params["order"] = max(1, min(config.lag, split.train_end // 4))
         return make_forecaster(config.forecaster, **params)
 
     return build
@@ -299,48 +313,34 @@ def run_rolling(
         buffer.append(conformal.residual_score(z[t], y_hat))
         forecaster.observe(z[t])
 
-    state: conformal.AciState | conformal.AgAciState | None
-    if config.method in ("split", "aci"):
-        gamma = config.gamma if config.method == "aci" else 0.0
-        state = conformal.AciState(alpha_nominal=config.alpha, gamma=gamma)
-    elif config.method == "agaci":
-        state = conformal.AgAciState.from_gammas(
+    # Split conformal is ACI with gamma = 0, and ACI is a bank of one expert.
+    gammas = {"split": (0.0,), "aci": (config.gamma,)}.get(config.method, config.gamma_grid)
+    bank = None
+    if config.method != "none":
+        bank = conformal.AgAciState.from_gammas(
             config.alpha,
-            config.gamma_grid,
+            gammas,
             eta=config.eta,
             weight_floor=config.weight_floor,
             mode=config.aggregation,
             infinite_cap_factor=config.cap_factor,
         )
-    else:
-        state = None
 
     records: list[ForecastRecord] = []
     for t in range(split.cal_end, split.test_end):
         y_hat_scaled = forecaster.predict_one(z[:t])
         y_scaled = float(z[t])
-        interval = None
-        alpha_used = None
-        if isinstance(state, conformal.AciState):
-            interval = conformal.aci_step(state, buffer, y_hat_scaled)
-            alpha_used = state.alpha_t
-            state = conformal.aci_update(state, y_scaled, interval)
-        elif isinstance(state, conformal.AgAciState):
-            interval, per_expert = conformal.agaci_step(state, buffer, y_hat_scaled)
-            alpha_used = 1.0 - interval.level
-            state = conformal.agaci_update(state, y_scaled, y_hat_scaled, per_expert)
+        lower = upper = alpha_used = covered = None
+        if bank is not None:
+            alpha_used = bank.alpha_t
+            interval, per_expert = conformal.agaci_step(bank, buffer, y_hat_scaled)
+            bank = conformal.agaci_update(bank, y_scaled, y_hat_scaled, per_expert)
+            lower = float(scaler.inverse_transform(interval.lower))
+            upper = float(scaler.inverse_transform(interval.upper))
+            covered = interval.covers(y_scaled)
         if config.buffer_mode == "rolling":
             buffer.append(conformal.residual_score(y_scaled, y_hat_scaled))
         forecaster.observe(y_scaled)
-
-        if interval is None:
-            lower = upper = lower_scaled = upper_scaled = None
-            covered = None
-        else:
-            lower_scaled, upper_scaled = interval.lower, interval.upper
-            lower = float(scaler.inverse_transform(lower_scaled))
-            upper = float(scaler.inverse_transform(upper_scaled))
-            covered = interval.covers(y_scaled)
         records.append(
             ForecastRecord(
                 index=series.start_index + t,
@@ -350,10 +350,6 @@ def run_rolling(
                 upper=upper,
                 alpha_t=alpha_used,
                 covered=covered,
-                y_scaled=y_scaled,
-                y_hat_scaled=float(y_hat_scaled),
-                lower_scaled=lower_scaled,
-                upper_scaled=upper_scaled,
             )
         )
 
@@ -363,7 +359,6 @@ def run_rolling(
             "widen the test fraction"
         )
     metrics = compute_metrics(records)
-    alpha_final = state.alpha_t if isinstance(state, conformal.AciState) else None
     return RunReport(
         config=config,
         rmse=metrics["rmse"],
@@ -372,7 +367,7 @@ def run_rolling(
         n_infinite=metrics["n_infinite"],
         n_zero_width=metrics["n_zero_width"],
         n_steps=metrics["n_steps"],
-        alpha_final=alpha_final,
+        alpha_final=None if bank is None else bank.alpha_t,
         records=tuple(records),
     )
 

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, NumericError
-from .fileio import atomic_write_text, format_float
 from .series import TimeSeries, lag_embed
 
 TRACE_CSV_HEADER = ("index", "y_true", "y_hat")
@@ -107,10 +106,10 @@ def ar_fit(window, order: int) -> ArModel:
         raise NumericError(
             f"window of length {window.size} cannot fit an order-{order} autoregression"
         )
-    lagged = lag_embed(window, order)
-    x_mean = lagged.features.mean(axis=0)
-    y_mean = lagged.targets.mean()
-    coef, *_ = np.linalg.lstsq(lagged.features - x_mean, lagged.targets - y_mean, rcond=None)
+    features, targets = lag_embed(window, order)
+    x_mean = features.mean(axis=0)
+    y_mean = targets.mean()
+    coef, *_ = np.linalg.lstsq(features - x_mean, targets - y_mean, rcond=None)
     intercept = float(y_mean - x_mean @ coef)
     return ArModel(coef=coef, intercept=intercept, order=order)
 
@@ -192,14 +191,6 @@ class CusumDetector:
         self._std: float | None = None
         self._pos = 0.0
         self._neg = 0.0
-
-    @property
-    def in_warmup(self) -> bool:
-        return self._mean is None
-
-    @property
-    def sums(self) -> tuple[float, float]:
-        return self._pos, self._neg
 
     def update(self, value: float) -> bool:
         value = float(value)
@@ -401,14 +392,6 @@ class ExternalForecastTrace:
         if not indices:
             raise ConfigError(f"{path}: no data rows")
         return cls(indices=np.asarray(indices), y_true=np.asarray(y_true), y_hat=np.asarray(y_hat))
-
-    def write_csv(self, path: str | Path) -> None:
-        lines = ["index,y_true,y_hat"]
-        for i in range(len(self)):
-            lines.append(
-                f"{int(self.indices[i])},{format_float(self.y_true[i])},{format_float(self.y_hat[i])}"
-            )
-        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 class ReplayForecaster(Forecaster):

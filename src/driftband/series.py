@@ -19,31 +19,16 @@ from .fileio import atomic_write_text, format_float
 
 SERIES_CSV_HEADER = ("index", "value")
 
-# Lag-length defaults by sampling frequency; one seasonal cycle for
-# monthly data, two days of half-hourly-or-faster data otherwise.
-LAG_BY_FREQUENCY = {"sub-hourly": 48, "monthly": 12}
-DEFAULT_LAG = 24
-
-
-def default_lag(frequency: str | None) -> int:
-    """Lag length for a frequency label ("sub-hourly", "monthly", or anything else)."""
-    if frequency is None:
-        return DEFAULT_LAG
-    return LAG_BY_FREQUENCY.get(frequency.strip().lower(), DEFAULT_LAG)
-
 
 @dataclass(frozen=True)
 class TimeSeries:
     """A univariate real-valued series with contiguous integer indexing.
 
-    ``values[i]`` is the observation at index ``start_index + i``. The
-    ``step`` label is informational only (e.g. "monthly"); no timestamp
-    arithmetic happens here.
+    ``values[i]`` is the observation at index ``start_index + i``.
     """
 
     values: np.ndarray
     start_index: int = 0
-    step: str | None = None
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
@@ -142,25 +127,14 @@ def fit_scaler(values, start: int | None = None, end: int | None = None) -> Stan
     return StandardScaler(mean=float(window.mean()), std=float(window.std(ddof=1)))
 
 
-@dataclass(frozen=True)
-class LagMatrix:
-    """Design matrix of lagged windows: row i is (y[i .. i+lag-1]) -> y[i+lag].
-
-    The feature columns run oldest to newest, so ``features[i, -1]`` is the
-    value immediately before ``targets[i]``.
-    """
-
-    features: np.ndarray
-    targets: np.ndarray
-    lag: int
-
-    def __len__(self) -> int:
-        return int(self.targets.size)
-
-
-def lag_embed(values, lag: int, start: int | None = None, end: int | None = None) -> LagMatrix:
+def lag_embed(
+    values, lag: int, start: int | None = None, end: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Embed a window into (lagged features, next value) rows.
 
+    Returns read-only ``(features, targets)``: row i of ``features`` is
+    y[i .. i+lag-1], oldest first, and ``targets[i]`` is y[i+lag], so
+    ``features[i, -1]`` is the value immediately before ``targets[i]``.
     Produces ``window_length - lag`` rows; the window must be strictly
     longer than the lag so at least one row exists.
     """
@@ -176,7 +150,7 @@ def lag_embed(values, lag: int, start: int | None = None, end: int | None = None
     targets = window[lag:].copy()
     features.setflags(write=False)
     targets.setflags(write=False)
-    return LagMatrix(features=features, targets=targets, lag=lag)
+    return features, targets
 
 
 def load_series_csv(path: str | Path) -> TimeSeries:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,41 @@ def test_run_unknown_config_key_exits_2(tmp_path, capsys):
     config.write_text(json.dumps({"dataset": "toy", "alpa": 0.1}))
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "alpa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("alpha", "0.1", "run config key 'alpha'"),
+        ("gamma", None, "run config key 'gamma'"),
+        ("gamma", float("nan"), "run config key 'gamma'"),
+        ("gamma_grid", 5, "run config key 'gamma_grid'"),
+        ("split", "abc", "run config key 'split'"),
+        ("seed", "x", "run config key 'seed'"),
+        ("forecaster_params", {"order": "4"}, "forecaster_params key 'order'"),
+        ("lag", 1.5, "run config key 'lag'"),
+        ("eta", True, "run config key 'eta'"),
+        ("frequency", "monthly", "unknown keys in run config: frequency"),
+    ],
+)
+def test_run_mistyped_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value, named):
+    config = write_config(tmp_path, **{key: value})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_one_expert_agaci_writes_the_aci_bands(tmp_path, series_csv, capsys):
+    aci = write_config(tmp_path, "aci.json", dataset=str(series_csv), gamma=0.02)
+    agaci = write_config(tmp_path, "agaci.json", dataset=str(series_csv), method="agaci",
+                         gamma_grid=[0.02])
+    out_dir = tmp_path / "o"
+    for config in (aci, agaci):
+        assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+    aci_bands = (out_dir / "walk-persistence-aci.bands.csv").read_bytes()
+    assert (out_dir / "walk-persistence-agaci.bands.csv").read_bytes() == aci_bands
+    finals = [json.loads((out_dir / f"walk-persistence-{m}.metrics.json").read_text())
+              ["alpha_final"] for m in ("aci", "agaci")]
+    assert finals[0] == finals[1] is not None
 
 
 def test_run_degenerate_series_exits_4(tmp_path, capsys):
@@ -197,6 +234,23 @@ def test_wrap_truth_mismatch_exits_5_naming_index(tmp_path, series_csv, capsys):
     assert "index 200" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offset, code", [(5e-10, 0), (2e-9, 5)])
+def test_wrap_truth_tolerance_is_1e_9(tmp_path, series_csv, capsys, offset, code):
+    series = load_series_csv(series_csv)
+    lines = ["index,y_true,y_hat"]
+    for t in range(1, len(series)):
+        y = series.values[t] + (offset if t == 200 else 0.0)
+        lines.append(f"{t},{float(y)!r},{float(series.values[t - 1])!r}")
+    trace = tmp_path / "shifted.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path, dataset=str(series_csv))
+    assert main([
+        "wrap", "--trace", str(trace), "--series", str(series_csv),
+        "--config", str(config), "--out", str(tmp_path / "w"),
+    ]) == code
+    assert ("index 200" in capsys.readouterr().err) == (code == 5)
+
+
 def test_wrap_perfect_trace_gives_zero_width_full_coverage(tmp_path, series_csv, capsys):
     series = load_series_csv(series_csv)
     lines = ["index,y_true,y_hat"]
@@ -278,10 +332,13 @@ def test_report_missing_input_exits_3(tmp_path, capsys):
 
 
 def test_console_script_entry_point(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "driftband", "generate", "--spec", "toy",
          "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert "generated toy" in proc.stdout

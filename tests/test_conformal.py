@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,14 +14,9 @@ from driftband.conformal import (
     aci_update,
     agaci_step,
     agaci_update,
-    aggregate_intervals,
     empirical_quantile,
-    expert_intervals,
     pinball_loss,
     residual_score,
-    split_cp_interval,
-    state_from_snapshot,
-    state_snapshot,
 )
 from driftband.errors import ConfigError, NumericError
 
@@ -96,15 +90,18 @@ def test_quantile_matches_sort_oracle(scores, level):
 
 
 def test_split_cp_interval():
+    # split conformal is a bank of one expert with gamma = 0
     buf = ScoreBuffer(10, range(1, 11))
-    iv = split_cp_interval(buf, y_hat=5.0, alpha=0.1)
+    bank = AgAciState.from_gammas(0.1, [0.0])
+    iv, _ = agaci_step(bank, buf, y_hat=5.0)
     # k = ceil(11 * 0.9) = 10 -> half-width 10
     assert (iv.lower, iv.upper) == (-5.0, 15.0)
     assert iv.level == 0.9
+    assert bank.alpha_t == 0.1
     with pytest.raises(ConfigError):
-        split_cp_interval(buf, 0.0, 0.0)
+        AgAciState.from_gammas(0.0, [0.0])
     with pytest.raises(ConfigError):
-        split_cp_interval(buf, 0.0, 1.0)
+        AgAciState.from_gammas(1.0, [0.0])
 
 
 def test_interval_covers_boundary_inclusive():
@@ -219,6 +216,27 @@ def test_agaci_single_expert_reproduces_aci():
         buf_b.append(s)
 
 
+def test_agaci_alpha_t_is_the_weighted_expert_level():
+    bank = AgAciState(
+        alpha_nominal=0.1,
+        experts=(
+            AciState(alpha_nominal=0.1, gamma=0.01, alpha_t=0.1),
+            AciState(alpha_nominal=0.1, gamma=0.02, alpha_t=0.3),
+        ),
+        weights=(0.25, 0.75),
+    )
+    assert bank.alpha_t == pytest.approx(0.25)
+    # one expert: exactly its level, where 1 - (1 - 0.1) would not be
+    assert AgAciState.from_gammas(0.1, [0.01]).alpha_t == 0.1
+
+
+@given(st.floats(0, 1, exclude_max=True))
+def test_lone_expert_weight_is_a_fixed_point_of_reweighing(floor):
+    # agaci_update skips the reweighing of a one-expert bank because
+    # (1 - floor) * 1 + floor / 1 rounds back to exactly 1
+    assert (1.0 - floor) * 1.0 + floor / 1 == 1.0
+
+
 def test_agaci_identical_experts_stay_uniform_and_match_member():
     rng = np.random.default_rng(4)
     buf = ScoreBuffer(50, np.abs(rng.normal(size=50)))
@@ -295,9 +313,8 @@ def test_aggregate_caps_infinite_expert_bands():
         weights=(0.5, 0.5),
         infinite_cap_factor=2.0,
     )
-    per_expert = expert_intervals(bank, buf, 0.0)
+    agg, per_expert = agaci_step(bank, buf, 0.0)
     assert per_expert[1].half_width == math.inf
-    agg = aggregate_intervals(bank, per_expert, buf, 0.0)
     # the infinite band enters the mean capped at max score * cap factor
     assert agg.half_width == pytest.approx(0.5 * per_expert[0].half_width + 0.5 * 8.0)
 
@@ -331,37 +348,3 @@ def test_infinite_expert_band_gets_zero_weight_factor():
     updated = agaci_update(bank, 0.5, 0.0, per_expert)
     assert updated.weights[1] == 0.0
     assert updated.weights[0] == 1.0
-
-
-def test_snapshot_round_trip_aci():
-    state = AciState(alpha_nominal=0.1, gamma=0.01, alpha_t=0.0712345678912345)
-    buf = ScoreBuffer(5, [0.1, 0.2, 0.30000000004])
-    text = state_snapshot(state, buf)
-    restored, buf2 = state_from_snapshot(text)
-    assert restored == state
-    assert buf2.capacity == 5
-    assert np.array_equal(buf2.values(), buf.values())
-
-
-def test_snapshot_round_trip_agaci():
-    rng = np.random.default_rng(8)
-    buf = ScoreBuffer(20, np.abs(rng.normal(size=20)))
-    bank = AgAciState.from_gammas(0.1, [1e-4, 1e-3, 1e-2], eta=2.0, weight_floor=1e-5)
-    for _ in range(50):
-        y, y_hat = rng.normal(), rng.normal()
-        _, per_expert = agaci_step(bank, buf, y_hat)
-        bank = agaci_update(bank, y, y_hat, per_expert)
-        buf.append(residual_score(y, y_hat))
-    restored, buf2 = state_from_snapshot(state_snapshot(bank, buf))
-    assert restored == bank  # float fields must survive exactly (json repr round trip)
-    assert np.array_equal(buf2.values(), buf.values())
-    assert buf2.capacity == buf.capacity
-
-
-def test_snapshot_rejects_missing_fields():
-    with pytest.raises(ConfigError, match="missing field"):
-        state_from_snapshot(json.dumps({"kind": "aci", "alpha_nominal": 0.1}))
-    with pytest.raises(ConfigError, match="unknown snapshot kind"):
-        state_from_snapshot(
-            json.dumps({"kind": "other", "buffer": {"capacity": 1, "scores": []}})
-        )

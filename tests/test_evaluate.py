@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from driftband.conformal import AgAciState, ScoreBuffer, agaci_step, agaci_update
 from driftband.errors import ConfigError, NumericError
 from driftband.evaluate import (
     ForecastRecord,
@@ -22,25 +23,14 @@ from driftband.evaluate import (
     write_metrics_json,
 )
 from driftband.forecasters import Forecaster
-from driftband.series import TimeSeries, write_series_csv
+from driftband.series import SplitSpec, TimeSeries, fit_scaler, write_series_csv
 
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
 
 
 def record(index=0, y=0.0, y_hat=0.0, lower=None, upper=None, alpha_t=None, covered=None):
-    scale = lambda v: None if v is None else v
     return ForecastRecord(
-        index=index,
-        y=y,
-        y_hat=y_hat,
-        lower=lower,
-        upper=upper,
-        alpha_t=alpha_t,
-        covered=covered,
-        y_scaled=y,
-        y_hat_scaled=y_hat,
-        lower_scaled=scale(lower),
-        upper_scaled=scale(upper),
+        index=index, y=y, y_hat=y_hat, lower=lower, upper=upper, alpha_t=alpha_t, covered=covered
     )
 
 
@@ -171,22 +161,16 @@ def test_telescoping_identity_from_report():
 
 def test_unit_consistency_of_records():
     from driftband.datagen import default_toy_spec, generate_toy
-    from driftband.series import SplitSpec, fit_scaler
 
     config = RunConfig(dataset="toy", method="aci", seed=2)
     report = run_rolling(config)
     series, _ = generate_toy(default_toy_spec(seed=2))
-    split = SplitSpec.from_fractions(len(series), config.split)
-    scaler = fit_scaler(series.values, 0, split.train_end)
     for r in report.records:
         assert r.lower <= r.y_hat <= r.upper
         assert r.y == series.values[r.index]
-        # original-unit fields are the inverse transform of the scaled ones
-        assert r.y_hat == scaler.inverse_transform(r.y_hat_scaled)
-        assert r.lower == scaler.inverse_transform(r.lower_scaled)
-        assert r.upper == scaler.inverse_transform(r.upper_scaled)
-        # the coverage decision is made in scaled space, bounds inclusive
-        assert r.covered == (r.lower_scaled <= r.y_scaled <= r.upper_scaled)
+        # the decision is made in scaled space; the scaling is strictly
+        # monotone, so it reads the same in original units
+        assert r.covered == (r.lower <= r.y <= r.upper)
 
 
 def test_reports_are_deterministic():
@@ -205,12 +189,22 @@ def test_frozen_buffer_differs_from_rolling():
 
 
 def test_agaci_effective_alpha_recorded():
-    report = run_rolling(RunConfig(dataset="toy", method="agaci", seed=4, split=THIRDS))
-    assert report.alpha_final is None
-    finite_alphas = [r.alpha_t for r in report.records if r.alpha_t is not None]
-    assert finite_alphas
+    # replay the run's bank by hand: a zero forecast and a frozen buffer
+    # make every score |z_t|
+    series = TimeSeries(values=np.random.default_rng(4).normal(size=600))
+    config = RunConfig(dataset="iid", method="agaci", split=THIRDS, buffer_mode="frozen")
+    report = run_rolling(config, series=series, forecaster_factory=lambda *a: ZeroForecaster())
+    split = SplitSpec.from_fractions(len(series), THIRDS)
+    z = fit_scaler(series.values, 0, split.train_end).transform(series.values)
+    buffer = ScoreBuffer(split.cal_end - split.train_end, np.abs(z[split.train_end:split.cal_end]))
+    bank = AgAciState.from_gammas(config.alpha, config.gamma_grid)
+    for t, r in zip(range(split.cal_end, split.test_end), report.records):
+        assert r.alpha_t == bank.alpha_t
+        _, per_expert = agaci_step(bank, buffer, 0.0)
+        bank = agaci_update(bank, float(z[t]), 0.0, per_expert)
+    assert report.alpha_final == bank.alpha_t
     # the effective level stays in the vicinity of nominal
-    assert 0.0 < np.median(finite_alphas) < 0.3
+    assert 0.0 < np.median([r.alpha_t for r in report.records]) < 0.3
 
 
 def test_split_cp_iid_control_hits_nominal_coverage():

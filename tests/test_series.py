@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from driftband.errors import ConfigError, NumericError
 from driftband.series import (
-    LagMatrix,
     SplitSpec,
     StandardScaler,
     TimeSeries,
-    default_lag,
     fit_scaler,
     lag_embed,
     load_series_csv,
@@ -108,17 +106,16 @@ def test_scaler_round_trip(values, mean, std):
 
 
 def test_lag_embed_small_example():
-    m = lag_embed([0.0, 1.0, 2.0, 3.0, 4.0], lag=2)
-    assert isinstance(m, LagMatrix)
-    assert m.features.tolist() == [[0, 1], [1, 2], [2, 3]]
-    assert m.targets.tolist() == [2, 3, 4]
-    assert len(m) == 3
+    features, targets = lag_embed([0.0, 1.0, 2.0, 3.0, 4.0], lag=2)
+    assert features.tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert targets.tolist() == [2, 3, 4]
+    assert not features.flags.writeable and not targets.flags.writeable
 
 
 def test_lag_embed_feature_order_is_oldest_first():
-    m = lag_embed(np.arange(10.0), lag=3)
+    features, targets = lag_embed(np.arange(10.0), lag=3)
     # newest lag sits in the last column, right before the target
-    assert np.all(m.features[:, -1] == m.targets - 1)
+    assert np.all(features[:, -1] == targets - 1)
 
 
 def test_lag_embed_window_too_short():
@@ -126,13 +123,6 @@ def test_lag_embed_window_too_short():
         lag_embed([1.0, 2.0], lag=2)
     with pytest.raises(ConfigError):
         lag_embed([1.0, 2.0], lag=0)
-
-
-def test_default_lag_by_frequency():
-    assert default_lag("sub-hourly") == 48
-    assert default_lag("monthly") == 12
-    assert default_lag("daily") == 24
-    assert default_lag(None) == 24
 
 
 def test_series_csv_round_trip(tmp_path):
