@@ -8,7 +8,6 @@ atomically. Exit codes: 0 ok, 2 config or parse problem, 3 I/O problem,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import datagen, evaluate
 from .errors import AlignmentError, ConfigError, NumericError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_json
 from .forecasters import ExternalForecastTrace, ReplayForecaster
 from .series import load_series_csv, write_series_csv
 
@@ -28,30 +27,30 @@ EXIT_NUMERIC = 4
 EXIT_ALIGNMENT = 5
 
 
-def _load_json(path: Path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+def _parse_json_file(path: Path, parse):
+    """``parse`` applied to a JSON file's content; its ConfigError names the file."""
+    payload = read_json(path)
+    try:
+        return parse(payload)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _out_dir(args, payload: dict | None = None) -> Path:
-    out = args.out
-    if out is None and payload is not None:
-        out = payload.get("out")
+def _out_dir(args, config_out: str | None = None) -> Path:
+    out = config_out if args.out is None else args.out
     out_dir = Path(out) if out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
-def _parse_run_config(path: Path, seed_override: int | None) -> tuple[evaluate.RunConfig, dict]:
-    payload = _load_json(path)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: run config must be a JSON object")
-    payload = dict(payload)
-    out = payload.pop("out", None)
-    config = evaluate.run_config_from_dict(payload)
+def _parse_run_config(path: Path, seed_override: int | None) -> tuple[evaluate.RunConfig, str | None]:
+    """The run config in a file, and the file's ``out`` directory (or None)."""
+    config, out = _parse_json_file(
+        path, lambda payload: (evaluate.run_config_from_dict(payload), payload.get("out"))
+    )
     if seed_override is not None:
         config = replace(config, seed=seed_override)
-    return config, {"out": out}
+    return config, out
 
 
 def _print_run_line(result, prefix: str = "") -> None:
@@ -80,7 +79,7 @@ def cmd_generate(args) -> int:
         name = spec_arg
     else:
         path = Path(spec_arg)
-        spec = datagen.generator_spec_from_json(_load_json(path))
+        spec = _parse_json_file(path, datagen.generator_spec_from_json)
         name = path.stem
     out_dir = _out_dir(args)
     series_path = out_dir / f"{name}.csv"
@@ -98,19 +97,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    configs = []
-    outs = []
-    for config_path in args.config:
-        config, extra = _parse_run_config(Path(config_path), args.seed)
-        configs.append(config)
-        outs.append(extra["out"])
+    configs, outs = zip(*(_parse_run_config(Path(p), args.seed) for p in args.config))
+    out_dir = _out_dir(args, next((o for o in outs if o), None))
     if len(configs) == 1:
-        out_dir = _out_dir(args, {"out": outs[0]})
         report = evaluate.run_rolling(configs[0])
         _write_run_outputs(out_dir, report)
         _print_run_line(report)
         return EXIT_OK
-    out_dir = _out_dir(args, {"out": next((o for o in outs if o), None)})
     results = evaluate.grid_run(configs, jobs=args.jobs)
     for result in results:
         _write_run_outputs(out_dir, result)
@@ -119,8 +112,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_wrap(args) -> int:
-    config, extra = _parse_run_config(Path(args.config), args.seed)
-    out_dir = _out_dir(args, extra)
+    config, out = _parse_run_config(Path(args.config), args.seed)
+    out_dir = _out_dir(args, out)
     series = load_series_csv(Path(args.series))
     trace = ExternalForecastTrace.from_csv(Path(args.trace))
     config = replace(config, dataset=str(args.series), forecaster="replay")
@@ -191,9 +184,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON at byte offset {exc.pos}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except AlignmentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALIGNMENT

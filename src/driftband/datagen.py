@@ -10,26 +10,34 @@ moves the regime path.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, check_keys, format_csv
 from .series import TimeSeries
 
 _PROB_TOL = 1e-12
 
 REGIME_CSV_HEADER = ("index", "regime")
 
-
-def _check_known_keys(payload: dict, known: set[str], what: str) -> None:
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"unknown keys in {what}: {', '.join(unknown)}")
+# The JSON type each key of a generator spec must have.
+_TOY_SPEC_TYPES = {
+    "kind": "a string", "regimes": "a list of objects", "chain": "an object",
+    "T": "an integer", "seed": "an integer", "y0": "a number",
+}
+_REGIME_TYPES = {"intercept": "a number", "coef": "a number", "noise_std": "a number"}
+_CHAIN_TYPES = {
+    "transition": "a list of equal-length lists of numbers", "initial": "a list of numbers",
+}
+_LORENZ_SPEC_TYPES = {
+    "kind": "a string", "sigma": "a number", "rho": "a number", "beta": "a number",
+    "dt": "a number", "x0": "a number", "y0": "a number", "z0": "a number",
+    "T": "an integer", "subsample": "an integer", "obs_noise": "a number", "seed": "an integer",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +93,7 @@ class MarkovChainSpec:
     def start_in(cls, transition, regime: int = 0) -> "MarkovChainSpec":
         """Chain that starts deterministically in one regime."""
         transition = np.asarray(transition, dtype=float)
-        initial = np.zeros(transition.shape[0])
-        initial[regime] = 1.0
+        initial = (np.arange(len(transition)) == regime).astype(float)
         return cls(transition=transition, initial=initial)
 
 
@@ -151,6 +158,8 @@ class SwitchingArSpec:
             raise ConfigError(f"series length must be >= 1, got {self.T}")
         if not math.isfinite(self.y0):
             raise ConfigError(f"starting value must be finite, got {self.y0}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def default_toy_spec(T: int = 3000, seed: int = 0) -> SwitchingArSpec:
@@ -180,9 +189,9 @@ def generate_toy(spec: SwitchingArSpec) -> tuple[TimeSeries, np.ndarray]:
     regime_seed, noise_seed = np.random.SeedSequence(spec.seed).spawn(2)
     path = sample_regimes(spec.chain, spec.T, regime_seed)
     eps = np.random.default_rng(noise_seed).standard_normal(spec.T)
-    intercept = np.array([r.intercept for r in spec.regimes])
-    coef = np.array([r.coef for r in spec.regimes])
-    noise_std = np.array([r.noise_std for r in spec.regimes])
+    intercept = np.array([r.intercept for r in spec.regimes], dtype=float)
+    coef = np.array([r.coef for r in spec.regimes], dtype=float)
+    noise_std = np.array([r.noise_std for r in spec.regimes], dtype=float)
     y = np.empty(spec.T)
     y[0] = spec.y0
     for t in range(1, spec.T):
@@ -221,6 +230,8 @@ class LorenzSpec:
             raise ConfigError(f"series length must be >= 1, got {self.T}")
         if self.obs_noise < 0:
             raise ConfigError(f"observation noise must be non-negative, got {self.obs_noise}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("sigma", "rho", "beta", "x0", "y0", "z0"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
@@ -265,69 +276,28 @@ def generate_lorenz(spec: LorenzSpec) -> TimeSeries:
 
 def write_regimes_csv(path: str | Path, regimes: np.ndarray, start_index: int = 0) -> None:
     """Sidecar ground-truth regime file: ``index,regime``, 0-based regimes."""
-    lines = ["index,regime"]
-    for i, d in enumerate(np.asarray(regimes, dtype=int)):
-        lines.append(f"{start_index + i},{int(d)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _chain_from_json(payload: dict) -> MarkovChainSpec:
-    if not isinstance(payload, dict):
-        raise ConfigError("chain must be an object with a 'transition' matrix")
-    _check_known_keys(payload, {"transition", "initial"}, "chain spec")
-    if "transition" not in payload:
-        raise ConfigError("chain spec is missing 'transition'")
-    transition = np.asarray(payload["transition"], dtype=float)
-    if "initial" in payload:
-        return MarkovChainSpec(transition=transition, initial=np.asarray(payload["initial"]))
-    return MarkovChainSpec.start_in(transition, regime=0)
+    rows = enumerate(np.asarray(regimes, dtype=int).tolist(), start=start_index)
+    atomic_write_text(path, format_csv(REGIME_CSV_HEADER, rows))
 
 
 def toy_spec_from_json(payload: dict) -> SwitchingArSpec:
-    _check_known_keys(
-        payload, {"kind", "regimes", "chain", "T", "seed", "y0"}, "toy generator spec"
-    )
-    base = default_toy_spec()
+    """The default toy spec with the fields a spec document sets replaced."""
+    check_keys(payload, _TOY_SPEC_TYPES, "toy generator spec")
+    fields = {key: payload[key] for key in ("T", "seed", "y0") if key in payload}
     if "regimes" in payload:
-        try:
-            regimes = tuple(
-                ArRegime(
-                    intercept=float(r["intercept"]),
-                    coef=float(r["coef"]),
-                    noise_std=float(r["noise_std"]),
-                )
-                for r in payload["regimes"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(
-                "each regime needs numeric 'intercept', 'coef' and 'noise_std' "
-                f"fields ({exc})"
-            ) from None
-    else:
-        regimes = base.regimes
-    chain = _chain_from_json(payload["chain"]) if "chain" in payload else base.chain
-    return SwitchingArSpec(
-        regimes=regimes,
-        chain=chain,
-        T=int(payload.get("T", base.T)),
-        seed=int(payload.get("seed", base.seed)),
-        y0=float(payload.get("y0", base.y0)),
-    )
-
-
-def lorenz_spec_from_json(payload: dict) -> LorenzSpec:
-    known = {
-        "kind", "sigma", "rho", "beta", "dt", "x0", "y0", "z0",
-        "T", "subsample", "obs_noise", "seed",
-    }
-    _check_known_keys(payload, known, "lorenz generator spec")
-    base = LorenzSpec()
-    kwargs = {}
-    for field in known - {"kind"}:
-        if field in payload:
-            caster = int if field in ("T", "subsample", "seed") else float
-            kwargs[field] = caster(payload[field])
-    return LorenzSpec(**kwargs) if kwargs else base
+        for i, regime in enumerate(payload["regimes"]):
+            check_keys(regime, _REGIME_TYPES, f"regime {i}", required=tuple(_REGIME_TYPES))
+        fields["regimes"] = tuple(ArRegime(**regime) for regime in payload["regimes"])
+    if "chain" in payload:
+        chain = payload["chain"]
+        check_keys(chain, _CHAIN_TYPES, "chain spec", required=("transition",))
+        transition = np.asarray(chain["transition"], dtype=float)
+        if "initial" in chain:
+            initial = np.asarray(chain["initial"], dtype=float)
+            fields["chain"] = MarkovChainSpec(transition=transition, initial=initial)
+        else:
+            fields["chain"] = MarkovChainSpec.start_in(transition, regime=0)
+    return replace(default_toy_spec(), **fields)
 
 
 def generator_spec_from_json(payload: dict) -> SwitchingArSpec | LorenzSpec:
@@ -338,5 +308,6 @@ def generator_spec_from_json(payload: dict) -> SwitchingArSpec | LorenzSpec:
     if kind == "toy":
         return toy_spec_from_json(payload)
     if kind == "lorenz":
-        return lorenz_spec_from_json(payload)
+        check_keys(payload, _LORENZ_SPEC_TYPES, "lorenz generator spec")
+        return LorenzSpec(**{key: value for key, value in payload.items() if key != "kind"})
     raise ConfigError(f"generator spec 'kind' must be 'toy' or 'lorenz', got {kind!r}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import conformal, datagen
 from .errors import ConfigError, NumericError
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_write_text, check_keys, format_csv, read_json
 from .forecasters import Forecaster, make_forecaster
 from .series import (
     SplitSpec,
@@ -32,7 +32,11 @@ from .series import (
 
 METHODS = ("none", "split", "aci", "agaci")
 FORECASTERS = ("persistence", "ar", "segmented_ar", "replay")
-BANDS_CSV_HEADER = "index,y,y_hat,lower,upper,alpha_t,covered"
+BANDS_CSV_HEADER = ("index", "y", "y_hat", "lower", "upper", "alpha_t", "covered")
+COMPARISON_CSV_HEADER = (
+    "dataset", "forecaster", "method", "status", "rmse", "coverage",
+    "median_width", "n_infinite", "n_zero_width", "n_steps",
+)
 
 DEFAULT_GAMMA_GRID = (1e-4, 1e-3, 1e-2)
 
@@ -97,6 +101,8 @@ class RunConfig:
             raise ConfigError(f"lag must be >= 1, got {self.lag}")
         if not isinstance(self.forecaster_params, dict):
             raise ConfigError("forecaster_params must be an object")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def run_name(self) -> str:
@@ -105,59 +111,43 @@ class RunConfig:
         return f"{dataset_label(self.dataset)}-{self.forecaster}-{self.method}"
 
 
-# The JSON type each key of a run config (and of its forecaster_params) must have.
+# The JSON type each key of a run config must have; ``out`` is the CLI's
+# default output directory and not part of the RunConfig.
 _RUN_CONFIG_TYPES = {
     "dataset": "a string", "forecaster": "a string", "method": "a string",
     "name": "a string or null", "forecaster_params": "an object", "alpha": "a number",
     "gamma": "a number", "gamma_grid": "a list of numbers", "eta": "a number",
     "weight_floor": "a number", "aggregation": "a string", "cap_factor": "a number",
     "lag": "an integer", "split": "a list of numbers", "seed": "an integer",
-    "buffer_mode": "a string",
+    "buffer_mode": "a string", "out": "a string or null",
 }
+# The forecaster_params each forecaster takes, with their JSON types.
+_AR_PARAM_TYPES = {"order": "an integer", "refit_every": "an integer"}
 _FORECASTER_PARAM_TYPES = {
-    "order": "an integer", "refit_every": "an integer", "drift": "a number",
-    "threshold": "a number", "warmup": "an integer",
+    "persistence": {}, "replay": {}, "ar": _AR_PARAM_TYPES,
+    "segmented_ar": {**_AR_PARAM_TYPES, "drift": "a number", "threshold": "a number",
+                     "warmup": "an integer"},
 }
-_JSON_TYPES = {
-    "a string": str, "a string or null": (str, type(None)), "a number": (int, float),
-    "an integer": int, "an object": dict,
-}
-
-
-def _has_type(value, kind: str) -> bool:
-    """Whether a parsed JSON value has the named type; true/false are not
-    numbers, and neither is NaN (``value == value`` fails only for NaN)."""
-    if kind == "a list of numbers":
-        return isinstance(value, list) and all(_has_type(v, "a number") for v in value)
-    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind]) and value == value
-
-
-def _check_types(payload: dict, types: dict, where: str) -> None:
-    unknown = sorted(set(payload) - set(types))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-    for key, value in payload.items():
-        if not _has_type(value, types[key]):
-            raise ConfigError(f"{where} key {key!r} must be {types[key]}, got {value!r}")
 
 
 def run_config_from_dict(payload: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON object.
 
-    Unknown keys and values of the wrong JSON type are an error naming the key.
+    Unknown keys, values of the wrong JSON type and forecaster_params the
+    configured forecaster does not take are an error naming the key.
     """
-    if not isinstance(payload, dict):
-        raise ConfigError("run config must be a JSON object")
-    _check_types(payload, _RUN_CONFIG_TYPES, "run config")
-    if "dataset" not in payload:
-        raise ConfigError("run config is missing 'dataset'")
-    params = payload.get("forecaster_params", {})
-    _check_types(params, _FORECASTER_PARAM_TYPES, "forecaster_params")
-    kwargs = dict(payload)
+    check_keys(payload, _RUN_CONFIG_TYPES, "run config", required=("dataset",))
+    kwargs = {key: value for key, value in payload.items() if key != "out"}
     for key in ("gamma_grid", "split"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
-    return RunConfig(**kwargs)
+    config = RunConfig(**kwargs)
+    check_keys(
+        config.forecaster_params,
+        _FORECASTER_PARAM_TYPES[config.forecaster],
+        f"{config.forecaster} forecaster_params",
+    )
+    return config
 
 
 def dataset_label(dataset: str) -> str:
@@ -286,7 +276,6 @@ def run_rolling(
     if series is None:
         series = load_dataset(config)
     split = SplitSpec.from_fractions(len(series), config.split)
-    split.check_length(len(series))
 
     try:
         scaler = fit_scaler(series.values, 0, split.train_end)
@@ -296,6 +285,15 @@ def run_rolling(
 
     factory = forecaster_factory or _default_forecaster_factory(config)
     forecaster = factory(scaler, series, split)
+
+    def predict(t: int, phase: str) -> float:
+        y_hat = forecaster.predict_one(z[:t])
+        if not math.isfinite(y_hat):
+            raise NumericError(
+                f"{phase}: the forecast for series index {series.start_index + t} is {y_hat!r}"
+            )
+        return y_hat
+
     try:
         forecaster.fit(z[: split.train_end])
     except NumericError as exc:
@@ -309,7 +307,7 @@ def run_rolling(
             "widen the calibration fraction"
         ) from None
     for t in range(split.train_end, split.cal_end):
-        y_hat = forecaster.predict_one(z[:t])
+        y_hat = predict(t, "calibration seeding")
         buffer.append(conformal.residual_score(z[t], y_hat))
         forecaster.observe(z[t])
 
@@ -328,7 +326,7 @@ def run_rolling(
 
     records: list[ForecastRecord] = []
     for t in range(split.cal_end, split.test_end):
-        y_hat_scaled = forecaster.predict_one(z[:t])
+        y_hat_scaled = predict(t, "test step")
         y_scaled = float(z[t])
         lower = upper = alpha_used = covered = None
         if bank is not None:
@@ -404,20 +402,6 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
         return list(pool.map(_run_one, configs))
 
 
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        if math.isnan(x):
-            return "nan"
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
-def _json_number(x):
-    if isinstance(x, str):
-        return float(x)
-    return x
-
-
 def report_payload(result: RunReport | RunFailure) -> dict:
     """The metrics JSON object for one run (or one failed grid cell)."""
     config = result.config
@@ -442,7 +426,8 @@ def report_payload(result: RunReport | RunFailure) -> dict:
     payload["metrics"] = {
         "rmse": result.rmse,
         "coverage": result.coverage,
-        "median_width": _json_safe(result.median_width),
+        # an all-infinite run's width, as a string to keep the JSON strict
+        "median_width": "inf" if result.median_width == math.inf else result.median_width,
         "n_infinite": result.n_infinite,
         "n_zero_width": result.n_zero_width,
         "n_steps": result.n_steps,
@@ -454,40 +439,36 @@ def write_metrics_json(path: str | Path, result: RunReport | RunFailure) -> None
     atomic_write_text(path, json.dumps(report_payload(result), indent=2) + "\n")
 
 
+# The JSON type of each key of a metrics file (run config fields, then the
+# outcome) and of its 'metrics' object.
+_METRICS_FILE_TYPES = {
+    **_RUN_CONFIG_TYPES, "status": "a string", "error": "a string",
+    "alpha_final": "a number or null", "metrics": "an object",
+}
+_METRIC_TYPES = {
+    "rmse": "a number", "coverage": "a number or null", "median_width": "a number or null",
+    "n_infinite": "an integer", "n_zero_width": "an integer", "n_steps": "an integer",
+}
+
+
 def load_metrics_json(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: metrics file must hold a JSON object")
-    for key in ("dataset", "forecaster", "method", "status"):
-        if key not in payload:
-            raise ConfigError(f"{path}: metrics file is missing {key!r}")
+    payload = read_json(path)
+    check_keys(
+        payload, _METRICS_FILE_TYPES, f"{path}: metrics file",
+        required=("dataset", "forecaster", "method", "status"),
+    )
     if payload["status"] == "ok":
         metrics = payload.get("metrics")
-        if not isinstance(metrics, dict):
-            raise ConfigError(f"{path}: metrics file is missing the 'metrics' object")
-        if "median_width" in metrics:
-            metrics["median_width"] = _json_number(metrics["median_width"])
+        if isinstance(metrics, dict) and metrics.get("median_width") == "inf":
+            metrics["median_width"] = math.inf
+        check_keys(metrics, _METRIC_TYPES, f"{path}: 'metrics'")
     return payload
-
-
-def _csv_field(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return format_float(x)
-    return str(x)
 
 
 def write_bands_csv(path: str | Path, records: Sequence[ForecastRecord]) -> None:
     """Per-step band table in original units, one row per test step."""
-    lines = [BANDS_CSV_HEADER]
-    for r in records:
-        fields = (r.index, r.y, r.y_hat, r.lower, r.upper, r.alpha_t, r.covered)
-        lines.append(",".join(_csv_field(f) for f in fields))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = ((r.index, r.y, r.y_hat, r.lower, r.upper, r.alpha_t, r.covered) for r in records)
+    atomic_write_text(path, format_csv(BANDS_CSV_HEADER, rows))
 
 
 def comparison_rows(payloads: Sequence[dict]) -> list[dict]:
@@ -575,20 +556,6 @@ def render_comparison_table(rows: Sequence[dict]) -> str:
 
 def comparison_csv(rows: Sequence[dict]) -> str:
     """Machine-readable comparison table, one row per run."""
-    columns = (
-        "dataset", "forecaster", "method", "status", "rmse", "coverage",
-        "median_width", "n_infinite", "n_zero_width", "n_steps",
+    return format_csv(
+        COMPARISON_CSV_HEADER, ([row.get(col) for col in COMPARISON_CSV_HEADER] for row in rows)
     )
-    lines = [",".join(columns)]
-    for row in rows:
-        fields = []
-        for col in columns:
-            value = row.get(col)
-            if value is None:
-                fields.append("")
-            elif isinstance(value, float):
-                fields.append(format_float(value))
-            else:
-                fields.append(str(value))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"

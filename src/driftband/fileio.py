@@ -1,15 +1,163 @@
-"""Atomic file writing helpers.
+"""Every on-disk format: strict CSV and JSON readers, a typed key checker,
+one CSV formatter and atomic writes.
 
-Every output file is written to a temporary sibling and renamed into
-place, so an interrupted run never leaves a truncated file that looks
-complete.
+A malformed input raises ``ConfigError`` naming the file and the line or
+key. Every output file is written to a temporary sibling and renamed into
+place, so an interrupted run never leaves a truncated file that looks complete.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 import os
+import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .errors import ConfigError
+
+_INDEX_MIN, _INDEX_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _read_text(path: Path) -> str:
+    """A UTF-8 file's text; a byte that does not decode is an error naming its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line}: not UTF-8 (byte offset {exc.start})") from None
+
+
+def read_json(path: str | Path):
+    """Parse a UTF-8 JSON file; bad bytes or bad syntax name the file."""
+    path = Path(path)
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at byte offset {exc.pos}: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def read_indexed_csv(path: str | Path, header: Sequence[str]) -> tuple[int, np.ndarray]:
+    """Read a strict CSV whose first column is a gap-free integer index.
+
+    The file must be UTF-8, start with exactly ``header`` and hold at
+    least one row of ``len(header)`` fields: an integer index, each one
+    more than the last, then finite numbers. Returns the first index and
+    the number columns as an array of shape ``(len(header) - 1, rows)``.
+    Any violation is a ``ConfigError`` naming the file and the line.
+    """
+    path = Path(path)
+    expected = ",".join(header)
+    width = len(header)
+    reader = csv.reader(_read_text(path).splitlines())
+    index: list[int] = []
+    values: list[float] = []
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ConfigError(f"{path}: empty file, expected header {expected!r}")
+        if tuple(h.strip() for h in first) != tuple(header):
+            raise ConfigError(f"{path}: line 1: expected header {expected!r}, got {first!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ConfigError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+                )
+            try:
+                index.append(int(row[0]))
+                values.extend(map(float, row[1:]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not index:
+        raise ConfigError(f"{path}: no data rows")
+    start = index[0]
+    if not _INDEX_MIN <= start <= _INDEX_MAX - len(index):
+        raise ConfigError(f"{path}: line 2: index {start} is outside the 64-bit range")
+    if index != list(range(start, start + len(index))):
+        row = next(i for i in range(1, len(index)) if index[i] != index[i - 1] + 1)
+        raise ConfigError(
+            f"{path}: line {row + 2}: index {index[row]} breaks the gap-free order "
+            f"(previous was {index[row - 1]})"
+        )
+    table = np.array(values).reshape(len(index), width - 1)
+    if not np.isfinite(table).all():
+        row, column = np.argwhere(~np.isfinite(table))[0]
+        raise ConfigError(
+            f"{path}: line {row + 2}: non-finite {header[column + 1]} "
+            f"{float(table[row, column])!r}"
+        )
+    return start, table.T
+
+
+def _csv_field(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float):
+        return repr(float(x))  # shortest decimal string that round-trips
+    return str(x)
+
+
+def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of a header and rows: None is an empty cell, booleans are
+    1/0 and floats their shortest round-trip decimal."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_csv_field, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _is_number(value) -> bool:
+    """true/false are not numbers, nor are NaN and integers beyond a double's range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else not math.isnan(value)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# The JSON kinds a key table may name, each with its test on a parsed value.
+_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a number": _is_number,
+    "a number or null": lambda v: v is None or _is_number(v),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of numbers": _is_numbers,
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    "a list of equal-length lists of numbers": lambda v: isinstance(v, list)
+    and all(map(_is_numbers, v)) and len({len(row) for row in v}) <= 1,
+}
+
+
+def check_keys(payload, types: dict[str, str], where: str, required: Sequence[str] = ()) -> None:
+    """Check a parsed JSON object against a table of the kind each key must
+    have (a key of ``_KINDS``). Unknown keys, missing ``required`` keys and
+    values of the wrong kind are a ``ConfigError`` naming ``where`` and the key."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(payload) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+    for key in required:
+        if key not in payload:
+            raise ConfigError(f"{where} is missing {key!r}")
+    for key, value in payload.items():
+        if not _KINDS[types[key]](value):
+            raise ConfigError(f"{where} key {key!r} must be {types[key]}, got {value!r}")
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -28,8 +176,3 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def format_float(x: float) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(x))

@@ -13,7 +13,6 @@ original data units happens in the evaluation layer.
 
 from __future__ import annotations
 
-import csv
 import math
 from abc import ABC, abstractmethod
 from collections import deque
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, NumericError
+from .fileio import read_indexed_csv
 from .series import TimeSeries, lag_embed
 
 TRACE_CSV_HEADER = ("index", "y_true", "y_hat")
@@ -364,34 +364,9 @@ class ExternalForecastTrace:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ExternalForecastTrace":
-        path = Path(path)
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ConfigError(
-                    f"{path}: empty file, expected header 'index,y_true,y_hat'"
-                ) from None
-            if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
-                raise ConfigError(
-                    f"{path}: line 1: expected header 'index,y_true,y_hat', got {header!r}"
-                )
-            indices: list[int] = []
-            y_true: list[float] = []
-            y_hat: list[float] = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3:
-                    raise ConfigError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-                try:
-                    indices.append(int(row[0]))
-                    y_true.append(float(row[1]))
-                    y_hat.append(float(row[2]))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: line {lineno}: {exc}") from None
-        if not indices:
-            raise ConfigError(f"{path}: no data rows")
-        return cls(indices=np.asarray(indices), y_true=np.asarray(y_true), y_hat=np.asarray(y_hat))
+        """Read a strict ``index,y_true,y_hat`` CSV (rules in ``read_indexed_csv``)."""
+        start, (y_true, y_hat) = read_indexed_csv(path, TRACE_CSV_HEADER)
+        return cls(indices=np.arange(start, start + y_true.size), y_true=y_true, y_hat=y_hat)
 
 
 class ReplayForecaster(Forecaster):
@@ -416,27 +391,13 @@ class ReplayForecaster(Forecaster):
         return float(self._scaler.transform(self.trace.y_hat_at(t)))
 
 
-def make_forecaster(
-    name: str,
-    order: int | None = None,
-    refit_every: int = 25,
-    drift: float = 0.5,
-    threshold: float = 5.0,
-    warmup: int = 50,
-) -> Forecaster:
-    """Build a native forecaster by name ("persistence", "ar", "segmented_ar")."""
+def make_forecaster(name: str, **params) -> Forecaster:
+    """Build a native forecaster by name ("persistence", "ar", "segmented_ar");
+    ``params`` go to its constructor unchanged."""
     if name == "persistence":
-        return PersistenceForecaster()
-    if name in ("ar", "segmented_ar"):
-        if order is None:
-            raise ConfigError(f"forecaster {name!r} requires an order")
-        if name == "ar":
-            return ArForecaster(order=order, refit_every=refit_every)
-        return SegmentedArForecaster(
-            order=order,
-            refit_every=refit_every,
-            drift=drift,
-            threshold=threshold,
-            warmup=warmup,
-        )
-    raise ConfigError(f"unknown forecaster {name!r}")
+        return PersistenceForecaster(**params)
+    if name not in ("ar", "segmented_ar"):
+        raise ConfigError(f"unknown forecaster {name!r}")
+    if "order" not in params:
+        raise ConfigError(f"forecaster {name!r} requires an order")
+    return (ArForecaster if name == "ar" else SegmentedArForecaster)(**params)

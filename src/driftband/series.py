@@ -7,7 +7,6 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_write_text, format_csv, read_indexed_csv
 
 SERIES_CSV_HEADER = ("index", "value")
 
@@ -75,10 +74,6 @@ class SplitSpec:
         train_end = round(n * fractions[0])
         cal_end = train_end + round(n * fractions[1])
         return cls(train_end=train_end, cal_end=min(cal_end, n), test_end=n)
-
-    def check_length(self, n: int) -> None:
-        if self.test_end > n:
-            raise ConfigError(f"split test_end {self.test_end} exceeds series length {n}")
 
 
 @dataclass(frozen=True)
@@ -154,46 +149,11 @@ def lag_embed(
 
 
 def load_series_csv(path: str | Path) -> TimeSeries:
-    """Read a series from a strict ``index,value`` CSV.
-
-    Rows must be index-sorted and gap-free; any malformed row is a hard
-    error naming the offending line.
-    """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file, expected header 'index,value'") from None
-        if tuple(h.strip() for h in header) != SERIES_CSV_HEADER:
-            raise ConfigError(f"{path}: line 1: expected header 'index,value', got {header!r}")
-        indices: list[int] = []
-        values: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ConfigError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                idx = int(row[0])
-                val = float(row[1])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: {exc}") from None
-            if not math.isfinite(val):
-                raise ConfigError(f"{path}: line {lineno}: non-finite value {row[1]!r}")
-            if indices and idx != indices[-1] + 1:
-                raise ConfigError(
-                    f"{path}: line {lineno}: index {idx} breaks the gap-free order "
-                    f"(previous was {indices[-1]})"
-                )
-            indices.append(idx)
-            values.append(val)
-    if not values:
-        raise ConfigError(f"{path}: no data rows")
-    return TimeSeries(values=np.asarray(values), start_index=indices[0])
+    """Read a series from a strict ``index,value`` CSV (rules in ``read_indexed_csv``)."""
+    start, columns = read_indexed_csv(path, SERIES_CSV_HEADER)
+    return TimeSeries(values=columns[0], start_index=start)
 
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
-    lines = ["index,value"]
-    for i, value in enumerate(series.values):
-        lines.append(f"{series.start_index + i},{format_float(value)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = enumerate(series.values, start=series.start_index)
+    atomic_write_text(path, format_csv(SERIES_CSV_HEADER, rows))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from driftband.cli import main
+from driftband.datagen import default_toy_spec, generate_toy
 from driftband.series import TimeSeries, load_series_csv, write_series_csv
 
 
@@ -117,7 +118,8 @@ def test_run_unknown_config_key_exits_2(tmp_path, capsys):
     ],
 )
 def test_run_mistyped_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value, named):
-    config = write_config(tmp_path, **{key: value})
+    # "ar", because persistence takes no forecaster_params at all
+    config = write_config(tmp_path, forecaster="ar", **{key: value})
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
 
@@ -342,3 +344,81 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "generated toy" in proc.stdout
+
+
+# Each malformed input with the fragment its error must carry; {path} is the
+# malformed file. "spec" inputs go to generate, "config" inputs to run,
+# "series" inputs are a run's dataset, "metrics" inputs go to report,
+# "trace" inputs to wrap, and "seed flag" runs a valid config with --seed -1.
+MALFORMED_INPUTS = [
+    ("spec", {"kind": "toy", "T": "abc"}, "{path}: toy generator spec key 'T'"),
+    ("spec", {"kind": "toy", "T": 1.5}, "{path}: toy generator spec key 'T'"),
+    ("spec", {"kind": "lorenz", "dt": "x"}, "{path}: lorenz generator spec key 'dt'"),
+    ("spec", {"kind": "lorenz", "T": True}, "{path}: lorenz generator spec key 'T'"),
+    ("spec", {"kind": "toy", "chain": {"transition": "ab"}},
+     "{path}: chain spec key 'transition'"),
+    ("spec", {"kind": "toy", "regimes": [{"intercept": "a", "coef": 0.5, "noise_std": 0.1}]},
+     "{path}: regime 0 key 'intercept'"),
+    ("config", b'{"dataset": "toy",\n "name": "\xff"}', "{path}: line 2: not UTF-8"),
+    ("series", b"index,value\n0,1.0\n1,\xff\n", "{path}: line 3: not UTF-8"),
+    ("metrics", {"dataset": "toy", "forecaster": "ar", "method": "aci", "status": "ok",
+                 "metrics": {"coverage": "x"}}, "{path}: 'metrics' key 'coverage'"),
+    ("trace", b"index,y_true,y_hat\n1,0.5,0.4\n2,0.6,nan\n", "{path}: line 3: non-finite y_hat"),
+    ("trace", b"index,y_true,y_hat\n1,0.5,0.4\n3,0.6,0.5\n", "{path}: line 3: index 3"),
+    ("spec", {"kind": "toy", "chain": {"transition": [[0.5, 0.5], [1]]}},
+     "{path}: chain spec key 'transition'"),
+    ("config", {"dataset": "toy", "seed": -1}, "{path}: seed must be non-negative"),
+    ("config", {"dataset": "lorenz", "seed": -1}, "{path}: seed must be non-negative"),
+    ("spec", {"kind": "toy", "seed": -1}, "{path}: seed must be non-negative"),
+    ("spec", {"kind": "lorenz", "seed": -1}, "{path}: seed must be non-negative"),
+    ("config", {"dataset": "toy", "forecaster": "persistence", "forecaster_params": {"order": 3}},
+     "{path}: unknown keys in persistence forecaster_params: order"),
+    ("config", {"dataset": "toy", "forecaster": "ar", "forecaster_params": {"warmup": 60}},
+     "{path}: unknown keys in ar forecaster_params: warmup"),
+    ("seed flag", {"dataset": "toy"}, "seed must be non-negative, got -1"),
+    ("config", b"[" * 100000, "{path}: JSON nested too deeply"),
+    ("config", {"dataset": "toy", "gamma_grid": [10**400]}, "{path}: run config key 'gamma_grid'"),
+    ("spec", {"kind": "lorenz", "sigma": 10**400}, "{path}: lorenz generator spec key 'sigma'"),
+    ("series", b"index,value\n0," + b"1" * 200000 + b"\n", "{path}: line 2: field larger"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, content, fragment", MALFORMED_INPUTS,
+    ids=[f"{i}-{kind}" for i, (kind, _, _) in enumerate(MALFORMED_INPUTS, start=1)],
+)
+def test_malformed_input_exits_2_naming_the_file_and_key_or_line(
+    tmp_path, series_csv, capsys, kind, content, fragment
+):
+    path = tmp_path / ("bad.csv" if kind in ("series", "trace") else "bad.json")
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    out = ["--out", str(tmp_path / "o")]
+    argv = {
+        "spec": ["generate", "--spec", str(path)],
+        "config": ["run", "--config", str(path)],
+        "series": ["run", "--config", str(write_config(tmp_path, "s.json", dataset=str(path)))],
+        "metrics": ["report", "--inputs", str(path)],
+        "trace": ["wrap", "--trace", str(path), "--series", str(series_csv),
+                  "--config", str(write_config(tmp_path))],
+        "seed flag": ["run", "--config", str(path), "--seed", "-1"],
+    }[kind]
+    assert main(argv + out) == 2
+    assert fragment.format(path=path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index, phase", [(1800, "calibration seeding"), (2500, "test step")])
+def test_non_finite_forecast_exits_4_naming_the_phase_and_index(tmp_path, capsys, index, phase):
+    series, _ = generate_toy(default_toy_spec(seed=1))
+    series_csv = tmp_path / "toy.csv"
+    write_series_csv(series_csv, series)
+    lines = ["index,y_true,y_hat"]
+    for t in range(1, len(series)):
+        y_hat = -1.7e308 if t == index else float(series.values[t - 1])
+        lines.append(f"{t},{float(series.values[t])!r},{y_hat!r}")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main([
+        "wrap", "--trace", str(trace), "--series", str(series_csv),
+        "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o"),
+    ]) == 4
+    assert f"{phase}: the forecast for series index {index} is -inf" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftband.errors import ConfigError, NumericError
+from driftband.forecasters import ExternalForecastTrace
 from driftband.series import (
     SplitSpec,
     StandardScaler,
@@ -136,23 +138,34 @@ def test_series_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.values, original.values)
 
 
-@pytest.mark.parametrize(
-    "content,fragment",
-    [
-        ("", "empty file"),
-        ("time,value\n0,1.0\n", "expected header"),
-        ("index,value\n0,1.0\n2,2.0\n", "gap-free"),
-        ("index,value\n0,abc\n", "line 2"),
-        ("index,value\n0,1.0,9\n", "expected 2 fields"),
-        ("index,value\n0,inf\n", "non-finite"),
-        ("index,value\n", "no data rows"),
-    ],
-)
+MALFORMED_SERIES_CSV = [
+    ("", "empty file"),
+    ("time,value\n0,1.0\n", "expected header"),
+    ("index,value\n0,1.0\n2,2.0\n", "gap-free"),
+    ("index,value\n0,abc\n", "line 2"),
+    ("index,value\n0,1.0,9\n", "expected 2 fields"),
+    ("index,value\n0,inf\n", "non-finite"),
+    ("index,value\n", "no data rows"),
+    ("index,value\n" + "9" * 25 + ",1.0\n", "64-bit range"),
+]
+
+
+@pytest.mark.parametrize("content,fragment", MALFORMED_SERIES_CSV)
 def test_series_csv_rejects_malformed_input(tmp_path, content, fragment):
     path = tmp_path / "bad.csv"
     path.write_text(content)
     with pytest.raises(ConfigError, match=fragment):
         load_series_csv(path)
+
+
+@pytest.mark.parametrize("content,fragment", MALFORMED_SERIES_CSV)
+def test_trace_csv_rejects_the_same_malformed_input(tmp_path, content, fragment):
+    # the series table as a trace: its header, and a y_hat of 0.0 on every row
+    trace = re.sub(r"^(\d.*)$", r"\1,0.0", content, flags=re.M)
+    path = tmp_path / "bad.csv"
+    path.write_text(trace.replace("index,value", "index,y_true,y_hat"))
+    with pytest.raises(ConfigError, match=fragment.replace("2 fields", "3 fields")):
+        ExternalForecastTrace.from_csv(path)
 
 
 def test_series_csv_reports_offending_line_number(tmp_path):
