@@ -116,7 +116,10 @@ def cmd_wrap(args) -> int:
     out_dir = _out_dir(args, out)
     series = load_series_csv(Path(args.series))
     trace = ExternalForecastTrace.from_csv(Path(args.trace))
-    config = replace(config, dataset=str(args.series), forecaster="replay")
+    # forecaster_params were checked against the config's own forecaster
+    config = replace(
+        config, dataset=str(args.series), forecaster="replay", forecaster_params={}
+    )
 
     def factory(scaler, series_, split):
         trace.validate_against(

@@ -14,6 +14,7 @@ replay and parallel evaluation trivially safe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -34,12 +35,17 @@ def residual_score(y: float, y_hat: float) -> float:
 
 
 class ScoreBuffer:
-    """Bounded FIFO of past nonconformity scores.
+    """Bounded FIFO of past nonconformity scores, also kept in sorted order.
 
     Appending beyond capacity drops the oldest score first. In rolling
     calibration the buffer keeps absorbing test-time scores; a frozen
     buffer simply stops receiving appends (the caller's choice, not a
     mode stored here).
+
+    The deque decides eviction order; a sorted list of the same scores
+    answers order-statistic queries. An append costs an O(log n) search
+    plus an O(n) memmove (one list delete and one insert); reading any
+    order statistic or the maximum is O(1).
     """
 
     def __init__(self, capacity: int, scores: Iterable[float] = ()) -> None:
@@ -47,7 +53,7 @@ class ScoreBuffer:
         if capacity < 1:
             raise ConfigError(f"buffer capacity must be >= 1, got {capacity}")
         self._scores: deque[float] = deque(maxlen=capacity)
-        self._cache: np.ndarray | None = None
+        self._sorted: list[float] = []
         for s in scores:
             self.append(s)
 
@@ -62,19 +68,19 @@ class ScoreBuffer:
         score = float(score)
         if not math.isfinite(score) or score < 0:
             raise NumericError(f"scores must be finite and non-negative, got {score}")
+        if len(self._scores) == self._scores.maxlen:
+            del self._sorted[bisect_left(self._sorted, self._scores[0])]
         self._scores.append(score)
-        self._cache = None
+        insort(self._sorted, score)
 
     def values(self) -> np.ndarray:
-        if self._cache is None:
-            self._cache = np.asarray(self._scores, dtype=float)
-            self._cache.setflags(write=False)
-        return self._cache
+        """The buffered scores, oldest first."""
+        return np.array(self._scores, dtype=float)
 
     def max(self) -> float:
-        if not self._scores:
+        if not self._sorted:
             raise NumericError("empty score buffer has no maximum")
-        return max(self._scores)
+        return self._sorted[-1]
 
 
 def empirical_quantile(buffer: ScoreBuffer, level: float) -> float:
@@ -84,7 +90,8 @@ def empirical_quantile(buffer: ScoreBuffer, level: float) -> float:
     +1 correction makes split conformal intervals valid at finite n.
     Levels at or below 0 land before the first order statistic and give
     a zero-width band; levels requiring k > n are unattainable with n
-    scores and give an infinite band.
+    scores and give an infinite band. The buffer keeps its scores
+    sorted, so this is an O(1) index read.
     """
     n = len(buffer)
     if n == 0:
@@ -94,8 +101,7 @@ def empirical_quantile(buffer: ScoreBuffer, level: float) -> float:
         return 0.0
     if k > n:
         return math.inf
-    arr = buffer.values()
-    return float(np.partition(arr, k - 1)[k - 1])
+    return buffer._sorted[k - 1]
 
 
 @dataclass(frozen=True)

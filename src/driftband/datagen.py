@@ -11,6 +11,8 @@ moves the regime path.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -101,16 +103,23 @@ def sample_regimes(spec: MarkovChainSpec, T: int, seed) -> np.ndarray:
     """Sample a regime path of length T. ``seed`` is anything default_rng accepts."""
     if T < 1:
         raise ConfigError(f"regime path length must be >= 1, got {T}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(T)
-    cum_rows = np.cumsum(spec.transition, axis=1)
-    cum_init = np.cumsum(spec.initial)
+    u = np.random.default_rng(seed).random(T).tolist()
+    cum_rows = np.cumsum(spec.transition, axis=1).tolist()
     last = spec.n_regimes - 1
-    path = np.empty(T, dtype=int)
-    path[0] = min(int(np.searchsorted(cum_init, u[0], side="right")), last)
-    for t in range(1, T):
-        path[t] = min(int(np.searchsorted(cum_rows[path[t - 1]], u[t], side="right")), last)
-    return path
+    regime = min(bisect_right(np.cumsum(spec.initial).tolist(), u[0]), last)
+    path = [regime]
+    for u_t in u[1:]:
+        regime = min(bisect_right(cum_rows[regime], u_t), last)
+        path.append(regime)
+    return np.array(path, dtype=int)
+
+
+def _check_length(T: int) -> None:
+    """A series length of at least 1 whose float64 output can be addressed."""
+    if T < 1:
+        raise ConfigError(f"series length must be >= 1, got {T}")
+    if T * 8 > sys.maxsize:
+        raise ConfigError(f"series length T = {T} is too large to allocate")
 
 
 @dataclass(frozen=True)
@@ -154,8 +163,7 @@ class SwitchingArSpec:
                 f"got {len(self.regimes)} regime parameter sets for a chain with "
                 f"{self.chain.n_regimes} regimes"
             )
-        if self.T < 1:
-            raise ConfigError(f"series length must be >= 1, got {self.T}")
+        _check_length(self.T)
         if not math.isfinite(self.y0):
             raise ConfigError(f"starting value must be finite, got {self.y0}")
         if self.seed < 0:
@@ -188,16 +196,15 @@ def generate_toy(spec: SwitchingArSpec) -> tuple[TimeSeries, np.ndarray]:
     """
     regime_seed, noise_seed = np.random.SeedSequence(spec.seed).spawn(2)
     path = sample_regimes(spec.chain, spec.T, regime_seed)
-    eps = np.random.default_rng(noise_seed).standard_normal(spec.T)
-    intercept = np.array([r.intercept for r in spec.regimes], dtype=float)
-    coef = np.array([r.coef for r in spec.regimes], dtype=float)
-    noise_std = np.array([r.noise_std for r in spec.regimes], dtype=float)
-    y = np.empty(spec.T)
-    y[0] = spec.y0
-    for t in range(1, spec.T):
-        d = path[t]
-        y[t] = intercept[d] + coef[d] * y[t - 1] + noise_std[d] * eps[t]
-    return TimeSeries(values=y), path
+    eps = np.random.default_rng(noise_seed).standard_normal(spec.T).tolist()
+    params = [(float(r.intercept), float(r.coef), float(r.noise_std)) for r in spec.regimes]
+    y_t = float(spec.y0)
+    y = [y_t]
+    for d, eps_t in zip(path.tolist()[1:], eps[1:]):
+        intercept, coef, noise_std = params[d]
+        y_t = intercept + coef * y_t + noise_std * eps_t
+        y.append(y_t)
+    return TimeSeries(values=np.array(y)), path
 
 
 @dataclass(frozen=True)
@@ -226,8 +233,7 @@ class LorenzSpec:
             raise ConfigError(f"integrator step must be positive, got {self.dt}")
         if self.subsample < 1:
             raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
-        if self.T < 1:
-            raise ConfigError(f"series length must be >= 1, got {self.T}")
+        _check_length(self.T)
         if self.obs_noise < 0:
             raise ConfigError(f"observation noise must be non-negative, got {self.obs_noise}")
         if self.seed < 0:
@@ -253,22 +259,36 @@ def rk4_step(f, state, dt: float):
 
 
 def generate_lorenz(spec: LorenzSpec) -> TimeSeries:
-    """Integrate Lorenz-63 and emit the x coordinate every ``subsample`` steps."""
-    deriv = lambda s: lorenz_derivative(s, spec.sigma, spec.rho, spec.beta)
-    state = np.array([spec.x0, spec.y0, spec.z0], dtype=float)
-    out = np.empty(spec.T)
-    step = 0
-    # overflow inside a diverging step is reported below, not by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(spec.T):
-            for _ in range(spec.subsample):
-                state = rk4_step(deriv, state, spec.dt)
-                step += 1
-            if not np.all(np.isfinite(state)):
-                raise NumericError(
-                    f"integration blew up at step {step} (dt = {spec.dt} is too coarse)"
-                )
-            out[i] = state[0]
+    """Integrate Lorenz-63 and emit the x coordinate every ``subsample`` steps.
+
+    The loop is ``rk4_step`` of ``lorenz_derivative`` written out on
+    Python floats in the same operation order, so its output is
+    bit-identical to stepping the array form.
+    """
+    sigma, rho, beta, dt = spec.sigma, spec.rho, spec.beta, spec.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    x, y, z = float(spec.x0), float(spec.y0), float(spec.z0)
+    out = []
+    for i in range(spec.T):
+        for _ in range(spec.subsample):
+            k1x, k1y, k1z = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
+            x2, y2, z2 = x + half * k1x, y + half * k1y, z + half * k1z
+            k2x, k2y, k2z = sigma * (y2 - x2), x2 * (rho - z2) - y2, x2 * y2 - beta * z2
+            x3, y3, z3 = x + half * k2x, y + half * k2y, z + half * k2z
+            k3x, k3y, k3z = sigma * (y3 - x3), x3 * (rho - z3) - y3, x3 * y3 - beta * z3
+            x4, y4, z4 = x + dt * k3x, y + dt * k3y, z + dt * k3z
+            k4x, k4y, k4z = sigma * (y4 - x4), x4 * (rho - z4) - y4, x4 * y4 - beta * z4
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        # float overflow gives inf or nan without raising
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise NumericError(
+                f"integration blew up at step {(i + 1) * spec.subsample} "
+                f"(dt = {spec.dt} is too coarse)"
+            )
+        out.append(x)
+    out = np.array(out)
     if spec.obs_noise > 0:
         out = out + spec.obs_noise * np.random.default_rng(spec.seed).standard_normal(spec.T)
     return TimeSeries(values=out)

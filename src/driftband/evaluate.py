@@ -48,7 +48,8 @@ class RunConfig:
     ``dataset`` is "toy", "lorenz" (generated on the fly with this
     config's seed) or a path to a series CSV. The autoregression order
     is min(lag, train length / 4) unless ``forecaster_params`` sets
-    ``order``, which is taken as is.
+    ``order``, which is taken as is. ``forecaster_params`` the forecaster
+    does not take, or of the wrong type, are a ``ConfigError``.
     """
 
     dataset: str
@@ -99,10 +100,13 @@ class RunConfig:
             )
         if self.lag < 1:
             raise ConfigError(f"lag must be >= 1, got {self.lag}")
-        if not isinstance(self.forecaster_params, dict):
-            raise ConfigError("forecaster_params must be an object")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_keys(
+            self.forecaster_params,
+            _FORECASTER_PARAM_TYPES[self.forecaster],
+            f"{self.forecaster} forecaster_params",
+        )
 
     @property
     def run_name(self) -> str:
@@ -141,13 +145,7 @@ def run_config_from_dict(payload: dict) -> RunConfig:
     for key in ("gamma_grid", "split"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
-    config = RunConfig(**kwargs)
-    check_keys(
-        config.forecaster_params,
-        _FORECASTER_PARAM_TYPES[config.forecaster],
-        f"{config.forecaster} forecaster_params",
-    )
-    return config
+    return RunConfig(**kwargs)
 
 
 def dataset_label(dataset: str) -> str:

@@ -202,6 +202,18 @@ def test_wrap_matches_direct_run(tmp_path, series_csv, capsys):
     assert wrapped["forecaster"] == "replay"
 
 
+def test_wrap_accepts_the_configured_forecasters_params(tmp_path, series_csv, capsys):
+    config = write_config(
+        tmp_path, dataset=str(series_csv), forecaster="ar", forecaster_params={"order": 3}
+    )
+    trace = persistence_trace_csv(tmp_path, series_csv)
+    assert main([
+        "wrap", "--trace", str(trace), "--series", str(series_csv),
+        "--config", str(config), "--out", str(tmp_path / "w"),
+    ]) == 0
+    assert (tmp_path / "w" / "walk-replay-aci.metrics.json").exists()
+
+
 def test_wrap_partial_trace_exits_5(tmp_path, series_csv, capsys):
     series = load_series_csv(series_csv)
     lines = ["index,y_true,y_hat"]
@@ -380,6 +392,8 @@ MALFORMED_INPUTS = [
     ("config", {"dataset": "toy", "gamma_grid": [10**400]}, "{path}: run config key 'gamma_grid'"),
     ("spec", {"kind": "lorenz", "sigma": 10**400}, "{path}: lorenz generator spec key 'sigma'"),
     ("series", b"index,value\n0," + b"1" * 200000 + b"\n", "{path}: line 2: field larger"),
+    ("spec", {"kind": "lorenz", "T": 10**20}, "{path}: series length T = 10"),
+    ("spec", {"kind": "toy", "T": 2**62}, "{path}: series length T = 4611686018427387904"),
 ]
 
 

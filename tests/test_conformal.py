@@ -59,6 +59,33 @@ def test_buffer_rejects_bad_input():
         buf.max()
 
 
+SCORE_POOL = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 1e-300, 3e300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 50), st.lists(st.sampled_from(SCORE_POOL), max_size=300))
+def test_sorted_buffer_matches_partition_of_the_fifo(capacity, scores):
+    """Every order statistic of the sorted view equals a partition of the
+    FIFO deque after each append, including appends that evict duplicates."""
+    buf = ScoreBuffer(capacity)
+    fifo = []
+    for score in scores:
+        buf.append(score)
+        fifo = (fifo + [score])[-capacity:]
+        n = len(fifo)
+        assert buf.values().tolist() == fifo
+        assert buf.max() == max(buf.values())
+        for k in range(n + 2):
+            # the rank rule maps this level to exactly k
+            got = empirical_quantile(buf, k / (n + 1))
+            if k == 0:
+                assert got == 0.0
+            elif k > n:
+                assert got == math.inf
+            else:
+                assert got == float(np.partition(np.asarray(fifo), k - 1)[k - 1])
+
+
 def test_quantile_empty_buffer():
     with pytest.raises(NumericError):
         empirical_quantile(ScoreBuffer(capacity=5), 0.9)

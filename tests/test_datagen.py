@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -74,6 +75,10 @@ def test_switching_spec_validation():
     chain = default_toy_spec().chain
     with pytest.raises(ConfigError, match="regime parameter sets"):
         SwitchingArSpec(regimes=(ArRegime(0.0, 0.5, 0.1),), chain=chain)
+    # lengths whose float64 output cannot be addressed, rejected before allocation
+    for T in (10**20, 2**62):
+        with pytest.raises(ConfigError, match=f"T = {T} is too large"):
+            default_toy_spec(T=T)
 
 
 def test_toy_deterministic_recursion():
@@ -143,6 +148,44 @@ def test_toy_bit_identical_reruns():
     assert np.array_equal(pa, pb)
 
 
+# SHA-256 of the default toy series, its regime path and the default Lorenz
+# series, taken from the numpy-array generators these loops replaced.
+PINNED_SHA256 = {
+    0: ("46f0be7cc09d55a0a2ee9c6ee8a68029c87732c35e9dfd8294fb497827af6d13",
+        "f7c686770df461546a1399e89149b27fe3bc5b19f546d537a698633110d1b5d0",
+        "ce27fa8b039ee1fd4a13f0668f69abccfba64fbe737060aa9a08785c050f656a"),
+    1: ("00407a36930de8aa4ff398669cc82c6fd3e1de74df602a1ccafb11e6375e54f6",
+        "a9b4785e79f2bc0a2d5ce3c2d3330ef7d56ef0590a8e4dd80c0c088de6ddc323",
+        "f74c6392ade04f84c7bed5bd4b8a55a4ec526df5ced8e69bcf47a7d8a8fcc41c"),
+    7: ("fc9fa2f58967423407348eef16de0a8f043faaef5a101ef39f4959aed64492cc",
+        "6ca3c6c8ca2bb3bc583a7dcd53c15fab49caddc41dfd8db2ef68e3bfe6a90f9a",
+        "f59065d254eff1a9cde82f8b6ae6d3dd9eea741fd38707a26a33789f4cf948d0"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SHA256))
+def test_default_series_bytes_are_pinned(seed):
+    series, path = generate_toy(default_toy_spec(seed=seed))
+    lorenz = generate_lorenz(LorenzSpec(seed=seed))
+    assert path.dtype == np.int64
+    digests = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest() for a in (series.values, path, lorenz.values)
+    )
+    assert digests == PINNED_SHA256[seed]
+
+
+def test_lorenz_loop_is_bit_equal_to_rk4_of_the_derivative():
+    spec = LorenzSpec(T=300, obs_noise=0.0)
+    deriv = lambda s: lorenz_derivative(s, spec.sigma, spec.rho, spec.beta)
+    state = np.array([spec.x0, spec.y0, spec.z0])
+    expected = []
+    for _ in range(spec.T):
+        for _ in range(spec.subsample):
+            state = rk4_step(deriv, state, spec.dt)
+        expected.append(state[0])
+    assert generate_lorenz(spec).values.tobytes() == np.array(expected).tobytes()
+
+
 def test_lorenz_derivative_fixed_points():
     assert np.allclose(lorenz_derivative((0.0, 0.0, 0.0), 10.0, 28.0, 8 / 3), 0.0)
     r = math.sqrt((8 / 3) * 27.0)
@@ -193,6 +236,9 @@ def test_lorenz_spec_validation():
         LorenzSpec(subsample=0)
     with pytest.raises(ConfigError):
         LorenzSpec(obs_noise=-0.1)
+    for T in (10**20, 2**62):
+        with pytest.raises(ConfigError, match=f"T = {T} is too large"):
+            LorenzSpec(T=T)
 
 
 def test_spec_json_dispatch_and_defaults():

@@ -49,6 +49,11 @@ class ZeroForecaster(Forecaster):
 
 
 def test_config_validation():
+    # forecaster_params are checked against the forecaster in code as in JSON
+    with pytest.raises(ConfigError, match="unknown keys in persistence forecaster_params: order"):
+        RunConfig(dataset="toy", forecaster="persistence", forecaster_params={"order": 3})
+    with pytest.raises(ConfigError, match="ar forecaster_params key 'order'"):
+        RunConfig(dataset="toy", forecaster_params={"order": 2.5})
     with pytest.raises(ConfigError):
         RunConfig(dataset="toy", method="conformal")
     with pytest.raises(ConfigError):
