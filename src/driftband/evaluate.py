@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -389,7 +390,8 @@ def _run_one(config: RunConfig) -> RunReport | RunFailure:
 
 
 def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | RunFailure]:
-    """Run many configs independently; failures become RunFailure cells."""
+    """Run many configs independently; failures become RunFailure cells,
+    and a dead worker fails every unfinished cell as ``BrokenProcessPool``."""
     if not configs:
         raise ConfigError("grid needs at least one config")
     if jobs < 1:
@@ -397,7 +399,14 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     if jobs == 1 or len(configs) == 1:
         return [_run_one(c) for c in configs]
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-        return list(pool.map(_run_one, configs))
+        futures = [pool.submit(_run_one, c) for c in configs]
+    results: list[RunReport | RunFailure] = []
+    for config, future in zip(configs, futures):
+        try:
+            results.append(future.result())
+        except BrokenProcessPool as exc:
+            results.append(RunFailure(config=config, kind="BrokenProcessPool", error=str(exc)))
+    return results
 
 
 def report_payload(result: RunReport | RunFailure) -> dict:

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, ConfigError, NumericError
 from .fileio import read_indexed_csv
-from .series import TimeSeries, lag_embed
+from .series import TimeSeries
 
 TRACE_CSV_HEADER = ("index", "y_true", "y_hat")
 
@@ -94,10 +95,14 @@ class ArModel:
 def ar_fit(window, order: int) -> ArModel:
     """Least-squares autoregression of the given order on a window.
 
-    The design is centered before solving, and the minimum-norm solution
-    is taken, so rank-deficient windows (a constant window being the
-    extreme case) yield zero coefficients and an intercept equal to the
-    window mean instead of failing.
+    Solves the centered normal equations of the lag rows, width
+    ``order + 1`` slices of the window minus its mean: the order x order
+    lag block of their Gram is eigendecomposed, eigenvalues at or below
+    ``n * eps * max`` (the rounding floor of a Gram of n values) are
+    dropped, and one refinement step follows. So a rank-deficient window
+    predicts as a minimum-norm ``lstsq`` does, and a constant window
+    gives exactly zero coefficients and its level as intercept. Cost per
+    call: O(n * order**2) plus O(order**3).
     """
     if order < 1:
         raise ConfigError(f"autoregression order must be >= 1, got {order}")
@@ -106,11 +111,26 @@ def ar_fit(window, order: int) -> ArModel:
         raise NumericError(
             f"window of length {window.size} cannot fit an order-{order} autoregression"
         )
-    features, targets = lag_embed(window, order)
-    x_mean = features.mean(axis=0)
-    y_mean = targets.mean()
-    coef, *_ = np.linalg.lstsq(features - x_mean, targets - y_mean, rcond=None)
-    intercept = float(y_mean - x_mean @ coef)
+    # Clamped into [min, max]: a constant window centers to exact zeros even if
+    # its sum overflows.
+    shift = min(max(window.mean(), window.min()), window.max())
+    centered = window - shift
+    # An exact power-of-two scale keeps the Gram from overflowing or underflowing.
+    scale = np.ldexp(1.0, np.frexp(np.abs(centered).max())[1] - 1)
+    centered /= scale
+    rows = sliding_window_view(centered, order + 1).copy()
+    lags, target = rows[:, :order], rows[:, order]
+    mean = np.ones(len(rows)) @ rows / len(rows)  # BLAS; rows.mean(axis=0) is slower
+    gram = rows.T @ rows - len(rows) * np.outer(mean, mean)
+    eigvals, eigvecs = np.linalg.eigh(gram[:order, :order])
+    keep = eigvals > window.size * np.finfo(float).eps * eigvals[-1]
+    basis, inverse = eigvecs[:, keep], 1.0 / eigvals[keep]
+    coef = basis @ (inverse * (basis.T @ gram[:order, order]))
+    # One refinement step from the rows' own residual takes the error from the
+    # normal equations' cond**2 * eps down to about lstsq's cond * eps.
+    resid = target - lags @ coef
+    coef += basis @ (inverse * (basis.T @ (lags.T @ (resid - resid.mean()))))
+    intercept = float(shift + scale * mean[order] - (shift + scale * mean[:order]) @ coef)
     return ArModel(coef=coef, intercept=intercept, order=order)
 
 

@@ -1,4 +1,4 @@
-"""Core series types: splits, standardization, lag embedding, CSV ingestion.
+"""Core series types: splits, standardization, CSV ingestion.
 
 Everything downstream (forecasters, conformal calibration, evaluation)
 works on the types defined here. All types are immutable after
@@ -96,17 +96,6 @@ class StandardScaler:
         return z * self.std + self.mean
 
 
-def _window(values, start: int | None, end: int | None) -> np.ndarray:
-    if isinstance(values, TimeSeries):
-        values = values.values
-    arr = np.asarray(values, dtype=float)
-    lo = 0 if start is None else int(start)
-    hi = arr.size if end is None else int(end)
-    if lo < 0 or hi > arr.size or lo >= hi:
-        raise ConfigError(f"window [{lo}, {hi}) out of bounds for length {arr.size}")
-    return arr[lo:hi]
-
-
 def fit_scaler(values, start: int | None = None, end: int | None = None) -> StandardScaler:
     """Sample mean and standard deviation (n-1 denominator) of a window.
 
@@ -114,38 +103,19 @@ def fit_scaler(values, start: int | None = None, end: int | None = None) -> Stan
     floored: a silently tiny std would corrupt every interval width
     downstream.
     """
-    window = _window(values, start, end)
+    if isinstance(values, TimeSeries):
+        values = values.values
+    arr = np.asarray(values, dtype=float)
+    lo = 0 if start is None else int(start)
+    hi = arr.size if end is None else int(end)
+    if lo < 0 or hi > arr.size or lo >= hi:
+        raise ConfigError(f"window [{lo}, {hi}) out of bounds for length {arr.size}")
+    window = arr[lo:hi]
     if window.size < 2:
         raise NumericError(f"degenerate window: need at least 2 points, got {window.size}")
     if window.min() == window.max():
         raise NumericError("degenerate window: all values identical, std would be 0")
     return StandardScaler(mean=float(window.mean()), std=float(window.std(ddof=1)))
-
-
-def lag_embed(
-    values, lag: int, start: int | None = None, end: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embed a window into (lagged features, next value) rows.
-
-    Returns read-only ``(features, targets)``: row i of ``features`` is
-    y[i .. i+lag-1], oldest first, and ``targets[i]`` is y[i+lag], so
-    ``features[i, -1]`` is the value immediately before ``targets[i]``.
-    Produces ``window_length - lag`` rows; the window must be strictly
-    longer than the lag so at least one row exists.
-    """
-    if lag < 1:
-        raise ConfigError(f"lag must be a positive integer, got {lag}")
-    window = _window(values, start, end)
-    n_rows = window.size - lag
-    if n_rows < 1:
-        raise NumericError(
-            f"window of length {window.size} is too short for lag {lag}: no target rows"
-        )
-    features = np.lib.stride_tricks.sliding_window_view(window, lag)[:n_rows].copy()
-    targets = window[lag:].copy()
-    features.setflags(write=False)
-    targets.setflags(write=False)
-    return features, targets
 
 
 def load_series_csv(path: str | Path) -> TimeSeries:

@@ -1,9 +1,14 @@
 import json
 import math
+import multiprocessing
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from driftband import evaluate
 from driftband.conformal import AgAciState, ScoreBuffer, agaci_step, agaci_update
 from driftband.errors import ConfigError, NumericError
 from driftband.evaluate import (
@@ -303,6 +308,41 @@ def test_grid_parallel_matches_sequential(tmp_path):
     parallel = grid_run(configs, jobs=2)
     for s, p in zip(sequential, parallel):
         assert s.records == p.records
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the patched run_rolling",
+)
+def test_grid_turns_a_dead_worker_into_failed_cells(tmp_path, monkeypatch):
+    configs = [
+        RunConfig(dataset=make_csv(tmp_path, name, i), forecaster="persistence", method="aci")
+        for i, name in enumerate(("a", "b", "dies"))
+    ]
+    done = [tmp_path / "a.done", tmp_path / "b.done"]
+    real_run = evaluate.run_rolling
+
+    def run_or_die(config, *args, **kwargs):
+        name = Path(config.dataset).stem
+        if name != "dies":
+            report = real_run(config, *args, **kwargs)
+            (tmp_path / f"{name}.done").touch()
+            return report
+        # let the other cells finish and send their reports, then kill the worker
+        deadline = time.monotonic() + 30
+        while not all(p.exists() for p in done) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)
+        os._exit(1)
+
+    monkeypatch.setattr(evaluate, "run_rolling", run_or_die)
+    results = grid_run(configs, jobs=2)
+    assert [type(r) for r in results] == [RunReport, RunReport, RunFailure]
+    for result, config in zip(results[:2], configs):
+        assert report_payload(result)["status"] == "ok"
+        assert result.records == real_run(config).records
+    assert results[2].kind == "BrokenProcessPool"
+    assert report_payload(results[2])["status"] == "failed"
 
 
 def test_grid_rejects_empty_and_bad_jobs():

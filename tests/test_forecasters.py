@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from driftband.datagen import LorenzSpec, generate_lorenz
 from driftband.errors import AlignmentError, ConfigError, NumericError
 from driftband.forecasters import (
     ArForecaster,
@@ -15,7 +19,7 @@ from driftband.forecasters import (
     ar_fit,
     make_forecaster,
 )
-from driftband.series import StandardScaler, TimeSeries
+from driftband.series import StandardScaler, TimeSeries, fit_scaler
 
 
 def ar1_path(rng, n, intercept, coef, noise_std, y0=0.0):
@@ -59,11 +63,85 @@ def test_ar_fit_recovers_noiseless_recursion():
     assert model.intercept == pytest.approx(0.4, abs=1e-8)
 
 
-def test_ar_fit_constant_window_gives_mean_intercept():
-    model = ar_fit([3.0] * 10, order=2)
-    assert np.allclose(model.coef, 0.0)
-    assert model.intercept == pytest.approx(3.0)
-    assert model.predict([3.0, 3.0, 3.0]) == pytest.approx(3.0)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(level=st.floats(-1e3, 1e3), length=st.integers(3, 400), order=st.integers(1, 24))
+@example(level=3.0, length=10, order=2)
+@example(level=0.1, length=4976, order=24)
+@example(level=-1e308, length=50, order=3)  # the window's sum overflows
+def test_ar_fit_constant_window_gives_mean_intercept(level, length, order):
+    assume(length > order)
+    model = ar_fit([level] * length, order=order)
+    assert np.all(model.coef == 0.0)
+    assert model.intercept == level
+    assert model.predict([level] * order) == level
+
+
+def lstsq_reference(window, order):
+    """Minimum-norm ``lstsq`` fit of the centered lag design: the oracle for ``ar_fit``."""
+    window = np.asarray(window, dtype=float)
+    features = sliding_window_view(window, order)[:-1]
+    targets = window[order:]
+    x_mean, y_mean = features.mean(axis=0), targets.mean()
+    coef, *_ = np.linalg.lstsq(features - x_mean, targets - y_mean, rcond=None)
+    return ArModel(coef=coef, intercept=float(y_mean - x_mean @ coef), order=order)
+
+
+def assert_same_predictions(model, reference, series):
+    """One-step predictions over every history of ``series`` agree to 1e-9."""
+    lags = sliding_window_view(np.asarray(series, dtype=float), model.order)
+    got = lags @ model.coef + model.intercept
+    want = lags @ reference.coef + reference.intercept
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_ar_fit_matches_the_lstsq_oracle_on_random_windows(order):
+    rng = np.random.default_rng(order)
+    for _ in range(10):
+        length = int(rng.integers(order + 30, 600))
+        y = ar1_path(rng, length + 50, rng.uniform(-1, 1), rng.uniform(-0.9, 0.9), 1.0)
+        window = y[:length]
+        assert_same_predictions(ar_fit(window, order), lstsq_reference(window, order), y)
+
+
+def test_ar_fit_matches_the_lstsq_oracle_on_lorenz_windows():
+    series = generate_lorenz(LorenzSpec(seed=3)).values
+    z = fit_scaler(series, 0, 5000).transform(series)
+    assert_same_predictions(ar_fit(z[:5000], 24), lstsq_reference(z[:5000], 24), z[:6000])
+    # 51 points, the segment a segmented AR refits on 25 steps after an alarm:
+    # design conditions near 1e4, where normal equations without the
+    # refinement step drift from lstsq by up to 4e-8
+    for start in range(0, 3000, 97):
+        window = z[start : start + 51]
+        assert_same_predictions(
+            ar_fit(window, 24), lstsq_reference(window, 24), z[start : start + 76]
+        )
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_ar_fit_matches_the_lstsq_oracle_on_a_rank_deficient_window(order):
+    # a noiseless AR(2) with roots on the unit circle is a sinusoid: its
+    # centered lag design has rank 2, so order - 2 directions are null
+    theta = 2 * math.pi / 7
+    y = np.empty(400)
+    y[0], y[1] = 1.0, 0.3
+    for t in range(2, y.size):
+        y[t] = 0.5 + 2 * math.cos(theta) * y[t - 1] - y[t - 2]
+    window = y[:300]
+    model, reference = ar_fit(window, order), lstsq_reference(window, order)
+    assert_same_predictions(model, reference, y)
+    # off the data's plane only the minimum-norm choice fixes the prediction
+    noisy = y + np.random.default_rng(0).normal(size=y.size)
+    assert_same_predictions(model, reference, noisy)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_ar_fit_is_scale_free(scale):
+    y = ar1_path(np.random.default_rng(5), 200, 0.3, 0.6, 1.0)
+    unit, scaled = ar_fit(y, 3), ar_fit(y * scale, 3)
+    assert np.allclose(scaled.coef, unit.coef, rtol=1e-12, atol=1e-12)
+    assert scaled.intercept / scale == pytest.approx(unit.intercept, rel=1e-12)
 
 
 def test_ar_fit_validation():

@@ -13,7 +13,6 @@ from driftband.series import (
     StandardScaler,
     TimeSeries,
     fit_scaler,
-    lag_embed,
     load_series_csv,
     write_series_csv,
 )
@@ -105,26 +104,6 @@ def test_scaler_round_trip(values, mean, std):
     x = np.asarray(values)
     back = scaler.inverse_transform(scaler.transform(x))
     assert np.allclose(back, x, rtol=1e-9, atol=1e-9 * std)
-
-
-def test_lag_embed_small_example():
-    features, targets = lag_embed([0.0, 1.0, 2.0, 3.0, 4.0], lag=2)
-    assert features.tolist() == [[0, 1], [1, 2], [2, 3]]
-    assert targets.tolist() == [2, 3, 4]
-    assert not features.flags.writeable and not targets.flags.writeable
-
-
-def test_lag_embed_feature_order_is_oldest_first():
-    features, targets = lag_embed(np.arange(10.0), lag=3)
-    # newest lag sits in the last column, right before the target
-    assert np.all(features[:, -1] == targets - 1)
-
-
-def test_lag_embed_window_too_short():
-    with pytest.raises(NumericError):
-        lag_embed([1.0, 2.0], lag=2)
-    with pytest.raises(ConfigError):
-        lag_embed([1.0, 2.0], lag=0)
 
 
 def test_series_csv_round_trip(tmp_path):
