@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class ScoreBuffer:
         self._sorted: list[float] = []
         for s in scores:
             self.append(s)
-
-    @property
-    def capacity(self) -> int:
-        return self._scores.maxlen  # type: ignore[return-value]
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -159,9 +155,9 @@ class AciState:
 def _evolve(state, **changes):
     """A copy of a frozen state with some fields changed.
 
-    Unlike ``dataclasses.replace`` this skips ``__post_init__``: the
-    updates below preserve every invariant it checks, and re-validating
-    a bank on each step would cost more than the step itself.
+    Unlike ``dataclasses.replace`` this skips validation: the updates
+    below preserve every invariant it checks, and re-validating a bank
+    on each step would cost more than the step itself.
     """
     new = object.__new__(type(state))
     new.__dict__.update(vars(state), **changes)
@@ -169,9 +165,10 @@ def _evolve(state, **changes):
 
 
 def aci_step(state: AciState, buffer: ScoreBuffer, y_hat: float) -> PredictionInterval:
-    """Form the band at the current working level (no state change)."""
-    q = empirical_quantile(buffer, 1.0 - state.alpha_t)
-    return PredictionInterval(y_hat=float(y_hat), half_width=q, level=1.0 - state.alpha_t)
+    """Form the band at the current working level (no state change): the
+    band of a one-expert bank, as ``aci_update`` is that bank's update."""
+    interval, _ = agaci_step(AgAciState(state.alpha_nominal, (state,), (1.0,)), buffer, y_hat)
+    return interval
 
 
 def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciState:
@@ -181,45 +178,51 @@ def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciSt
     is 1 on a miss and 0 on a hit. Summed over a run this telescopes:
     (alpha_T - alpha_0) / gamma equals the accumulated coverage surplus.
     """
-    err = 0.0 if interval.covers(float(y)) else 1.0
-    return _evolve(state, alpha_t=state.alpha_t + state.gamma * (state.alpha_nominal - err))
+    band = ExpertBands(interval.y_hat, [interval.half_width], [interval.level])
+    bank = agaci_update(AgAciState(state.alpha_nominal, (state,), (1.0,)), y, interval.y_hat, band)
+    return _evolve(state, alpha_t=bank.alphas[0])
 
 
-def pinball_loss(tau: float, target: float, estimate: float) -> float:
-    """Quantile (pinball) loss of an estimate against a realized value."""
-    if not 0 < tau < 1:
-        raise ConfigError(f"pinball tau must lie in (0, 1), got {tau}")
-    if math.isinf(estimate):
-        return math.inf
-    diff = float(target) - float(estimate)
-    return tau * diff if diff >= 0 else (tau - 1.0) * diff
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AgAciState:
     """A bank of adaptive tracks with online weights.
 
     Each expert runs its own step size; the bank aggregates their
     half-widths with exponential weights driven by the pinball loss at
     the nominal coverage level. ``mode="fixed"`` (or ``eta == 0``)
-    freezes the weights, turning the bank into a static mixture.
+    freezes the weights, turning the bank into a static mixture. Expert
+    k is kept as its level ``alphas[k]`` and step size ``gammas[k]``;
+    ``experts`` rebuilds the ``AciState``s when read.
     """
 
     alpha_nominal: float
-    experts: tuple[AciState, ...]
+    alphas: tuple[float, ...]
+    gammas: tuple[float, ...]
     weights: tuple[float, ...]
-    eta: float = 1.0
-    weight_floor: float = 1e-6
-    mode: str = "ewa"
-    infinite_cap_factor: float = 2.0
+    eta: float
+    weight_floor: float
+    mode: str
+    infinite_cap_factor: float
 
-    def __post_init__(self) -> None:
-        if not self.experts:
+    def __init__(
+        self, alpha_nominal: float, experts: Sequence[AciState], weights: Sequence[float],
+        eta: float = 1.0, weight_floor: float = 1e-6, mode: str = "ewa",
+        infinite_cap_factor: float = 2.0,
+    ) -> None:
+        if any(e.alpha_nominal != alpha_nominal for e in experts):
+            raise ConfigError("all experts must share the bank's nominal alpha")
+        vars(self).update(
+            alpha_nominal=alpha_nominal, alphas=tuple(e.alpha_t for e in experts),
+            gammas=tuple(e.gamma for e in experts), weights=tuple(weights), eta=eta,
+            weight_floor=weight_floor, mode=mode, infinite_cap_factor=infinite_cap_factor,
+        )
+        self._validate()
+
+    def _validate(self) -> None:
+        if not self.alphas:
             raise ConfigError("expert bank must contain at least one expert")
-        if len(self.weights) != len(self.experts):
-            raise ConfigError(
-                f"got {len(self.weights)} weights for {len(self.experts)} experts"
-            )
+        if len(self.weights) != len(self.alphas):
+            raise ConfigError(f"got {len(self.weights)} weights for {len(self.alphas)} experts")
         if any(w < 0 for w in self.weights):
             raise ConfigError(f"weights must be non-negative, got {self.weights}")
         total = math.fsum(self.weights)
@@ -235,8 +238,10 @@ class AgAciState:
             raise ConfigError(
                 f"infinite cap factor must be positive, got {self.infinite_cap_factor}"
             )
-        if any(e.alpha_nominal != self.alpha_nominal for e in self.experts):
-            raise ConfigError("all experts must share the bank's nominal alpha")
+
+    @property
+    def experts(self) -> tuple[AciState, ...]:
+        return tuple(AciState(self.alpha_nominal, g, a) for a, g in zip(self.alphas, self.gammas))
 
     @property
     def alpha_t(self) -> float:
@@ -244,37 +249,46 @@ class AgAciState:
 
         For a single expert this is exactly that expert's level.
         """
-        return math.fsum(w * e.alpha_t for w, e in zip(self.weights, self.experts))
+        return math.fsum(w * a for w, a in zip(self.weights, self.alphas))
 
     @classmethod
     def from_gammas(
-        cls,
-        alpha_nominal: float,
-        gammas: Sequence[float],
-        eta: float = 1.0,
-        weight_floor: float = 1e-6,
-        mode: str = "ewa",
-        infinite_cap_factor: float = 2.0,
+        cls, alpha_nominal: float, gammas: Sequence[float], eta: float = 1.0,
+        weight_floor: float = 1e-6, mode: str = "ewa", infinite_cap_factor: float = 2.0,
     ) -> "AgAciState":
+        if not 0 < alpha_nominal < 1:
+            raise ConfigError(f"nominal alpha must lie in (0, 1), got {alpha_nominal}")
         gammas = tuple(float(g) for g in gammas)
-        if len(set(gammas)) != len(gammas):
-            raise ConfigError(f"step sizes must be distinct, got {gammas}")
-        experts = tuple(AciState(alpha_nominal=alpha_nominal, gamma=g) for g in gammas)
-        k = len(experts)
-        return cls(
-            alpha_nominal=alpha_nominal,
-            experts=experts,
-            weights=(1.0 / k,) * k,
-            eta=eta,
-            weight_floor=weight_floor,
-            mode=mode,
+        if any(g < 0 for g in gammas) or len(set(gammas)) != len(gammas):
+            raise ConfigError(f"step sizes must be distinct and non-negative, got {gammas}")
+        k = len(gammas)
+        bank = object.__new__(cls)
+        vars(bank).update(
+            alpha_nominal=alpha_nominal, alphas=(alpha_nominal,) * k, gammas=gammas,
+            weights=(1.0 / k,) * k, eta=eta, weight_floor=weight_floor, mode=mode,
             infinite_cap_factor=infinite_cap_factor,
         )
+        bank._validate()
+        return bank
+
+
+class ExpertBands(Sequence):
+    """One step's per-expert bands, kept as raw half-widths and levels;
+    indexing builds the ``PredictionInterval``, so unread bands cost nothing."""
+
+    def __init__(self, y_hat: float, half_widths: list[float], levels: list[float]) -> None:
+        self.y_hat, self.half_widths, self.levels = y_hat, half_widths, levels
+
+    def __len__(self) -> int:
+        return len(self.half_widths)
+
+    def __getitem__(self, i: int) -> PredictionInterval:
+        return PredictionInterval(self.y_hat, self.half_widths[i], self.levels[i])
 
 
 def agaci_step(
     state: AgAciState, buffer: ScoreBuffer, y_hat: float
-) -> tuple[PredictionInterval, tuple[PredictionInterval, ...]]:
+) -> tuple[PredictionInterval, ExpertBands]:
     """Aggregate band plus the per-expert bands it was built from.
 
     Each expert forms its own band at its working level, and the bank
@@ -283,25 +297,25 @@ def agaci_step(
     buffered score) * cap factor, a value that still dominates every
     attainable finite band. If every expert is infinite the aggregate
     stays infinite; nothing finite is known. The reported level is the
-    weight-average of the expert levels.
+    weight-average of the expert levels. Each expert's band is one index
+    read of the sorted buffer.
     """
-    per_expert = tuple(aci_step(e, buffer, y_hat) for e in state.experts)
-    widths = [iv.half_width for iv in per_expert]
+    y_hat = float(y_hat)
+    levels = [1.0 - a for a in state.alphas]
+    widths = [empirical_quantile(buffer, lv) for lv in levels]
     half_width = math.inf
-    if not all(math.isinf(w) for w in widths):
-        if any(math.isinf(w) for w in widths):
+    if min(widths) < math.inf:
+        capped = widths
+        if math.inf in widths:
             cap = buffer.max() * state.infinite_cap_factor
-            widths = [min(w, cap) for w in widths]
-        half_width = math.fsum(w * hw for w, hw in zip(state.weights, widths))
-    level = math.fsum(w * iv.level for w, iv in zip(state.weights, per_expert))
-    return PredictionInterval(y_hat=float(y_hat), half_width=half_width, level=level), per_expert
+            capped = [min(hw, cap) for hw in widths]
+        half_width = math.fsum(w * hw for w, hw in zip(state.weights, capped))
+    level = math.fsum(w * lv for w, lv in zip(state.weights, levels))
+    return PredictionInterval(y_hat, half_width, level), ExpertBands(y_hat, widths, levels)
 
 
 def agaci_update(
-    state: AgAciState,
-    y: float,
-    y_hat: float,
-    per_expert: Sequence[PredictionInterval],
+    state: AgAciState, y: float, y_hat: float, per_expert: ExpertBands
 ) -> AgAciState:
     """Advance every expert against its own band and reweigh the bank.
 
@@ -313,28 +327,29 @@ def agaci_update(
     out of that as exactly 1.0 ((1 - floor) + floor rounds to 1), so a
     one-expert bank skips the reweighing.
     """
-    if len(per_expert) != len(state.experts):
-        raise ConfigError(
-            f"got {len(per_expert)} intervals for {len(state.experts)} experts"
-        )
-    experts = tuple(
-        aci_update(e, float(y), iv) for e, iv in zip(state.experts, per_expert)
+    widths = per_expert.half_widths
+    k = len(widths)
+    if k != len(state.alphas):
+        raise ConfigError(f"got {k} intervals for {len(state.alphas)} experts")
+    y, center, alpha = float(y), per_expert.y_hat, state.alpha_nominal
+    # err_k is 0 exactly when PredictionInterval.covers(y) holds for expert k's band
+    alphas = tuple(
+        a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0))
+        for a, g, hw in zip(state.alphas, state.gammas, widths)
     )
     weights = state.weights
-    if state.mode == "ewa" and state.eta > 0 and len(weights) > 1:
+    if state.mode == "ewa" and state.eta > 0 and k > 1:
         score = residual_score(y, y_hat)
-        tau = 1.0 - state.alpha_nominal
-        factors = []
-        for iv in per_expert:
-            loss = pinball_loss(tau, score, iv.half_width)
-            factors.append(0.0 if math.isinf(loss) else math.exp(-state.eta * loss))
-        raw = [w * f for w, f in zip(weights, factors)]
+        tau, eta = 1.0 - alpha, state.eta
+        raw = []
+        for w, hw in zip(weights, widths):
+            if hw == math.inf:
+                raw.append(0.0)
+                continue
+            diff = score - hw  # pinball loss at tau of the band against the score
+            raw.append(w * math.exp(-eta * (tau * diff if diff >= 0 else (tau - 1.0) * diff)))
         total = math.fsum(raw)
-        k = len(raw)
-        if total > 0:
-            base = [r / total for r in raw]
-        else:
-            base = [1.0 / k] * k
+        base = [r / total for r in raw] if total > 0 else [1.0 / k] * k
         floor = state.weight_floor
         weights = tuple((1.0 - floor) * b + floor / k for b in base)
-    return _evolve(state, experts=experts, weights=weights)
+    return _evolve(state, alphas=alphas, weights=weights)

@@ -86,6 +86,15 @@ class RunConfig:
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         if self.method == "agaci" and not self.gamma_grid:
             raise ConfigError("agaci needs a nonempty gamma grid")
+        grid = self.gamma_grid
+        if any(g < 0 for g in grid) or len(set(grid)) < len(grid):
+            raise ConfigError(f"gamma_grid must be distinct non-negative steps, got {list(grid)}")
+        if self.eta < 0:
+            raise ConfigError(f"eta must be non-negative, got {self.eta}")
+        if not 0 <= self.weight_floor < 1:
+            raise ConfigError(f"weight_floor must lie in [0, 1), got {self.weight_floor}")
+        if self.cap_factor <= 0:
+            raise ConfigError(f"cap_factor must be positive, got {self.cap_factor}")
         object.__setattr__(self, "split", tuple(float(f) for f in self.split))
         if len(self.split) != 3 or any(f <= 0 for f in self.split):
             raise ConfigError(f"split must be three positive fractions, got {self.split}")
@@ -182,12 +191,6 @@ class ForecastRecord:
     alpha_t: float | None
     covered: bool | None
 
-    @property
-    def width(self) -> float | None:
-        if self.lower is None or self.upper is None:
-            return None
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -220,27 +223,14 @@ def compute_metrics(records: Sequence[ForecastRecord]) -> dict:
     errors = np.array([r.y - r.y_hat for r in records])
     rmse = float(np.sqrt(np.mean(errors**2)))
     banded = [r for r in records if r.lower is not None]
-    if not banded:
-        return {
-            "rmse": rmse,
-            "coverage": None,
-            "median_width": None,
-            "n_infinite": 0,
-            "n_zero_width": 0,
-            "n_steps": len(records),
-        }
-    widths = [r.width for r in banded]
+    widths = [r.upper - r.lower for r in banded]
     finite = sorted(w for w in widths if math.isfinite(w))
-    n_infinite = sum(1 for w in widths if math.isinf(w))
-    if finite:
-        median_width = finite[(len(finite) - 1) // 2]
-    else:
-        median_width = math.inf
+    median_width = finite[(len(finite) - 1) // 2] if finite else math.inf
     return {
         "rmse": rmse,
-        "coverage": sum(1 for r in banded if r.covered) / len(banded),
-        "median_width": median_width,
-        "n_infinite": n_infinite,
+        "coverage": sum(1 for r in banded if r.covered) / len(banded) if banded else None,
+        "median_width": median_width if banded else None,
+        "n_infinite": sum(1 for w in widths if math.isinf(w)),
         "n_zero_width": sum(1 for w in widths if w == 0.0),
         "n_steps": len(records),
     }
@@ -315,12 +305,8 @@ def run_rolling(
     bank = None
     if config.method != "none":
         bank = conformal.AgAciState.from_gammas(
-            config.alpha,
-            gammas,
-            eta=config.eta,
-            weight_floor=config.weight_floor,
-            mode=config.aggregation,
-            infinite_cap_factor=config.cap_factor,
+            config.alpha, gammas, eta=config.eta, weight_floor=config.weight_floor,
+            mode=config.aggregation, infinite_cap_factor=config.cap_factor,
         )
 
     records: list[ForecastRecord] = []
@@ -355,17 +341,9 @@ def run_rolling(
             f"test window [{split.cal_end}, {split.test_end}) is empty; "
             "widen the test fraction"
         )
-    metrics = compute_metrics(records)
     return RunReport(
-        config=config,
-        rmse=metrics["rmse"],
-        coverage=metrics["coverage"],
-        median_width=metrics["median_width"],
-        n_infinite=metrics["n_infinite"],
-        n_zero_width=metrics["n_zero_width"],
-        n_steps=metrics["n_steps"],
-        alpha_final=None if bank is None else bank.alpha_t,
-        records=tuple(records),
+        config=config, **compute_metrics(records),
+        alpha_final=None if bank is None else bank.alpha_t, records=tuple(records),
     )
 
 

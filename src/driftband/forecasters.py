@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,7 +137,8 @@ class ArForecaster(Forecaster):
     """Autoregression refit periodically on a rolling window.
 
     The window length is pinned to the training window length at fit
-    time; the model is refit every ``refit_every`` observations.
+    time; the model is refit every ``refit_every`` observations. Every value
+    goes twice into a ring of twice that length, so refits read a view.
     """
 
     def __init__(self, order: int, refit_every: int = 25) -> None:
@@ -148,14 +148,15 @@ class ArForecaster(Forecaster):
             raise ConfigError(f"refit interval must be >= 1, got {refit_every}")
         self.order = int(order)
         self.refit_every = int(refit_every)
-        self._window: deque[float] | None = None
+        self._ring: np.ndarray | None = None
+        self._head = 0  # ring slot of the oldest value; the next push overwrites it
         self._model: ArModel | None = None
         self._since_refit = 0
 
     def fit(self, window) -> None:
         arr = np.asarray(window, dtype=float)
-        self._window = deque(arr.tolist(), maxlen=arr.size)
         self._model = ar_fit(arr, self.order)
+        self._ring, self._head = np.concatenate([arr, arr]), 0
         self._since_refit = 0
 
     def predict_one(self, history) -> float:
@@ -164,15 +165,21 @@ class ArForecaster(Forecaster):
         return self._model.predict(history)
 
     def observe(self, y: float) -> None:
-        if self._window is None:
+        if self._ring is None:
             raise NumericError("forecaster is not fitted")
-        self._window.append(float(y))
+        self._push(float(y))
         self._since_refit += 1
         if self._since_refit >= self.refit_every:
             self._refit()
 
+    def _push(self, y: float) -> None:
+        size = self._ring.size // 2
+        self._ring[self._head] = self._ring[self._head + size] = y
+        self._head = (self._head + 1) % size
+
     def _fit_window(self) -> np.ndarray:
-        return np.asarray(self._window, dtype=float)
+        """The last ``window`` values, oldest first, as a view of the ring."""
+        return self._ring[self._head : self._head + self._ring.size // 2]
 
     def _refit(self) -> None:
         window = self._fit_window()
@@ -263,11 +270,11 @@ class SegmentedArForecaster(ArForecaster):
     def fit(self, window) -> None:
         super().fit(window)
         self.detector.reset()
-        self._segment_len = len(self._window)  # type: ignore[arg-type]
+        self._segment_len = self._ring.size // 2
         self._last_pred = None
 
     def predict_one(self, history) -> float:
-        if self._window is None:
+        if self._ring is None:
             raise NumericError("forecaster is not fitted")
         if self._model is None:
             if len(history) < 1:
@@ -279,14 +286,14 @@ class SegmentedArForecaster(ArForecaster):
         return pred
 
     def observe(self, y: float) -> None:
-        if self._window is None:
+        if self._ring is None:
             raise NumericError("forecaster is not fitted")
         y = float(y)
         alarm = False
         if self._last_pred is not None:
             alarm = self.detector.update(y - self._last_pred)
             self._last_pred = None
-        self._window.append(y)
+        self._push(y)
         if alarm:
             self._segment_len = 1
             self._model = None
@@ -301,9 +308,8 @@ class SegmentedArForecaster(ArForecaster):
             self._refit()
 
     def _fit_window(self) -> np.ndarray:
-        window = np.asarray(self._window, dtype=float)
-        take = min(self._segment_len, window.size)
-        return window[window.size - take :]
+        window = super()._fit_window()
+        return window[window.size - min(self._segment_len, window.size) :]
 
 
 @dataclass(frozen=True)

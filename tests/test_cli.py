@@ -420,6 +420,43 @@ def test_malformed_input_exits_2_naming_the_file_and_key_or_line(
     assert fragment.format(path=path) in capsys.readouterr().err
 
 
+# Bank parameters each method's config must get right, with the message
+# (after the file name) that rejects them.
+BAD_BANK_PARAMETERS = [
+    ({"eta": -1}, "eta must be non-negative, got -1"),
+    ({"weight_floor": 1.5}, "weight_floor must lie in [0, 1), got 1.5"),
+    ({"cap_factor": 0}, "cap_factor must be positive, got 0"),
+    ({"gamma_grid": [0.01, 0.001, 0.01]}, "gamma_grid must be distinct non-negative steps"),
+    ({"gamma_grid": [0.01, -0.5]}, "gamma_grid must be distinct non-negative steps"),
+]
+
+
+@pytest.mark.parametrize("method", ["none", "split", "aci", "agaci"])
+@pytest.mark.parametrize(
+    "bad, fragment", BAD_BANK_PARAMETERS, ids=[next(iter(b)) for b, _ in BAD_BANK_PARAMETERS]
+)
+def test_bad_bank_parameters_exit_2_for_every_method(tmp_path, capsys, method, bad, fragment):
+    config = write_config(tmp_path, method=method, **bad)
+    out = ["--out", str(tmp_path / "o")]
+    assert main(["run", "--config", str(config)] + out) == 2
+    assert f"{config}: {fragment}" in capsys.readouterr().err
+    # in a grid the bad file stops the run before any cell, not as a failed cell
+    good = write_config(tmp_path, "good.json", method=method)
+    assert main(["run", "--config", str(good), str(config)] + out) == 2
+    assert f"{config}: {fragment}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bank_parameters_are_checked_before_the_dataset_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    out = ["--out", str(tmp_path / "o")]
+    config = write_config(tmp_path, dataset=missing, eta=-1)
+    assert main(["run", "--config", str(config)] + out) == 2
+    assert f"{config}: eta must be non-negative" in capsys.readouterr().err
+    # the same config with a valid eta gets as far as the load
+    assert main(["run", "--config", str(write_config(tmp_path, dataset=missing))] + out) == 3
+
+
 @pytest.mark.parametrize("index, phase", [(1800, "calibration seeding"), (2500, "test step")])
 def test_non_finite_forecast_exits_4_naming_the_phase_and_index(tmp_path, capsys, index, phase):
     series, _ = generate_toy(default_toy_spec(seed=1))

@@ -1,8 +1,9 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftband.conformal import (
@@ -15,7 +16,6 @@ from driftband.conformal import (
     agaci_step,
     agaci_update,
     empirical_quantile,
-    pinball_loss,
     residual_score,
 )
 from driftband.errors import ConfigError, NumericError
@@ -30,6 +30,170 @@ def sort_quantile(scores, level):
     if k > n:
         return math.inf
     return sorted(scores)[k - 1]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the object-based AgACI / ACI step and update, one PredictionInterval
+# and one AciState per expert per step, with the quantile taken by sorting.
+# The flat kernel in driftband.conformal must reproduce it bit for bit.
+
+
+def pinball_loss(tau, target, estimate):
+    """Quantile (pinball) loss of an estimate against a realized value."""
+    if not 0 < tau < 1:
+        raise ConfigError(f"pinball tau must lie in (0, 1), got {tau}")
+    if math.isinf(estimate):
+        return math.inf
+    diff = float(target) - float(estimate)
+    return tau * diff if diff >= 0 else (tau - 1.0) * diff
+
+
+@dataclass(frozen=True)
+class OracleBank:
+    alpha_nominal: float
+    experts: tuple
+    weights: tuple
+    eta: float
+    weight_floor: float
+    mode: str
+    infinite_cap_factor: float
+
+    @property
+    def alpha_t(self):
+        return math.fsum(w * e.alpha_t for w, e in zip(self.weights, self.experts))
+
+
+def oracle_aci_step(state, buffer, y_hat):
+    q = sort_quantile(buffer.values().tolist(), 1.0 - state.alpha_t)
+    return PredictionInterval(y_hat=float(y_hat), half_width=q, level=1.0 - state.alpha_t)
+
+
+def oracle_aci_update(state, y, interval):
+    err = 0.0 if interval.covers(float(y)) else 1.0
+    return replace(state, alpha_t=state.alpha_t + state.gamma * (state.alpha_nominal - err))
+
+
+def oracle_agaci_step(state, buffer, y_hat):
+    per_expert = tuple(oracle_aci_step(e, buffer, y_hat) for e in state.experts)
+    widths = [iv.half_width for iv in per_expert]
+    half_width = math.inf
+    if not all(math.isinf(w) for w in widths):
+        if any(math.isinf(w) for w in widths):
+            cap = max(buffer.values()) * state.infinite_cap_factor
+            widths = [min(w, cap) for w in widths]
+        half_width = math.fsum(w * hw for w, hw in zip(state.weights, widths))
+    level = math.fsum(w * iv.level for w, iv in zip(state.weights, per_expert))
+    return PredictionInterval(y_hat=float(y_hat), half_width=half_width, level=level), per_expert
+
+
+def oracle_agaci_update(state, y, y_hat, per_expert):
+    experts = tuple(oracle_aci_update(e, float(y), iv) for e, iv in zip(state.experts, per_expert))
+    weights = state.weights
+    if state.mode == "ewa" and state.eta > 0 and len(weights) > 1:
+        score = residual_score(y, y_hat)
+        tau = 1.0 - state.alpha_nominal
+        factors = []
+        for iv in per_expert:
+            loss = pinball_loss(tau, score, iv.half_width)
+            factors.append(0.0 if math.isinf(loss) else math.exp(-state.eta * loss))
+        raw = [w * f for w, f in zip(weights, factors)]
+        total = math.fsum(raw)
+        k = len(raw)
+        base = [r / total for r in raw] if total > 0 else [1.0 / k] * k
+        floor = state.weight_floor
+        weights = tuple((1.0 - floor) * b + floor / k for b in base)
+    return replace(state, experts=experts, weights=weights)
+
+
+def bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def assert_same_band(got, want):
+    assert bits(got.y_hat, got.half_width, got.level, got.lower, got.upper) == bits(
+        want.y_hat, want.half_width, want.level, want.lower, want.upper
+    )
+
+
+STEP_VALUES = st.sampled_from([-2.0, -0.5, 0.0, 0.0, 0.25, 1.0, 3.0]) | st.floats(-3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    experts=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 1e-4, 1e-2, 0.05, 0.3]) | st.floats(0, 0.5),
+            st.sampled_from([0.1, -0.3, 0.0, 0.95, 1.0, 1.4]) | st.floats(-0.5, 1.5),
+        ),
+        min_size=1, max_size=6,
+    ),
+    raw_weights=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6),
+    eta=st.sampled_from([0.0, 0.5, 1.0, 5.0, 60.0]),
+    floor=st.sampled_from([0.0, 1e-6, 0.2]),
+    mode=st.sampled_from(["ewa", "fixed"]),
+    cap=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
+    seed_scores=st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5]), min_size=1, max_size=12),
+    capacity=st.integers(1, 12),
+    rolling=st.booleans(),
+    steps=st.lists(st.tuples(STEP_VALUES, STEP_VALUES), min_size=1, max_size=40),
+)
+@example(  # y = y_hat + hw is covered, though abs(y - y_hat) > hw after rounding
+    experts=[(0.01, 0.6), (0.0, 0.1)], raw_weights=[0.5] * 6, eta=1.0, floor=1e-6,
+    mode="ewa", cap=2.0, seed_scores=[0.2], capacity=1, rolling=False,
+    steps=[(0.1 + 0.2, 0.1)],
+)
+@example(  # all-zero scores: zero-width bands that hit only when y == y_hat
+    experts=[(0.01, 0.1), (0.0, 0.5), (0.3, -0.2)], raw_weights=[1.0] * 6, eta=5.0,
+    floor=0.0, mode="ewa", cap=2.0, seed_scores=[0.0] * 5, capacity=5, rolling=True,
+    steps=[(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (-2.0, 1.0)],
+)
+def test_flat_kernel_matches_the_object_oracle_bit_for_bit(
+    experts, raw_weights, eta, floor, mode, cap, seed_scores, capacity, rolling, steps
+):
+    """Small buffers put levels at k <= 0 and k > n; zero scores give
+    zero-width bands that hit only on exact equality."""
+    states = tuple(AciState(alpha_nominal=0.1, gamma=g, alpha_t=a) for g, a in experts)
+    weights = tuple(w / math.fsum(raw_weights[: len(states)]) for w in raw_weights[: len(states)])
+    options = dict(eta=eta, weight_floor=floor, mode=mode, infinite_cap_factor=cap)
+    bank = AgAciState(alpha_nominal=0.1, experts=states, weights=weights, **options)
+    oracle = OracleBank(alpha_nominal=0.1, experts=states, weights=weights, **options)
+    solo, solo_oracle = states[0], states[0]
+    buf = ScoreBuffer(capacity, seed_scores)
+    for y, y_hat in steps:
+        agg, per_expert = agaci_step(bank, buf, y_hat)
+        want, want_per_expert = oracle_agaci_step(oracle, buf, y_hat)
+        assert_same_band(agg, want)
+        assert agg.covers(y) == want.covers(y)
+        assert len(per_expert) == len(want_per_expert)
+        for got_iv, want_iv in zip(per_expert, want_per_expert):
+            assert_same_band(got_iv, want_iv)
+            assert got_iv.covers(y) == want_iv.covers(y)
+        iv, want_iv = aci_step(solo, buf, y_hat), oracle_aci_step(solo_oracle, buf, y_hat)
+        assert_same_band(iv, want_iv)
+
+        bank = agaci_update(bank, y, y_hat, per_expert)
+        oracle = oracle_agaci_update(oracle, y, y_hat, want_per_expert)
+        assert bits(*(e.alpha_t for e in bank.experts)) == bits(
+            *(e.alpha_t for e in oracle.experts)
+        )
+        assert bits(*bank.weights) == bits(*oracle.weights)
+        assert bits(bank.alpha_t) == bits(oracle.alpha_t)
+        solo, solo_oracle = aci_update(solo, y, iv), oracle_aci_update(solo_oracle, y, want_iv)
+        assert bits(solo.alpha_t) == bits(solo_oracle.alpha_t)
+        if rolling:
+            buf.append(residual_score(y, y_hat))
+
+
+def test_per_expert_bands_are_built_on_read():
+    buf = ScoreBuffer(4, [1.0, 2.0, 3.0, 4.0])
+    bank = AgAciState.from_gammas(0.1, [0.0, 0.01])
+    _, per_expert = agaci_step(bank, buf, 0.5)
+    assert len(per_expert) == 2
+    assert per_expert[0] == per_expert[-2] == PredictionInterval(0.5, math.inf, 0.9)
+    assert [iv.half_width for iv in per_expert] == [math.inf, math.inf]
+    with pytest.raises(IndexError):
+        per_expert[2]
+    assert bank.experts == (AciState(0.1, 0.0), AciState(0.1, 0.01))
 
 
 def test_residual_score():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftband import evaluate
+from driftband import conformal, evaluate
 from driftband.conformal import AgAciState, ScoreBuffer, agaci_step, agaci_update
 from driftband.errors import ConfigError, NumericError
 from driftband.evaluate import (
@@ -215,6 +215,36 @@ def test_agaci_effective_alpha_recorded():
     assert report.alpha_final == bank.alpha_t
     # the effective level stays in the vicinity of nominal
     assert 0.0 < np.median([r.alpha_t for r in report.records]) < 0.3
+
+
+@pytest.mark.parametrize("method", ["split", "aci", "agaci"])
+@pytest.mark.parametrize("buffer_mode", ["rolling", "frozen"])
+def test_run_loop_calls_step_update_and_append_per_step(monkeypatch, method, buffer_mode):
+    """The calls an external tracer times by patching these attributes: one
+    band and one update per test step, and one append per seeding step plus,
+    when the buffer rolls, one per test step."""
+    calls = {"step": 0, "update": 0, "append": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(conformal, "agaci_step", counting("step", conformal.agaci_step))
+    monkeypatch.setattr(conformal, "agaci_update", counting("update", conformal.agaci_update))
+    monkeypatch.setattr(
+        conformal.ScoreBuffer, "append", counting("append", conformal.ScoreBuffer.append)
+    )
+    config = RunConfig(dataset="toy", forecaster="persistence", method=method, seed=2,
+                       buffer_mode=buffer_mode)
+    report = run_rolling(config)
+    split = SplitSpec.from_fractions(3000, config.split)
+    seeding = split.cal_end - split.train_end
+    assert report.n_steps == split.test_end - split.cal_end
+    assert calls["step"] == calls["update"] == report.n_steps
+    assert calls["append"] == seeding + (report.n_steps if buffer_mode == "rolling" else 0)
 
 
 def test_split_cp_iid_control_hits_nominal_coverage():

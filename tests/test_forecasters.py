@@ -180,6 +180,47 @@ def test_ar_forecaster_refits_on_rolling_window():
     assert f.predict_one([5.0] * 10) == pytest.approx(5.0, abs=1e-9)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    segmented=st.booleans(),
+    train=st.lists(st.floats(-5, 5), min_size=6, max_size=20),
+    stream=st.lists(st.floats(-5, 5) | st.sampled_from([80.0, -80.0]), max_size=150),
+    order=st.integers(1, 3),
+    refit_every=st.integers(1, 6),
+)
+@example(  # one CUSUM alarm at the first spike, then a regrown segment
+    segmented=True, train=[0.0, 1.0, 0.5, -0.5] * 3,
+    stream=[0.1 * (i % 3) for i in range(40)] + [80.0] * 5 + [0.5] * 30,
+    order=2, refit_every=3,
+)
+def test_fit_window_is_a_view_of_the_last_observed_values(
+    segmented, train, stream, order, refit_every
+):
+    """After any observe sequence, including CUSUM truncations, a refit
+    reads the last min(window, segment) observed values, as a view."""
+    if segmented:
+        f = SegmentedArForecaster(order, refit_every, drift=0.0, threshold=2.0, warmup=30)
+    else:
+        f = ArForecaster(order, refit_every)
+    f.fit(np.asarray(train))
+    alarms = []
+    if segmented:
+        update = f.detector.update
+        f.detector.update = lambda value: alarms.append(update(value)) or alarms[-1]
+    history = list(train)
+    segment_start = 0
+    for y in stream:
+        f.predict_one(np.asarray(history))
+        f.observe(y)
+        history.append(y)
+        if alarms and alarms[-1]:
+            segment_start = len(history) - 1
+        window = f._fit_window()
+        take = min(len(train), len(history) - segment_start)
+        assert window.tolist() == history[len(history) - take :]
+        assert window.base is f._ring
+
+
 def test_segmented_ar_with_infinite_threshold_matches_plain_ar():
     rng = np.random.default_rng(2)
     train = ar1_path(rng, 120, 0.2, 0.6, 0.4)
