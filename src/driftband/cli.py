@@ -17,7 +17,8 @@ import numpy as np
 from . import datagen, evaluate
 from .errors import AlignmentError, ConfigError, NumericError
 from .fileio import atomic_write_text, read_json
-from .forecasters import ExternalForecastTrace, ReplayForecaster
+from .forecasters import ExternalForecastTrace
+from .forecasters import ReplayForecaster  # noqa: F401 - perfbench/tracing.py patches it
 from .series import load_series_csv, write_series_csv
 
 EXIT_OK = 0
@@ -69,7 +70,7 @@ def _print_run_line(result, prefix: str = "") -> None:
 def _write_run_outputs(out_dir: Path, result) -> None:
     evaluate.write_metrics_json(out_dir / f"{result.name}.metrics.json", result)
     if isinstance(result, evaluate.RunReport):
-        evaluate.write_bands_csv(out_dir / f"{result.name}.bands.csv", result.records)
+        evaluate.write_bands_csv(out_dir / f"{result.name}.bands.csv", result.columns)
 
 
 def cmd_generate(args) -> int:
@@ -97,7 +98,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     configs, outs = zip(*(_parse_run_config(Path(p), args.seed) for p in args.config))
+    # Runs write <run name>.{metrics.json,bands.csv}, so two of one name would overwrite.
+    first_with: dict[str, str] = {}
+    for path, config in zip(args.config, configs):
+        if config.run_name in first_with:
+            raise ConfigError(
+                f"run name {config.run_name!r} is used by both {first_with[config.run_name]} "
+                f"and {path}; give one of them a distinct 'name'"
+            )
+        first_with[config.run_name] = path
     out_dir = _out_dir(args, next((o for o in outs if o), None))
     if len(configs) == 1:
         report = evaluate.run_rolling(configs[0])
@@ -121,15 +133,16 @@ def cmd_wrap(args) -> int:
         config, dataset=str(args.series), forecaster="replay", forecaster_params={}
     )
 
-    def factory(scaler, series_, split):
-        trace.validate_against(
-            series_,
-            series_.start_index + split.train_end,
-            series_.start_index + split.test_end,
-        )
-        return ReplayForecaster(trace, scaler, series_start=series_.start_index)
+    def forecast(series_, split, scaler, z):
+        start = series_.start_index + split.train_end
+        end = series_.start_index + split.test_end
+        trace.validate_against(series_, start, end)
+        # A trace value far beyond the scaler's range overflows to inf, which
+        # run_rolling reports as a non-finite forecast; numpy need not warn too.
+        with np.errstate(over="ignore"):
+            return scaler.transform(trace.y_hat[start - trace.start : end - trace.start])
 
-    report = evaluate.run_rolling(config, series=series, forecaster_factory=factory)
+    report = evaluate.run_rolling(config, series=series, forecast=forecast)
     _write_run_outputs(out_dir, report)
     _print_run_line(report)
     return EXIT_OK

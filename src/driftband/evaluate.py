@@ -1,19 +1,20 @@
 """Rolling one-step evaluation: configs, the run loop, metrics, and grids.
 
-A run is: fit a scaler and a forecaster on the training window, seed
-the score buffer from the calibration window, then walk the test window
-one step at a time forming a band before each observation arrives.
-Everything numeric happens in standardized units; records and metrics
-are reported in the original units of the data.
+A run is two passes. The forecast pass fits a forecaster on the training
+window and makes one-step forecasts for the calibration and test windows.
+The calibration pass seeds the score buffer from the calibration window,
+then walks the test window one step at a time, forming a band before each
+observation arrives. Everything numeric happens in standardized units;
+the band table and metrics are reported in the original units of the data.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import conformal, datagen
 from .errors import ConfigError, NumericError
 from .fileio import atomic_write_text, check_keys, format_csv, read_json
-from .forecasters import Forecaster, make_forecaster
+from .forecasters import make_forecaster
 from .series import (
     SplitSpec,
     StandardScaler,
@@ -174,27 +175,17 @@ def load_dataset(config: RunConfig) -> TimeSeries:
     return load_series_csv(config.dataset)
 
 
-@dataclass(frozen=True)
-class ForecastRecord:
-    """One test step, in the original units of the data.
-
-    ``alpha_t`` is the working miscoverage level the band was formed at
-    (the nominal level for split, the weighted effective level for
-    aggregated runs); it is None when no band was formed.
-    """
-
-    index: int
-    y: float
-    y_hat: float
-    lower: float | None
-    upper: float | None
-    alpha_t: float | None
-    covered: bool | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
-    """Metrics plus the full per-step record table for one run."""
+    """Metrics plus the per-step band table of one run.
+
+    ``columns`` maps each bands CSV column to an array with one entry per
+    test step, in the original units of the data: ``index`` (the series
+    index), ``y``, ``y_hat``, and the band columns ``lower``, ``upper``,
+    ``alpha_t`` (the working miscoverage level the band was formed at:
+    nominal for split, the weighted effective level for aggregated runs)
+    and ``covered``. A run without bands has None for the band columns.
+    """
 
     config: RunConfig
     rmse: float
@@ -204,40 +195,53 @@ class RunReport:
     n_zero_width: int
     n_steps: int
     alpha_final: float | None
-    records: tuple[ForecastRecord, ...]
+    columns: dict[str, np.ndarray | None]
 
     @property
     def name(self) -> str:
         return self.config.run_name
 
 
-def compute_metrics(records: Sequence[ForecastRecord]) -> dict:
-    """Metric fields over a record table.
+def compute_metrics(columns: dict[str, np.ndarray | None]) -> dict:
+    """Metric fields over a run's column table.
 
     The width statistic is the lower median of the finite widths;
     infinite bands are counted separately so one of them cannot poison
     the number. Runs without bands get None for coverage and width.
     """
-    if not records:
-        raise ConfigError("cannot compute metrics over zero records")
-    errors = np.array([r.y - r.y_hat for r in records])
-    rmse = float(np.sqrt(np.mean(errors**2)))
-    banded = [r for r in records if r.lower is not None]
-    widths = [r.upper - r.lower for r in banded]
-    finite = sorted(w for w in widths if math.isfinite(w))
-    median_width = finite[(len(finite) - 1) // 2] if finite else math.inf
-    return {
-        "rmse": rmse,
-        "coverage": sum(1 for r in banded if r.covered) / len(banded) if banded else None,
-        "median_width": median_width if banded else None,
-        "n_infinite": sum(1 for w in widths if math.isinf(w)),
-        "n_zero_width": sum(1 for w in widths if w == 0.0),
-        "n_steps": len(records),
+    y = columns["y"]
+    if len(y) == 0:
+        raise ConfigError("cannot compute metrics over zero steps")
+    metrics = {
+        "rmse": float(np.sqrt(np.mean((y - columns["y_hat"]) ** 2))),
+        "coverage": None, "median_width": None, "n_infinite": 0, "n_zero_width": 0,
+        "n_steps": len(y),
     }
+    if columns["lower"] is not None:
+        widths = columns["upper"] - columns["lower"]
+        finite = np.sort(widths[np.isfinite(widths)])
+        metrics.update(
+            coverage=int(np.count_nonzero(columns["covered"])) / len(widths),
+            median_width=float(finite[(finite.size - 1) // 2]) if finite.size else math.inf,
+            n_infinite=int(np.count_nonzero(np.isinf(widths))),
+            n_zero_width=int(np.count_nonzero(widths == 0.0)),
+        )
+    return metrics
 
 
-def _default_forecaster_factory(config: RunConfig):
-    def build(scaler: StandardScaler, series: TimeSeries, split: SplitSpec) -> Forecaster:
+Forecast = Callable[[TimeSeries, SplitSpec, StandardScaler, np.ndarray], np.ndarray]
+
+
+def _native_forecast(config: RunConfig) -> Forecast:
+    """The forecast pass of the configured native forecaster.
+
+    The returned function fits the forecaster on the training window of
+    the standardized series ``z``, then predicts and observes each index
+    of [train_end, test_end) in turn. It returns the predictions, cut
+    after the first non-finite one (``run_rolling`` names it).
+    """
+
+    def forecast(series: TimeSeries, split: SplitSpec, scaler: StandardScaler, z) -> np.ndarray:
         if config.forecaster == "replay":
             raise ConfigError(
                 "forecaster 'replay' only runs through the wrap command with a trace file"
@@ -245,62 +249,93 @@ def _default_forecaster_factory(config: RunConfig):
         params = dict(config.forecaster_params)
         if config.forecaster in ("ar", "segmented_ar") and "order" not in params:
             params["order"] = max(1, min(config.lag, split.train_end // 4))
-        return make_forecaster(config.forecaster, **params)
+        forecaster = make_forecaster(config.forecaster, **params)
+        try:
+            forecaster.fit(z[: split.train_end])
+        except NumericError as exc:
+            raise NumericError(
+                f"while fitting the forecaster on the training window: {exc}"
+            ) from None
+        predictions = []
+        for t, y in enumerate(z[split.train_end : split.test_end].tolist(), split.train_end):
+            y_hat = forecaster.predict_one(z[:t])
+            predictions.append(y_hat)
+            if not math.isfinite(y_hat):
+                break
+            forecaster.observe(y)
+        return np.array(predictions, dtype=float)
 
-    return build
+    return forecast
 
 
-def run_rolling(
-    config: RunConfig,
-    series: TimeSeries | None = None,
-    forecaster_factory: Callable[[StandardScaler, TimeSeries, SplitSpec], Forecaster]
-    | None = None,
-) -> RunReport:
-    """Execute one full evaluation run.
-
-    ``series`` and ``forecaster_factory`` exist for callers that bring
-    their own data or wrap external predictions; both default to what
-    the config describes.
-    """
-    if series is None:
-        series = load_dataset(config)
+def _forecast_pass(
+    config: RunConfig, series: TimeSeries, forecast: Forecast
+) -> tuple[SplitSpec, StandardScaler, np.ndarray, np.ndarray]:
+    """Split and scale ``series``, then run ``forecast`` over [train_end,
+    test_end) and check its column. Returns the split, the scaler, the
+    standardized series ``z`` and the column."""
     split = SplitSpec.from_fractions(len(series), config.split)
-
     try:
         scaler = fit_scaler(series.values, 0, split.train_end)
     except NumericError as exc:
         raise NumericError(f"while fitting the scaler on the training window: {exc}") from None
-    z = scaler.transform(series.values)
-
-    factory = forecaster_factory or _default_forecaster_factory(config)
-    forecaster = factory(scaler, series, split)
-
-    def predict(t: int, phase: str) -> float:
-        y_hat = forecaster.predict_one(z[:t])
-        if not math.isfinite(y_hat):
-            raise NumericError(
-                f"{phase}: the forecast for series index {series.start_index + t} is {y_hat!r}"
-            )
-        return y_hat
-
-    try:
-        forecaster.fit(z[: split.train_end])
-    except NumericError as exc:
-        raise NumericError(f"while fitting the forecaster on the training window: {exc}") from None
-
-    try:
-        buffer = conformal.ScoreBuffer(capacity=split.cal_end - split.train_end)
-    except ConfigError:
+    if split.cal_end == split.train_end:
         raise ConfigError(
             f"calibration window [{split.train_end}, {split.cal_end}) is empty; "
             "widen the calibration fraction"
-        ) from None
-    for t in range(split.train_end, split.cal_end):
-        y_hat = predict(t, "calibration seeding")
-        buffer.append(conformal.residual_score(z[t], y_hat))
-        forecaster.observe(z[t])
+        )
+    if split.test_end == split.cal_end:
+        raise ConfigError(
+            f"test window [{split.cal_end}, {split.test_end}) is empty; "
+            "widen the test fraction"
+        )
+    z = scaler.transform(series.values)
+    y_hat = np.asarray(forecast(series, split, scaler, z), float)
+    n_seed, n_run = split.cal_end - split.train_end, split.test_end - split.train_end
+    shape_error = ConfigError(
+        f"the forecast pass gave shape {y_hat.shape} for indices "
+        f"[{split.train_end}, {split.test_end})"
+    )
+    if y_hat.ndim != 1 or y_hat.size > n_run:
+        raise shape_error
+    bad = np.flatnonzero(~np.isfinite(y_hat))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(
+            f"{'calibration seeding' if i < n_seed else 'test step'}: the forecast for "
+            f"series index {series.start_index + split.train_end + i} is {float(y_hat[i])!r}"
+        )
+    # last: the native pass stops after its first non-finite forecast
+    if y_hat.size < n_run:
+        raise shape_error
+    return split, scaler, z, y_hat
 
-    # Split conformal is ACI with gamma = 0, and ACI is a bank of one expert.
+
+def run_rolling(
+    config: RunConfig, series: TimeSeries | None = None, forecast: Forecast | None = None
+) -> RunReport:
+    """Execute one full evaluation run: a forecast pass, then calibration.
+
+    ``forecast(series, split, scaler, z)`` returns the one-step forecasts,
+    in the standardized units of ``z``, for the indices [train_end,
+    test_end) of the split; by default the configured native forecaster
+    makes them. ``series`` defaults to the config's dataset. Both exist
+    for callers that bring their own data or predictions: the forecaster
+    never sees a band, so one forecast pass serves every method.
+    """
+    if series is None:
+        series = load_dataset(config)
+    split, scaler, z, y_hat = _forecast_pass(
+        config, series, forecast or _native_forecast(config)
+    )
+    n_seed = split.cal_end - split.train_end
+
+    # Calibration pass. Split conformal is ACI with gamma = 0, and ACI is a
+    # bank of one expert.
+    z_run, y_hat_run = z[split.train_end : split.test_end].tolist(), y_hat.tolist()
+    buffer = conformal.ScoreBuffer(capacity=n_seed)
+    for y, f in zip(z_run[:n_seed], y_hat_run[:n_seed]):
+        buffer.append(conformal.residual_score(y, f))
     gammas = {"split": (0.0,), "aci": (config.gamma,)}.get(config.method, config.gamma_grid)
     bank = None
     if config.method != "none":
@@ -308,42 +343,36 @@ def run_rolling(
             config.alpha, gammas, eta=config.eta, weight_floor=config.weight_floor,
             mode=config.aggregation, infinite_cap_factor=config.cap_factor,
         )
-
-    records: list[ForecastRecord] = []
-    for t in range(split.cal_end, split.test_end):
-        y_hat_scaled = predict(t, "test step")
-        y_scaled = float(z[t])
-        lower = upper = alpha_used = covered = None
+    rolling = config.buffer_mode == "rolling"
+    half_widths, alphas = [], []
+    for y, f in zip(z_run[n_seed:], y_hat_run[n_seed:]):
         if bank is not None:
-            alpha_used = bank.alpha_t
-            interval, per_expert = conformal.agaci_step(bank, buffer, y_hat_scaled)
-            bank = conformal.agaci_update(bank, y_scaled, y_hat_scaled, per_expert)
-            lower = float(scaler.inverse_transform(interval.lower))
-            upper = float(scaler.inverse_transform(interval.upper))
-            covered = interval.covers(y_scaled)
-        if config.buffer_mode == "rolling":
-            buffer.append(conformal.residual_score(y_scaled, y_hat_scaled))
-        forecaster.observe(y_scaled)
-        records.append(
-            ForecastRecord(
-                index=series.start_index + t,
-                y=float(series.values[t]),
-                y_hat=float(scaler.inverse_transform(y_hat_scaled)),
-                lower=lower,
-                upper=upper,
-                alpha_t=alpha_used,
-                covered=covered,
-            )
-        )
+            alphas.append(bank.alpha_t)
+            interval, per_expert = conformal.agaci_step(bank, buffer, f)
+            bank = conformal.agaci_update(bank, y, f, per_expert)
+            half_widths.append(interval.half_width)
+        if rolling:
+            buffer.append(conformal.residual_score(y, f))
 
-    if not records:
-        raise ConfigError(
-            f"test window [{split.cal_end}, {split.test_end}) is empty; "
-            "widen the test fraction"
-        )
+    # The same IEEE multiply-add per element as a scalar inverse_transform.
+    y_hat_test, z_test = y_hat[n_seed:], z[split.cal_end : split.test_end]
+    columns = {
+        "index": np.arange(split.cal_end, split.test_end) + series.start_index,
+        "y": series.values[split.cal_end : split.test_end],
+        "y_hat": scaler.inverse_transform(y_hat_test),
+        "lower": None, "upper": None, "alpha_t": None, "covered": None,
+    }
+    if bank is not None:
+        lower, upper = y_hat_test - half_widths, y_hat_test + half_widths
+        with np.errstate(over="ignore"):  # overflow to inf, as on Python floats
+            columns.update(
+                lower=scaler.inverse_transform(lower), upper=scaler.inverse_transform(upper)
+            )
+        # PredictionInterval.covers on the scaled values
+        columns.update(alpha_t=np.array(alphas), covered=(lower <= z_test) & (z_test <= upper))
     return RunReport(
-        config=config, **compute_metrics(records),
-        alpha_final=None if bank is None else bank.alpha_t, records=tuple(records),
+        config=config, **compute_metrics(columns),
+        alpha_final=None if bank is None else bank.alpha_t, columns=columns,
     )
 
 
@@ -360,30 +389,109 @@ class RunFailure:
         return self.config.run_name
 
 
-def _run_one(config: RunConfig) -> RunReport | RunFailure:
+def _failure(config: RunConfig, exc: BaseException) -> RunFailure:
+    return RunFailure(config=config, kind=type(exc).__name__, error=str(exc))
+
+
+def _forecast_key(config: RunConfig) -> tuple:
+    """The fields a forecast pass depends on; cells that share them share it."""
+    params = tuple(sorted(config.forecaster_params.items()))
+    return (config.dataset, config.seed, config.forecaster, params, config.lag, config.split)
+
+
+def _run_group(configs: Sequence[RunConfig]) -> list[RunReport | RunFailure]:
+    """Run the cells of one forecast key on one series load and one forecast
+    pass. The pass runs inside the first cell's ``run_rolling`` call, so a
+    tracer that times ``run_rolling`` counts it as part of a run. A pass
+    that raised is not kept, so the next cell runs it again and every cell
+    fails as it would alone."""
     try:
-        return run_rolling(config)
+        series = load_dataset(configs[0])
     except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
-        return RunFailure(config=config, kind=type(exc).__name__, error=str(exc))
+        return [_failure(c, exc) for c in configs]
+    native = _native_forecast(configs[0])
+    shared: list[np.ndarray] = []
+
+    def forecast(*args) -> np.ndarray:
+        if not shared:
+            shared.append(native(*args))
+        return shared[0]
+
+    results: list[RunReport | RunFailure] = []
+    for config in configs:
+        try:
+            results.append(run_rolling(config, series, forecast))
+        except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
+            results.append(_failure(config, exc))
+    return results
+
+
+def _group_forecast(config: RunConfig) -> tuple[TimeSeries, np.ndarray] | RunFailure:
+    """A worker's forecast pass for one forecast key: the series and its
+    checked column, or the failure every cell of the key would raise."""
+    try:
+        series = load_dataset(config)
+        return series, _forecast_pass(config, series, _native_forecast(config))[3]
+    except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
+        return _failure(config, exc)
+
+
+def _run_cell(
+    config: RunConfig, series: TimeSeries, y_hat: np.ndarray
+) -> RunReport | RunFailure:
+    """A worker's calibration of one cell on its key's forecast column."""
+    try:
+        return run_rolling(config, series, lambda *_: y_hat)
+    except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
+        return _failure(config, exc)
 
 
 def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | RunFailure]:
-    """Run many configs independently; failures become RunFailure cells,
-    and a dead worker fails every unfinished cell as ``BrokenProcessPool``."""
+    """Run many configs independently; failures become RunFailure cells.
+
+    Cells are grouped by forecast key (dataset, seed, forecaster, its
+    params, lag and split): a group loads its series once and runs one
+    forecast pass for all its cells. With ``jobs > 1`` each group's pass
+    is one task, and once it is done each of the group's cells is
+    calibrated as a task of its own, so cells of one key still spread over
+    the workers. A dead worker fails every cell not finished yet as
+    ``BrokenProcessPool``; finished cells keep their results.
+    """
     if not configs:
         raise ConfigError("grid needs at least one config")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(_forecast_key(config), []).append(i)
+    results: list[RunReport | RunFailure | None] = [None] * len(configs)
     if jobs == 1 or len(configs) == 1:
-        return [_run_one(c) for c in configs]
+        for idx in groups.values():
+            for i, result in zip(idx, _run_group([configs[i] for i in idx])):
+                results[i] = result
+        return results
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-        futures = [pool.submit(_run_one, c) for c in configs]
-    results: list[RunReport | RunFailure] = []
-    for config, future in zip(configs, futures):
+        passes = {pool.submit(_group_forecast, configs[idx[0]]): idx for idx in groups.values()}
+        cells = {}
+        for done in as_completed(passes):
+            idx = passes[done]
+            try:
+                made = done.result()
+            except BrokenProcessPool as exc:
+                made = _failure(configs[idx[0]], exc)
+            for i in idx:
+                if isinstance(made, RunFailure):
+                    results[i] = replace(made, config=configs[i])
+                    continue
+                try:
+                    cells[i] = pool.submit(_run_cell, configs[i], *made)
+                except BrokenProcessPool as exc:
+                    results[i] = _failure(configs[i], exc)
+    for i, future in cells.items():
         try:
-            results.append(future.result())
+            results[i] = future.result()
         except BrokenProcessPool as exc:
-            results.append(RunFailure(config=config, kind="BrokenProcessPool", error=str(exc)))
+            results[i] = _failure(configs[i], exc)
     return results
 
 
@@ -450,10 +558,13 @@ def load_metrics_json(path: str | Path) -> dict:
     return payload
 
 
-def write_bands_csv(path: str | Path, records: Sequence[ForecastRecord]) -> None:
-    """Per-step band table in original units, one row per test step."""
-    rows = ((r.index, r.y, r.y_hat, r.lower, r.upper, r.alpha_t, r.covered) for r in records)
-    atomic_write_text(path, format_csv(BANDS_CSV_HEADER, rows))
+def write_bands_csv(path: str | Path, columns: dict[str, np.ndarray | None]) -> None:
+    """Per-step band table in original units, one row per test step; an
+    unbanded run's band columns are empty cells."""
+    n = len(columns["index"])
+    # tolist() gives Python ints, floats and bools, which format_csv prints
+    cells = [[None] * n if columns[k] is None else columns[k].tolist() for k in BANDS_CSV_HEADER]
+    atomic_write_text(path, format_csv(BANDS_CSV_HEADER, zip(*cells)))
 
 
 def comparison_rows(payloads: Sequence[dict]) -> list[dict]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -468,8 +469,56 @@ def test_non_finite_forecast_exits_4_naming_the_phase_and_index(tmp_path, capsys
         lines.append(f"{t},{float(series.values[t])!r},{y_hat!r}")
     trace = tmp_path / "trace.csv"
     trace.write_text("\n".join(lines) + "\n")
-    assert main([
-        "wrap", "--trace", str(trace), "--series", str(series_csv),
-        "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o"),
-    ]) == 4
-    assert f"{phase}: the forecast for series index {index} is -inf" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([
+            "wrap", "--trace", str(trace), "--series", str(series_csv),
+            "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o"),
+        ]) == 4
+    # the scaled trace overflows to -inf; that is the error, not a numpy warning
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: {phase}: the forecast for series index {index} is -inf\n"
+    )
+
+
+def test_duplicate_run_names_exit_2_before_any_load(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    a = write_config(tmp_path, "a.json", dataset=missing, seed=1)
+    b = write_config(tmp_path, "b.json", dataset=missing, seed=2)
+    out = tmp_path / "o"
+    for argv, paths in (
+        (["--config", str(a), str(b)], (a, b)),
+        (["--config", str(a), str(a)], (a, a)),
+        # distinct names made equal by the seed override would also collide
+        (["--config", str(a), str(b), "--seed", "3"], (a, b)),
+    ):
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: run name 'missing-persistence-aci' is used by both {paths[0]} "
+            f"and {paths[1]}; give one of them a distinct 'name'\n"
+        )
+    assert not out.exists() or not any(out.iterdir())
+    # distinct names run
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"dataset": "toy", "method": "split", "seed": 2, "name": "second"}))
+    assert main(["run", "--config", str(write_config(tmp_path)), str(c), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "second.bands.csv", "second.metrics.json",
+        "toy-persistence-aci.bands.csv", "toy-persistence-aci.metrics.json",
+    ]
+
+
+@pytest.mark.parametrize("n_configs", [1, 2])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_1_exit_2_for_every_run(tmp_path, capsys, n_configs, jobs):
+    # the dataset is missing, so a check after the load would exit 3
+    configs = [
+        str(write_config(tmp_path, f"{method}.json", dataset=str(tmp_path / "missing.csv"),
+                         method=method))
+        for method in ("aci", "split")[:n_configs]
+    ]
+    argv = ["run", "--config", *configs, "--jobs", jobs, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"

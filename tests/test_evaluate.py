@@ -3,16 +3,16 @@ import math
 import multiprocessing
 import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftband import conformal, evaluate
+from driftband import conformal, datagen, evaluate
 from driftband.conformal import AgAciState, ScoreBuffer, agaci_step, agaci_update
 from driftband.errors import ConfigError, NumericError
 from driftband.evaluate import (
-    ForecastRecord,
     RunConfig,
     RunFailure,
     RunReport,
@@ -25,32 +25,45 @@ from driftband.evaluate import (
     report_payload,
     run_config_from_dict,
     run_rolling,
+    write_bands_csv,
     write_metrics_json,
 )
-from driftband.forecasters import Forecaster
 from driftband.series import SplitSpec, TimeSeries, fit_scaler, write_series_csv
 
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the patched functions",
+)
 
 
-def record(index=0, y=0.0, y_hat=0.0, lower=None, upper=None, alpha_t=None, covered=None):
-    return ForecastRecord(
-        index=index, y=y, y_hat=y_hat, lower=lower, upper=upper, alpha_t=alpha_t, covered=covered
+def unbanded(y, y_hat):
+    """The column table of a run without bands."""
+    y = np.array(y, dtype=float)
+    return {"index": np.arange(y.size), "y": y, "y_hat": np.array(y_hat, dtype=float),
+            "lower": None, "upper": None, "alpha_t": None, "covered": None}
+
+
+def banded(widths, covered=None):
+    """The column table of zero forecasts and observations with bands of these widths."""
+    widths = np.array(widths, dtype=float)
+    n = widths.size
+    return {**unbanded(np.zeros(n), np.zeros(n)), "lower": -widths / 2, "upper": widths / 2,
+            "alpha_t": np.full(n, 0.1),
+            "covered": np.ones(n, bool) if covered is None else np.array(covered)}
+
+
+def same_columns(a, b):
+    """Equal column tables: the same keys, None in the same places, equal arrays."""
+    return a.keys() == b.keys() and all(
+        (a[k] is None) == (b[k] is None) and (a[k] is None or np.array_equal(a[k], b[k]))
+        for k in a
     )
 
 
-def banded(width, covered=True):
-    return record(lower=-width / 2, upper=width / 2, alpha_t=0.1, covered=covered)
-
-
-class ZeroForecaster(Forecaster):
+def zero_forecast(series, split, scaler, z):
     """Predicts 0 in scaled units; turns i.i.d. data into i.i.d. scores."""
-
-    def fit(self, window):
-        pass
-
-    def predict_one(self, history):
-        return 0.0
+    return np.zeros(split.test_end - split.train_end)
 
 
 def test_config_validation():
@@ -99,42 +112,35 @@ def test_run_name_default_and_override():
 
 
 def test_compute_metrics_oracles():
-    perfect = [record(y=1.0, y_hat=1.0), record(y=-2.0, y_hat=-2.0)]
+    perfect = unbanded([1.0, -2.0], [1.0, -2.0])
     m = compute_metrics(perfect)
     assert m["rmse"] == 0.0
     assert m["coverage"] is None and m["median_width"] is None
 
-    covered = [banded(w) for w in (1.0, 2.0, 3.0)]
-    m = compute_metrics(covered)
+    m = compute_metrics(banded([1.0, 2.0, 3.0]))
     assert m["coverage"] == 1.0
     assert m["median_width"] == 2.0
 
-    with_inf = covered + [banded(math.inf)]
-    m = compute_metrics(with_inf)
+    m = compute_metrics(banded([1.0, 2.0, 3.0, math.inf]))
     assert m["median_width"] == 2.0  # lower median over the finite widths
     assert m["n_infinite"] == 1
 
-    four = [banded(w) for w in (1.0, 2.0, 3.0, 4.0)]
-    assert compute_metrics(four)["median_width"] == 2.0
+    assert compute_metrics(banded([1.0, 2.0, 3.0, 4.0]))["median_width"] == 2.0
 
-    degenerate = [banded(0.0), banded(math.inf)]
-    m = compute_metrics(degenerate)
+    m = compute_metrics(banded([0.0, math.inf]))
     assert m["n_zero_width"] == 1 and m["n_infinite"] == 1
     assert m["median_width"] == 0.0
 
-    all_inf = [banded(math.inf), banded(math.inf)]
-    assert compute_metrics(all_inf)["median_width"] == math.inf
+    assert compute_metrics(banded([math.inf, math.inf]))["median_width"] == math.inf
 
-    half = [banded(1.0, covered=True), banded(1.0, covered=False)]
-    assert compute_metrics(half)["coverage"] == 0.5
+    assert compute_metrics(banded([1.0, 1.0], covered=[True, False]))["coverage"] == 0.5
 
     with pytest.raises(ConfigError):
-        compute_metrics([])
+        compute_metrics(unbanded([], []))
 
 
 def test_rmse_oracle():
-    records = [record(y=3.0, y_hat=1.0), record(y=0.0, y_hat=2.0)]
-    assert compute_metrics(records)["rmse"] == pytest.approx(2.0)
+    assert compute_metrics(unbanded([3.0, 0.0], [1.0, 2.0]))["rmse"] == pytest.approx(2.0)
 
 
 def test_method_none_reports_point_metrics_only():
@@ -143,17 +149,17 @@ def test_method_none_reports_point_metrics_only():
     assert report.median_width is None
     assert report.alpha_final is None
     assert report.rmse > 0
-    assert all(r.lower is None and r.covered is None for r in report.records)
+    assert all(report.columns[k] is None for k in ("lower", "upper", "alpha_t", "covered"))
 
 
 def test_split_equals_aci_with_zero_gamma():
     base = dict(dataset="toy", forecaster="persistence", seed=3, split=THIRDS)
     split_report = run_rolling(RunConfig(method="split", **base))
     aci_report = run_rolling(RunConfig(method="aci", gamma=0.0, **base))
-    assert split_report.records == aci_report.records
+    assert same_columns(split_report.columns, aci_report.columns)
     assert split_report.alpha_final == 0.1
     # split never moves the working level
-    assert all(r.alpha_t == 0.1 for r in split_report.records)
+    assert np.all(split_report.columns["alpha_t"] == 0.1)
 
 
 def test_telescoping_identity_from_report():
@@ -175,19 +181,19 @@ def test_unit_consistency_of_records():
     config = RunConfig(dataset="toy", method="aci", seed=2)
     report = run_rolling(config)
     series, _ = generate_toy(default_toy_spec(seed=2))
-    for r in report.records:
-        assert r.lower <= r.y_hat <= r.upper
-        assert r.y == series.values[r.index]
-        # the decision is made in scaled space; the scaling is strictly
-        # monotone, so it reads the same in original units
-        assert r.covered == (r.lower <= r.y <= r.upper)
+    c = report.columns
+    assert np.all((c["lower"] <= c["y_hat"]) & (c["y_hat"] <= c["upper"]))
+    assert np.array_equal(c["y"], series.values[c["index"]])
+    # the decision is made in scaled space; the scaling is strictly
+    # monotone, so it reads the same in original units
+    assert np.array_equal(c["covered"], (c["lower"] <= c["y"]) & (c["y"] <= c["upper"]))
 
 
 def test_reports_are_deterministic():
     config = RunConfig(dataset="toy", method="agaci", seed=6)
     a = run_rolling(config)
     b = run_rolling(config)
-    assert a.records == b.records
+    assert same_columns(a.columns, b.columns)
     assert a.rmse == b.rmse
 
 
@@ -195,7 +201,7 @@ def test_frozen_buffer_differs_from_rolling():
     base = dict(dataset="toy", method="aci", seed=1, split=THIRDS)
     rolling = run_rolling(RunConfig(buffer_mode="rolling", **base))
     frozen = run_rolling(RunConfig(buffer_mode="frozen", **base))
-    assert rolling.records != frozen.records
+    assert not same_columns(rolling.columns, frozen.columns)
 
 
 def test_agaci_effective_alpha_recorded():
@@ -203,18 +209,27 @@ def test_agaci_effective_alpha_recorded():
     # make every score |z_t|
     series = TimeSeries(values=np.random.default_rng(4).normal(size=600))
     config = RunConfig(dataset="iid", method="agaci", split=THIRDS, buffer_mode="frozen")
-    report = run_rolling(config, series=series, forecaster_factory=lambda *a: ZeroForecaster())
+    report = run_rolling(config, series=series, forecast=zero_forecast)
     split = SplitSpec.from_fractions(len(series), THIRDS)
-    z = fit_scaler(series.values, 0, split.train_end).transform(series.values)
+    scaler = fit_scaler(series.values, 0, split.train_end)
+    z = scaler.transform(series.values)
     buffer = ScoreBuffer(split.cal_end - split.train_end, np.abs(z[split.train_end:split.cal_end]))
     bank = AgAciState.from_gammas(config.alpha, config.gamma_grid)
-    for t, r in zip(range(split.cal_end, split.test_end), report.records):
-        assert r.alpha_t == bank.alpha_t
-        _, per_expert = agaci_step(bank, buffer, 0.0)
+    alpha_t = report.columns["alpha_t"]
+    assert alpha_t.size == split.test_end - split.cal_end
+    # the vectorized columns equal the scalar rescale of each step's interval
+    rows = zip(*(report.columns[k].tolist() for k in ("y_hat", "lower", "upper", "covered")))
+    for t, recorded, row in zip(range(split.cal_end, split.test_end), alpha_t.tolist(), rows):
+        assert recorded == bank.alpha_t
+        interval, per_expert = agaci_step(bank, buffer, 0.0)
+        assert row == (
+            float(scaler.inverse_transform(0.0)), float(scaler.inverse_transform(interval.lower)),
+            float(scaler.inverse_transform(interval.upper)), interval.covers(float(z[t])),
+        )
         bank = agaci_update(bank, float(z[t]), 0.0, per_expert)
     assert report.alpha_final == bank.alpha_t
     # the effective level stays in the vicinity of nominal
-    assert 0.0 < np.median([r.alpha_t for r in report.records]) < 0.3
+    assert 0.0 < np.median(alpha_t) < 0.3
 
 
 @pytest.mark.parametrize("method", ["split", "aci", "agaci"])
@@ -258,11 +273,22 @@ def test_split_cp_iid_control_hits_nominal_coverage():
             dataset="control", forecaster="persistence", method="split",
             buffer_mode="frozen", seed=seed,
         )
-        report = run_rolling(
-            config, series=series, forecaster_factory=lambda *a: ZeroForecaster()
-        )
+        report = run_rolling(config, series=series, forecast=zero_forecast)
         coverages.append(report.coverage)
     assert abs(np.mean(coverages) - 0.9) < 0.02
+
+
+def test_band_bounds_overflowing_to_inf_raise_no_numpy_warning():
+    # a huge cap makes an aggregated half-width finite but beyond the float
+    # range once rescaled; like the Python floats of a scalar rescale, the
+    # band edge becomes infinite without a RuntimeWarning
+    series = TimeSeries(values=np.random.default_rng(1).normal(size=600) * 1e3)
+    config = RunConfig(dataset="big", forecaster="persistence", method="agaci",
+                       cap_factor=1e306, gamma_grid=(0.0, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_rolling(config, series=series)
+    assert np.isinf(report.columns["upper"]).any()
 
 
 def test_degenerate_training_window_is_a_numeric_error():
@@ -275,6 +301,24 @@ def test_too_short_series_is_a_config_error():
     series = TimeSeries(values=np.arange(3.0))
     with pytest.raises(ConfigError):
         run_rolling(RunConfig(dataset="tiny", method="split"), series=series)
+
+
+@pytest.mark.parametrize("column, error, match", [
+    # too long, with a NaN past test_end: the shape is named, not a step beyond the run
+    (np.append(np.zeros(400), np.nan), ConfigError, "shape (401,)"),
+    # 2-D with a NaN: the shape is named, not a TypeError from one row
+    (np.full((400, 2), np.nan), ConfigError, "shape (400, 2)"),
+    (np.zeros(399), ConfigError, "shape (399,)"),
+    # short after a non-finite forecast, as the native pass stops: the forecast is named
+    (np.array([0.0, 0.0, np.inf]), NumericError,
+     "calibration seeding: the forecast for series index 202 is inf"),
+], ids=["long-with-nan", "2d-with-nan", "short", "short-after-inf"])
+def test_forecast_column_shape_is_checked_around_the_non_finite_scan(column, error, match):
+    series = TimeSeries(values=np.random.default_rng(0).normal(size=600))
+    with pytest.raises(error) as raised:
+        run_rolling(RunConfig(dataset="iid", method="split", split=THIRDS), series=series,
+                    forecast=lambda *_: column)
+    assert match in str(raised.value)
 
 
 def test_replay_without_wrap_is_rejected():
@@ -296,7 +340,7 @@ def test_grid_single_config_matches_direct_run(tmp_path):
     [gridded] = grid_run([config])
     direct = run_rolling(config)
     assert isinstance(gridded, RunReport)
-    assert gridded.records == direct.records
+    assert same_columns(gridded.columns, direct.columns)
 
 
 def test_grid_runs_cells_independently_and_sorts(tmp_path):
@@ -337,13 +381,10 @@ def test_grid_parallel_matches_sequential(tmp_path):
     sequential = grid_run(configs, jobs=1)
     parallel = grid_run(configs, jobs=2)
     for s, p in zip(sequential, parallel):
-        assert s.records == p.records
+        assert same_columns(s.columns, p.columns)
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers must inherit the patched run_rolling",
-)
+@FORK_ONLY
 def test_grid_turns_a_dead_worker_into_failed_cells(tmp_path, monkeypatch):
     configs = [
         RunConfig(dataset=make_csv(tmp_path, name, i), forecaster="persistence", method="aci")
@@ -370,9 +411,123 @@ def test_grid_turns_a_dead_worker_into_failed_cells(tmp_path, monkeypatch):
     assert [type(r) for r in results] == [RunReport, RunReport, RunFailure]
     for result, config in zip(results[:2], configs):
         assert report_payload(result)["status"] == "ok"
-        assert result.records == real_run(config).records
+        assert same_columns(result.columns, real_run(config).columns)
     assert results[2].kind == "BrokenProcessPool"
     assert report_payload(results[2])["status"] == "failed"
+
+
+@FORK_ONLY
+def test_a_dead_worker_spares_the_finished_cells_of_its_forecast_key(tmp_path, monkeypatch):
+    shared = make_csv(tmp_path, "shared", 5)
+    configs = [RunConfig(dataset=shared, forecaster="persistence", method=m)
+               for m in ("split", "aci", "agaci")]
+    configs.append(RunConfig(dataset=make_csv(tmp_path, "other", 6), forecaster="persistence",
+                             method="aci"))
+    real_run = evaluate.run_rolling
+
+    def run_or_die(config, *args, **kwargs):
+        if config.method != "agaci":
+            report = real_run(config, *args, **kwargs)
+            (tmp_path / f"{Path(config.dataset).stem}-{config.method}.done").touch()
+            return report
+        # let the three other cells finish and send their reports, then kill the worker
+        deadline = time.monotonic() + 30
+        while len(list(tmp_path.glob("*.done"))) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)
+        os._exit(1)
+
+    monkeypatch.setattr(evaluate, "run_rolling", run_or_die)
+    results = grid_run(configs, jobs=2)
+    assert [type(r) for r in results] == [RunReport, RunReport, RunFailure, RunReport]
+    for i in (0, 1, 3):
+        assert same_columns(results[i].columns, real_run(configs[i]).columns)
+    assert results[2].kind == "BrokenProcessPool"
+
+
+def degenerate_csv(tmp_path):
+    """A series whose flat tail leaves segmented_ar's CUSUM a constant warm-up,
+    so its forecast pass fails after the scaler fit."""
+    rng = np.random.default_rng(0)
+    values = np.concatenate([rng.normal(size=50), np.full(250, 3.0)])
+    path = tmp_path / "flat-tail.csv"
+    write_series_csv(path, TimeSeries(values=values))
+    return str(path)
+
+
+def mixed_grid(tmp_path):
+    """Six toy forecast groups of every method, a frozen-buffer cell and one
+    group whose forecast pass fails."""
+    configs = [
+        RunConfig(dataset="toy", forecaster=f, method=m, seed=seed, name=f"{f}-{m}-{seed}")
+        for seed in (1, 2)
+        for f in ("persistence", "ar", "segmented_ar")
+        for m in ("none", "split", "aci", "agaci")
+    ]
+    configs.append(RunConfig(dataset="toy", forecaster="ar", method="aci", seed=1,
+                             buffer_mode="frozen", name="ar-aci-1-frozen"))
+    params = {"order": 2, "refit_every": 50}
+    configs += [
+        RunConfig(dataset=degenerate_csv(tmp_path), forecaster="segmented_ar", method=m,
+                  forecaster_params=params, name=f"flat-{m}")
+        for m in ("split", "aci")
+    ]
+    return configs
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_cells_equal_their_single_runs_byte_for_byte(tmp_path, jobs):
+    configs = mixed_grid(tmp_path)
+    results = grid_run(configs, jobs=jobs)
+    assert [r.name for r in results] == [c.run_name for c in configs]
+    failed = [r for r in results if isinstance(r, RunFailure)]
+    assert [r.name for r in failed] == ["flat-split", "flat-aci"]
+    for config, result in zip(configs, results):
+        if isinstance(result, RunFailure):
+            with pytest.raises(Exception) as alone:
+                run_rolling(config)
+            assert (result.kind, result.error) == (type(alone.value).__name__, str(alone.value))
+            continue
+        single = run_rolling(config)
+        for tag, report in (("grid", result), ("single", single)):
+            write_metrics_json(tmp_path / f"{tag}.json", report)
+            write_bands_csv(tmp_path / f"{tag}.csv", report.columns)
+        for ext in ("json", "csv"):
+            grid, alone = (tmp_path / f"{tag}.{ext}" for tag in ("grid", "single"))
+            assert grid.read_bytes() == alone.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_grid_runs_one_load_and_one_forecast_pass_per_group(tmp_path, monkeypatch, jobs):
+    log = tmp_path / "calls.log"  # one line per call, written by whichever process made it
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(name + "\n")
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def calls():
+        names = log.read_text().split() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return {name: names.count(name) for name in ("make_forecaster", "generate_toy")}
+
+    monkeypatch.setattr(evaluate, "make_forecaster",
+                        counting("make_forecaster", evaluate.make_forecaster))
+    monkeypatch.setattr(datagen, "generate_toy", counting("generate_toy", datagen.generate_toy))
+    configs = [c for c in mixed_grid(tmp_path) if c.dataset == "toy"]
+    results = grid_run(configs, jobs=jobs)
+    assert all(isinstance(r, RunReport) for r in results)
+    # two seeds x three forecasters; methods and buffer modes share a pass
+    assert calls() == {"make_forecaster": 6, "generate_toy": 6}
+
+    failing = [c for c in mixed_grid(tmp_path) if c.dataset != "toy"]
+    assert all(isinstance(r, RunFailure) for r in grid_run(failing, jobs=jobs))
+    # in one process a failed pass is not kept, so each cell runs it again;
+    # a worker's failed pass is reported once for every cell of its key
+    assert calls()["make_forecaster"] == (len(failing) if jobs == 1 else 1)
 
 
 def test_grid_rejects_empty_and_bad_jobs():
@@ -400,7 +555,7 @@ def test_metrics_json_survives_infinite_median(tmp_path):
     report = RunReport(
         config=config, rmse=1.0, coverage=1.0, median_width=math.inf,
         n_infinite=3, n_zero_width=0, n_steps=3, alpha_final=0.1,
-        records=(banded(math.inf),),
+        columns=banded([math.inf]),
     )
     path = tmp_path / "inf.json"
     write_metrics_json(path, report)
