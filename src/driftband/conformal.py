@@ -27,6 +27,7 @@ from .errors import ConfigError, NumericError
 # an order statistic (level = k/(n+1)) select that statistic rather than
 # the next one up.
 _RANK_EPS = 1e-9
+_new = object.__new__
 
 
 def residual_score(y: float, y_hat: float) -> float:
@@ -62,12 +63,13 @@ class ScoreBuffer:
 
     def append(self, score: float) -> None:
         score = float(score)
-        if not math.isfinite(score) or score < 0:
+        if not 0.0 <= score < math.inf:  # also false for NaN
             raise NumericError(f"scores must be finite and non-negative, got {score}")
-        if len(self._scores) == self._scores.maxlen:
-            del self._sorted[bisect_left(self._sorted, self._scores[0])]
-        self._scores.append(score)
-        insort(self._sorted, score)
+        scores, ordered = self._scores, self._sorted
+        if len(scores) == scores.maxlen:
+            del ordered[bisect_left(ordered, scores[0])]
+        scores.append(score)
+        insort(ordered, score)
 
     def values(self) -> np.ndarray:
         """The buffered scores, oldest first."""
@@ -89,7 +91,8 @@ def empirical_quantile(buffer: ScoreBuffer, level: float) -> float:
     scores and give an infinite band. The buffer keeps its scores
     sorted, so this is an O(1) index read.
     """
-    n = len(buffer)
+    ordered = buffer._sorted
+    n = len(ordered)
     if n == 0:
         raise NumericError("cannot take a quantile of an empty score buffer")
     k = math.ceil((n + 1) * level - _RANK_EPS)
@@ -97,7 +100,7 @@ def empirical_quantile(buffer: ScoreBuffer, level: float) -> float:
         return 0.0
     if k > n:
         return math.inf
-    return buffer._sorted[k - 1]
+    return ordered[k - 1]
 
 
 @dataclass(frozen=True)
@@ -152,18 +155,6 @@ class AciState:
             object.__setattr__(self, "alpha_t", self.alpha_nominal)
 
 
-def _evolve(state, **changes):
-    """A copy of a frozen state with some fields changed.
-
-    Unlike ``dataclasses.replace`` this skips validation: the updates
-    below preserve every invariant it checks, and re-validating a bank
-    on each step would cost more than the step itself.
-    """
-    new = object.__new__(type(state))
-    new.__dict__.update(vars(state), **changes)
-    return new
-
-
 def aci_step(state: AciState, buffer: ScoreBuffer, y_hat: float) -> PredictionInterval:
     """Form the band at the current working level (no state change): the
     band of a one-expert bank, as ``aci_update`` is that bank's update."""
@@ -180,7 +171,7 @@ def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciSt
     """
     band = ExpertBands(interval.y_hat, [interval.half_width], [interval.level])
     bank = agaci_update(AgAciState(state.alpha_nominal, (state,), (1.0,)), y, interval.y_hat, band)
-    return _evolve(state, alpha_t=bank.alphas[0])
+    return AciState(state.alpha_nominal, state.gamma, bank.alphas[0])
 
 
 @dataclass(frozen=True, init=False)
@@ -249,7 +240,10 @@ class AgAciState:
 
         For a single expert this is exactly that expert's level.
         """
-        return math.fsum(w * a for w, a in zip(self.weights, self.alphas))
+        weights, alphas = self.weights, self.alphas
+        if len(alphas) == 1:
+            return weights[0] * alphas[0] + 0.0  # the fsum of one term, see agaci_step
+        return math.fsum([w * a for w, a in zip(weights, alphas)])
 
     @classmethod
     def from_gammas(
@@ -276,6 +270,8 @@ class ExpertBands(Sequence):
     """One step's per-expert bands, kept as raw half-widths and levels;
     indexing builds the ``PredictionInterval``, so unread bands cost nothing."""
 
+    __slots__ = ("y_hat", "half_widths", "levels")
+
     def __init__(self, y_hat: float, half_widths: list[float], levels: list[float]) -> None:
         self.y_hat, self.half_widths, self.levels = y_hat, half_widths, levels
 
@@ -301,17 +297,35 @@ def agaci_step(
     read of the sorted buffer.
     """
     y_hat = float(y_hat)
-    levels = [1.0 - a for a in state.alphas]
-    widths = [empirical_quantile(buffer, lv) for lv in levels]
-    half_width = math.inf
-    if min(widths) < math.inf:
-        capped = widths
-        if math.inf in widths:
-            cap = buffer.max() * state.infinite_cap_factor
-            capped = [min(hw, cap) for hw in widths]
-        half_width = math.fsum(w * hw for w, hw in zip(state.weights, capped))
-    level = math.fsum(w * lv for w, lv in zip(state.weights, levels))
-    return PredictionInterval(y_hat, half_width, level), ExpertBands(y_hat, widths, levels)
+    weights, alphas = state.weights, state.alphas
+    if len(alphas) == 1:
+        # The fsum of one term is that term, with -0.0 read as 0.0: w * x + 0.0.
+        # An infinite band stays infinite, as the weight is within 1e-9 of 1.
+        w, lv = weights[0], 1.0 - alphas[0]
+        hw = empirical_quantile(buffer, lv)
+        levels, widths = [lv], [hw]
+        half_width, level = w * hw + 0.0, w * lv + 0.0
+    else:
+        levels = [1.0 - a for a in alphas]
+        widths = [empirical_quantile(buffer, lv) for lv in levels]
+        half_width = math.inf
+        if min(widths) < math.inf:
+            capped = widths
+            if math.inf in widths:
+                cap = buffer.max() * state.infinite_cap_factor
+                capped = [min(hw, cap) for hw in widths]
+            half_width = math.fsum([w * hw for w, hw in zip(weights, capped)])
+        level = math.fsum([w * lv for w, lv in zip(weights, levels)])
+    # Both objects are filled in without their constructors. The interval's
+    # half-width needs no check: it is an order statistic of scores checked
+    # non-negative on append, 0, inf, or a weighted mean of those with weights
+    # checked non-negative once per bank and kept so by agaci_update.
+    interval = _new(PredictionInterval)
+    fields = interval.__dict__
+    fields["y_hat"], fields["half_width"], fields["level"] = y_hat, half_width, level
+    per_expert = _new(ExpertBands)
+    per_expert.y_hat, per_expert.half_widths, per_expert.levels = y_hat, widths, levels
+    return interval, per_expert
 
 
 def agaci_update(
@@ -327,22 +341,31 @@ def agaci_update(
     out of that as exactly 1.0 ((1 - floor) + floor rounds to 1), so a
     one-expert bank skips the reweighing.
     """
-    widths = per_expert.half_widths
+    widths, alphas = per_expert.half_widths, state.alphas
     k = len(widths)
-    if k != len(state.alphas):
-        raise ConfigError(f"got {k} intervals for {len(state.alphas)} experts")
+    if k != len(alphas):
+        raise ConfigError(f"got {k} intervals for {len(alphas)} experts")
     y, center, alpha = float(y), per_expert.y_hat, state.alpha_nominal
+    # A copy of the bank without re-validation: the new levels need none, and
+    # the new weights are non-negative and sum to 1 by construction.
+    new = _new(AgAciState)
+    fields = new.__dict__
+    fields.update(state.__dict__)
     # err_k is 0 exactly when PredictionInterval.covers(y) holds for expert k's band
-    alphas = tuple(
+    if k == 1:
+        hw = widths[0]
+        err = 0.0 if center - hw <= y <= center + hw else 1.0
+        fields["alphas"] = (alphas[0] + state.gammas[0] * (alpha - err),)
+        return new
+    fields["alphas"] = tuple([
         a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0))
-        for a, g, hw in zip(state.alphas, state.gammas, widths)
-    )
-    weights = state.weights
-    if state.mode == "ewa" and state.eta > 0 and k > 1:
+        for a, g, hw in zip(alphas, state.gammas, widths)
+    ])
+    if state.mode == "ewa" and state.eta > 0:
         score = residual_score(y, y_hat)
         tau, eta = 1.0 - alpha, state.eta
         raw = []
-        for w, hw in zip(weights, widths):
+        for w, hw in zip(state.weights, widths):
             if hw == math.inf:
                 raw.append(0.0)
                 continue
@@ -351,5 +374,5 @@ def agaci_update(
         total = math.fsum(raw)
         base = [r / total for r in raw] if total > 0 else [1.0 / k] * k
         floor = state.weight_floor
-        weights = tuple((1.0 - floor) * b + floor / k for b in base)
-    return _evolve(state, alphas=alphas, weights=weights)
+        fields["weights"] = tuple([(1.0 - floor) * b + floor / k for b in base])
+    return new

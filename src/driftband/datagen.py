@@ -296,8 +296,9 @@ def generate_lorenz(spec: LorenzSpec) -> TimeSeries:
 
 def write_regimes_csv(path: str | Path, regimes: np.ndarray, start_index: int = 0) -> None:
     """Sidecar ground-truth regime file: ``index,regime``, 0-based regimes."""
-    rows = enumerate(np.asarray(regimes, dtype=int).tolist(), start=start_index)
-    atomic_write_text(path, format_csv(REGIME_CSV_HEADER, rows))
+    regimes = np.asarray(regimes, dtype=int)
+    index = range(start_index, start_index + len(regimes))
+    atomic_write_text(path, format_csv(REGIME_CSV_HEADER, [index, regimes]))
 
 
 def toy_spec_from_json(payload: dict) -> SwitchingArSpec:

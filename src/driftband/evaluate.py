@@ -238,7 +238,8 @@ def _native_forecast(config: RunConfig) -> Forecast:
     The returned function fits the forecaster on the training window of
     the standardized series ``z``, then predicts and observes each index
     of [train_end, test_end) in turn. It returns the predictions, cut
-    after the first non-finite one (``run_rolling`` names it).
+    after the first non-finite one (``run_rolling`` names it). A numeric
+    failure while observing is re-raised naming its phase and series index.
     """
 
     def forecast(series: TimeSeries, split: SplitSpec, scaler: StandardScaler, z) -> np.ndarray:
@@ -262,7 +263,13 @@ def _native_forecast(config: RunConfig) -> Forecast:
             predictions.append(y_hat)
             if not math.isfinite(y_hat):
                 break
-            forecaster.observe(y)
+            try:
+                forecaster.observe(y)
+            except NumericError as exc:
+                phase = "calibration seeding" if t < split.cal_end else "test step"
+                raise NumericError(
+                    f"{phase}: while observing series index {series.start_index + t}: {exc}"
+                ) from None
         return np.array(predictions, dtype=float)
 
     return forecast
@@ -331,11 +338,12 @@ def run_rolling(
     n_seed = split.cal_end - split.train_end
 
     # Calibration pass. Split conformal is ACI with gamma = 0, and ACI is a
-    # bank of one expert.
+    # bank of one expert. y and f are Python floats, so abs(y - f) is
+    # conformal.residual_score.
     z_run, y_hat_run = z[split.train_end : split.test_end].tolist(), y_hat.tolist()
     buffer = conformal.ScoreBuffer(capacity=n_seed)
     for y, f in zip(z_run[:n_seed], y_hat_run[:n_seed]):
-        buffer.append(conformal.residual_score(y, f))
+        buffer.append(abs(y - f))
     gammas = {"split": (0.0,), "aci": (config.gamma,)}.get(config.method, config.gamma_grid)
     bank = None
     if config.method != "none":
@@ -352,7 +360,7 @@ def run_rolling(
             bank = conformal.agaci_update(bank, y, f, per_expert)
             half_widths.append(interval.half_width)
         if rolling:
-            buffer.append(conformal.residual_score(y, f))
+            buffer.append(abs(y - f))
 
     # The same IEEE multiply-add per element as a scalar inverse_transform.
     y_hat_test, z_test = y_hat[n_seed:], z[split.cal_end : split.test_end]
@@ -561,10 +569,7 @@ def load_metrics_json(path: str | Path) -> dict:
 def write_bands_csv(path: str | Path, columns: dict[str, np.ndarray | None]) -> None:
     """Per-step band table in original units, one row per test step; an
     unbanded run's band columns are empty cells."""
-    n = len(columns["index"])
-    # tolist() gives Python ints, floats and bools, which format_csv prints
-    cells = [[None] * n if columns[k] is None else columns[k].tolist() for k in BANDS_CSV_HEADER]
-    atomic_write_text(path, format_csv(BANDS_CSV_HEADER, zip(*cells)))
+    atomic_write_text(path, format_csv(BANDS_CSV_HEADER, [columns[k] for k in BANDS_CSV_HEADER]))
 
 
 def comparison_rows(payloads: Sequence[dict]) -> list[dict]:
@@ -653,5 +658,5 @@ def render_comparison_table(rows: Sequence[dict]) -> str:
 def comparison_csv(rows: Sequence[dict]) -> str:
     """Machine-readable comparison table, one row per run."""
     return format_csv(
-        COMPARISON_CSV_HEADER, ([row.get(col) for col in COMPARISON_CSV_HEADER] for row in rows)
+        COMPARISON_CSV_HEADER, [[row.get(col) for row in rows] for col in COMPARISON_CSV_HEADER]
     )

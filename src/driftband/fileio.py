@@ -109,11 +109,32 @@ def _csv_field(x) -> str:
     return str(x)
 
 
-def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text of a header and rows: None is an empty cell, booleans are
-    1/0 and floats their shortest round-trip decimal."""
+def _column_cells(column, rows: int) -> Iterable[str]:
+    """One column's cells as ``_csv_field`` would write them, formatted by
+    the column's type where it has one. Cells are made as rows are joined,
+    so no more than one row of them is held at a time."""
+    if column is None:
+        return [""] * rows
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "f":
+            return map(repr, column.tolist())
+        if kind in "iu":
+            return map(str, column.tolist())
+        if kind == "b":
+            return map("01".__getitem__, column.tolist())  # False, True index "0", "1"
+        column = column.tolist()
+    return map(_csv_field, column)
+
+
+def format_csv(header: Sequence[str], columns: Sequence[Sequence | None]) -> str:
+    """CSV text of a header and its columns, one per header name: a None
+    column is empty cells, booleans are 1/0 and floats their shortest
+    round-trip decimal. Columns of unequal length are a ValueError."""
+    rows = max((len(c) for c in columns if c is not None), default=0)
+    cells = [_column_cells(c, rows) for c in columns]
     lines = [",".join(header)]
-    lines.extend(",".join(map(_csv_field, row)) for row in rows)
+    lines.extend(map(",".join, zip(*cells, strict=True)))
     return "\n".join(lines) + "\n"
 
 

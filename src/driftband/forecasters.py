@@ -228,8 +228,14 @@ class CusumDetector:
             if len(self._samples) >= self.warmup:
                 arr = np.asarray(self._samples, dtype=float)
                 std = float(arr.std(ddof=1))
-                if std == 0:
-                    raise NumericError("degenerate warm-up: reference std is 0")
+                # A constant sample can come out at a few ulps instead of 0; the
+                # floor is the rounding error of a sum of warmup values.
+                floor = self.warmup * np.finfo(float).eps * float(np.abs(arr).max())
+                if std <= floor:
+                    raise NumericError(
+                        f"degenerate warm-up: reference std {std:.3g} is within "
+                        f"rounding of 0 (floor {floor:.3g})"
+                    )
                 self._mean = float(arr.mean())
                 self._std = std
                 self._samples = []

@@ -125,5 +125,6 @@ def load_series_csv(path: str | Path) -> TimeSeries:
 
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
-    rows = enumerate(series.values, start=series.start_index)
-    atomic_write_text(path, format_csv(SERIES_CSV_HEADER, rows))
+    start = series.start_index
+    index = range(start, start + len(series))
+    atomic_write_text(path, format_csv(SERIES_CSV_HEADER, [index, series.values]))

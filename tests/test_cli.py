@@ -482,6 +482,32 @@ def test_non_finite_forecast_exits_4_naming_the_phase_and_index(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize("head, tail, where", [
+    (50, 250, "calibration seeding: while observing series index 199"),
+    (250, 150, "test step: while observing series index 302"),
+])
+def test_a_failed_observation_names_its_phase_and_index(tmp_path, capsys, head, tail, where):
+    # a flat tail leaves segmented_ar's CUSUM a constant warm-up
+    rng = np.random.default_rng(0)
+    flat = tmp_path / "flat-tail.csv"
+    write_series_csv(flat, TimeSeries(values=np.concatenate([rng.normal(size=head),
+                                                             np.full(tail, 3.0)])))
+    params = {"order": 2, "refit_every": 50}
+    config = write_config(tmp_path, "flat.json", dataset=str(flat), forecaster="segmented_ar",
+                          forecaster_params=params)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "one")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: degenerate warm-up: reference std ")
+    assert err.count("\n") == 1
+    # in a grid the cell fails with the same message and its sibling runs
+    other = write_config(tmp_path, "toy.json")
+    assert main(["run", "--config", str(config), str(other), "--out", str(tmp_path / "grid")]) == 0
+    failed = json.loads((tmp_path / "grid" / "flat-tail-segmented_ar-aci.metrics.json").read_text())
+    assert failed["status"] == "failed"
+    assert failed["error"] == "NumericError: " + err[len("error: "):-1]
+    assert (tmp_path / "grid" / "toy-persistence-aci.bands.csv").exists()
+
+
 def test_duplicate_run_names_exit_2_before_any_load(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     a = write_config(tmp_path, "a.json", dataset=missing, seed=1)

@@ -184,6 +184,44 @@ def test_flat_kernel_matches_the_object_oracle_bit_for_bit(
             buf.append(residual_score(y, y_hat))
 
 
+@pytest.mark.parametrize("weight", [1.0, 1 - 1e-10])
+@pytest.mark.parametrize("alpha_t", [1.2, 0.5, 0.1, -0.0, -0.3])
+def test_one_expert_bank_matches_the_object_oracle_bit_for_bit(weight, alpha_t):
+    """A one-expert bank multiplies by its weight where the oracle takes the
+    fsum of one product; a valid weight other than 1.0 keeps the two apart
+    if the product were skipped. Levels start below 0 (zero-width bands),
+    inside (0, 1) and at or above 1 (infinite bands), and the -0.0 score
+    and level give the fsum's +0.0."""
+    state = AciState(alpha_nominal=0.1, gamma=0.3, alpha_t=alpha_t)
+    options = dict(eta=1.0, weight_floor=1e-6, mode="ewa", infinite_cap_factor=2.0)
+    bank = AgAciState(0.1, (state,), (weight,), **options)
+    oracle = OracleBank(0.1, (state,), (weight,), **options)
+    buf = ScoreBuffer(5, [0.5, 1.0, 2.0, -0.0])
+    widths = []
+    for y, y_hat in [(0.0, 0.0), (0.3, 0.0), (-3.0, 1.0), (1.0, 1.0), (0.25, -0.25), (4.0, 0.0)]:
+        assert bits(bank.alpha_t) == bits(oracle.alpha_t)
+        agg, per_expert = agaci_step(bank, buf, y_hat)
+        want, want_per_expert = oracle_agaci_step(oracle, buf, y_hat)
+        assert_same_band(agg, want)
+        assert_same_band(per_expert[0], want_per_expert[0])
+        widths.append(agg.half_width)
+        # the interval filled in without its constructor is an ordinary one
+        assert type(agg) is PredictionInterval
+        assert agg == want and hash(agg) == hash(want) and vars(agg) == vars(want)
+        assert agg.covers(y) == want.covers(y)
+        bank = agaci_update(bank, y, y_hat, per_expert)
+        oracle = oracle_agaci_update(oracle, y, y_hat, want_per_expert)
+        assert bits(bank.alphas[0], bank.weights[0], bank.alpha_t) == bits(
+            oracle.experts[0].alpha_t, oracle.weights[0], oracle.alpha_t
+        )
+        assert bank == AgAciState(0.1, oracle.experts, oracle.weights, **options)
+        buf.append(residual_score(y, y_hat))
+    if alpha_t > 1:
+        assert widths[0] == 0.0
+    elif alpha_t <= 0:
+        assert widths[0] == math.inf
+
+
 def test_per_expert_bands_are_built_on_read():
     buf = ScoreBuffer(4, [1.0, 2.0, 3.0, 4.0])
     bank = AgAciState.from_gammas(0.1, [0.0, 0.01])

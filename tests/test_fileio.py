@@ -1,0 +1,73 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driftband.fileio import format_csv
+
+
+def oracle_format_csv(header, rows):
+    """The row-wise formatter format_csv replaced: one type test per cell."""
+
+    def field(x):
+        if x is None:
+            return ""
+        if isinstance(x, bool):
+            return "1" if x else "0"
+        if isinstance(x, float):
+            return repr(float(x))
+        return str(x)
+
+    lines = [",".join(header)]
+    lines.extend(",".join(map(field, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_rows(columns):
+    """Rows as the writers built them: tolist() of each array, None cells
+    for a missing column."""
+    n = max(len(c) for c in columns if c is not None)
+    cells = [[None] * n if c is None else c.tolist() if isinstance(c, np.ndarray) else list(c)
+             for c in columns]
+    return list(zip(*cells))
+
+
+def test_columns_format_as_the_row_wise_oracle():
+    header = ("index", "x", "covered", "empty", "mixed", "n")
+    columns = [
+        np.arange(-2, 6, dtype=np.int64) + 2**40,
+        np.array([0.1 + 0.2, -0.0, 5e-324, np.inf, 1e16, -np.inf, 1.0, 2.5e-8]),
+        np.array([True, False, True, True, False, False, True, False]),
+        None,
+        ["a", 3, 2.5, None, True, -0.0, "", 10**20],
+        np.array([0, 1, 2, 3, 4, 5, 6, 7], dtype=np.uint8),
+    ]
+    text = format_csv(header, columns)
+    assert text == oracle_format_csv(header, oracle_rows(columns))
+    assert text.splitlines()[1:3] == [
+        f"{2**40 - 2},0.30000000000000004,1,,a,0",
+        f"{2**40 - 1},-0.0,0,,3,1",
+    ]
+
+
+def test_float64_elements_and_ranges_format_as_python_numbers():
+    # write_series_csv once passed numpy float64 elements, one per row
+    values = np.array([1 / 3, -0.0, 1e300])
+    assert format_csv(("index", "value"), [range(7, 10), values]) == oracle_format_csv(
+        ("index", "value"), zip(range(7, 10), values)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30))
+def test_any_float_column_formats_as_the_oracle(values):
+    columns = [np.arange(len(values)), np.array(values, dtype=float), None]
+    header = ("index", "value", "band")
+    rows = list(zip(range(len(values)), values, [None] * len(values)))
+    assert format_csv(header, columns) == oracle_format_csv(header, rows)
+
+
+def test_no_rows_is_the_header_line_and_unequal_columns_are_an_error():
+    assert format_csv(("a", "b"), [np.array([]), None]) == "a,b\n"
+    with pytest.raises(ValueError):
+        format_csv(("a", "b"), [np.arange(3), np.arange(2.0)])

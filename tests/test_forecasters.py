@@ -280,6 +280,19 @@ def test_cusum_degenerate_warmup():
             det.update(1.0)
 
 
+def test_cusum_rejects_a_warmup_constant_up_to_rounding():
+    # 50 copies of one residual have a sample std of a few ulps, not 0; a
+    # reference std that small would turn the next residual into an alarm
+    value = 0.2786290624167984
+    assert 0 < np.full(50, value).std(ddof=1) < 1e-15
+    det = CusumDetector(warmup=50)
+    alarms = []
+    with pytest.raises(NumericError, match="degenerate warm-up"):
+        for v in [value] * 50 + [0.0]:
+            alarms.append(det.update(v))
+    assert alarms == [False] * 49
+
+
 def test_cusum_stays_quiet_in_control():
     # a fixed in-control stream short relative to the detector's average
     # run length; occasional false alarms on other seeds are expected
