@@ -95,12 +95,14 @@ def empirical_quantile(buffer: ScoreBuffer, level: float) -> float:
     n = len(ordered)
     if n == 0:
         raise NumericError("cannot take a quantile of an empty score buffer")
-    k = math.ceil((n + 1) * level - _RANK_EPS)
-    if k <= 0:
+    # ceil(rank) <= 0 exactly when rank <= 0, and > n exactly when rank > n;
+    # comparing first keeps an infinite rank away from ceil
+    rank = (n + 1) * level - _RANK_EPS
+    if rank <= 0:
         return 0.0
-    if k > n:
+    if rank > n:
         return math.inf
-    return ordered[k - 1]
+    return ordered[math.ceil(rank) - 1]
 
 
 @dataclass(frozen=True)

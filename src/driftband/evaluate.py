@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -74,6 +75,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.dataset:
             raise ConfigError("config needs a dataset")
+        # a run writes <name>.metrics.json and <name>.bands.csv into its output directory
+        name = self.name or ""
+        if name in (".", "..") or any(c and c in name for c in ("/", os.sep, os.altsep, "\0")):
+            raise ConfigError(f"name must be a plain file name, got {self.name!r}")
         if self.forecaster not in FORECASTERS:
             raise ConfigError(
                 f"forecaster must be one of {FORECASTERS}, got {self.forecaster!r}"
@@ -84,12 +89,16 @@ class RunConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.gamma < 0:
             raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
+        if not math.isfinite(self.gamma):
+            raise ConfigError(f"gamma must be finite, got {self.gamma}")
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         if self.method == "agaci" and not self.gamma_grid:
             raise ConfigError("agaci needs a nonempty gamma grid")
         grid = self.gamma_grid
         if any(g < 0 for g in grid) or len(set(grid)) < len(grid):
             raise ConfigError(f"gamma_grid must be distinct non-negative steps, got {list(grid)}")
+        if not all(map(math.isfinite, grid)):
+            raise ConfigError(f"gamma_grid steps must be finite, got {list(grid)}")
         if self.eta < 0:
             raise ConfigError(f"eta must be non-negative, got {self.eta}")
         if not 0 <= self.weight_floor < 1:
@@ -218,7 +227,8 @@ def compute_metrics(columns: dict[str, np.ndarray | None]) -> dict:
         "n_steps": len(y),
     }
     if columns["lower"] is not None:
-        widths = columns["upper"] - columns["lower"]
+        with np.errstate(over="ignore"):  # overflow to inf, as on Python floats
+            widths = columns["upper"] - columns["lower"]
         finite = np.sort(widths[np.isfinite(widths)])
         metrics.update(
             coverage=int(np.count_nonzero(columns["covered"])) / len(widths),
@@ -407,36 +417,10 @@ def _forecast_key(config: RunConfig) -> tuple:
     return (config.dataset, config.seed, config.forecaster, params, config.lag, config.split)
 
 
-def _run_group(configs: Sequence[RunConfig]) -> list[RunReport | RunFailure]:
-    """Run the cells of one forecast key on one series load and one forecast
-    pass. The pass runs inside the first cell's ``run_rolling`` call, so a
-    tracer that times ``run_rolling`` counts it as part of a run. A pass
-    that raised is not kept, so the next cell runs it again and every cell
-    fails as it would alone."""
-    try:
-        series = load_dataset(configs[0])
-    except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
-        return [_failure(c, exc) for c in configs]
-    native = _native_forecast(configs[0])
-    shared: list[np.ndarray] = []
-
-    def forecast(*args) -> np.ndarray:
-        if not shared:
-            shared.append(native(*args))
-        return shared[0]
-
-    results: list[RunReport | RunFailure] = []
-    for config in configs:
-        try:
-            results.append(run_rolling(config, series, forecast))
-        except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
-            results.append(_failure(config, exc))
-    return results
-
-
 def _group_forecast(config: RunConfig) -> tuple[TimeSeries, np.ndarray] | RunFailure:
-    """A worker's forecast pass for one forecast key: the series and its
-    checked column, or the failure every cell of the key would raise."""
+    """The forecast pass of one forecast key: the series and its checked
+    column, or the failure every cell of the key would raise, as every
+    input of the pass is in the key."""
     try:
         series = load_dataset(config)
         return series, _forecast_pass(config, series, _native_forecast(config))[3]
@@ -447,7 +431,7 @@ def _group_forecast(config: RunConfig) -> tuple[TimeSeries, np.ndarray] | RunFai
 def _run_cell(
     config: RunConfig, series: TimeSeries, y_hat: np.ndarray
 ) -> RunReport | RunFailure:
-    """A worker's calibration of one cell on its key's forecast column."""
+    """The calibration of one cell on its key's forecast column."""
     try:
         return run_rolling(config, series, lambda *_: y_hat)
     except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
@@ -458,10 +442,11 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     """Run many configs independently; failures become RunFailure cells.
 
     Cells are grouped by forecast key (dataset, seed, forecaster, its
-    params, lag and split): a group loads its series once and runs one
-    forecast pass for all its cells. With ``jobs > 1`` each group's pass
-    is one task, and once it is done each of the group's cells is
-    calibrated as a task of its own, so cells of one key still spread over
+    params, lag and split). Each group is two kinds of task: one forecast
+    pass (``_group_forecast``), which loads the series once, then one
+    calibration per cell (``_run_cell``). A pass that fails runs once, and
+    its failure is reported for every cell of its key. With ``jobs > 1``
+    the tasks run in a process pool, so cells of one key still spread over
     the workers. A dead worker fails every cell not finished yet as
     ``BrokenProcessPool``; finished cells keep their results.
     """
@@ -475,8 +460,12 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     results: list[RunReport | RunFailure | None] = [None] * len(configs)
     if jobs == 1 or len(configs) == 1:
         for idx in groups.values():
-            for i, result in zip(idx, _run_group([configs[i] for i in idx])):
-                results[i] = result
+            made = _group_forecast(configs[idx[0]])
+            for i in idx:
+                if isinstance(made, RunFailure):
+                    results[i] = replace(made, config=configs[i])
+                else:
+                    results[i] = _run_cell(configs[i], *made)
         return results
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
         passes = {pool.submit(_group_forecast, configs[idx[0]]): idx for idx in groups.values()}

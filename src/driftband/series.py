@@ -67,10 +67,8 @@ class SplitSpec:
 
     @classmethod
     def from_fractions(cls, n: int, fractions: tuple[float, float, float]) -> "SplitSpec":
-        if len(fractions) != 3 or any(f <= 0 for f in fractions):
-            raise ConfigError(f"split fractions must be three positive numbers, got {fractions}")
-        if abs(sum(fractions) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {fractions}")
+        """The windows of ``n`` points for three positive fractions that sum
+        to 1 (``RunConfig`` checks both)."""
         train_end = round(n * fractions[0])
         cal_end = train_end + round(n * fractions[1])
         return cls(train_end=train_end, cal_end=min(cal_end, n), test_end=n)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -429,6 +430,9 @@ BAD_BANK_PARAMETERS = [
     ({"cap_factor": 0}, "cap_factor must be positive, got 0"),
     ({"gamma_grid": [0.01, 0.001, 0.01]}, "gamma_grid must be distinct non-negative steps"),
     ({"gamma_grid": [0.01, -0.5]}, "gamma_grid must be distinct non-negative steps"),
+    # JSON Infinity is a number, but a step size must be finite
+    ({"gamma": math.inf}, "gamma must be finite, got inf"),
+    ({"gamma_grid": [0.01, math.inf]}, "gamma_grid steps must be finite, got [0.01, inf]"),
 ]
 
 
@@ -456,6 +460,47 @@ def test_bank_parameters_are_checked_before_the_dataset_is_read(tmp_path, capsys
     assert f"{config}: eta must be non-negative" in capsys.readouterr().err
     # the same config with a valid eta gets as far as the load
     assert main(["run", "--config", str(write_config(tmp_path, dataset=missing))] + out) == 3
+
+
+@pytest.mark.parametrize("method", ["aci", "agaci"])
+def test_a_huge_finite_step_size_runs_to_the_end(tmp_path, capsys, method):
+    # the level runs to about +-1e306, where (n + 1) * level overflows
+    config = write_config(tmp_path, method=method, gamma=1e306, gamma_grid=[0.01, 1e306])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    name = f"toy-persistence-{method}"
+    alpha_final = json.loads((tmp_path / "o" / f"{name}.metrics.json").read_text())["alpha_final"]
+    # Gibbs & Candes 2021, Prop. 4.1: every expert's level stays in [-gamma, 1 + gamma]
+    assert -1e306 <= alpha_final <= 1 + 1e306
+
+
+def test_infinite_eta_cap_factor_and_threshold_still_run(tmp_path, capsys):
+    config = write_config(
+        tmp_path, forecaster="segmented_ar", method="agaci", eta=math.inf, cap_factor=math.inf,
+        forecaster_params={"threshold": math.inf},
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b"])
+@pytest.mark.parametrize("command", ["run", "grid", "wrap"])
+def test_a_name_with_path_parts_exits_2_and_writes_nothing(
+    tmp_path, series_csv, capsys, command, name
+):
+    config = tmp_path / "named.json"  # write_config's own 'name' is the file's
+    config.write_text(json.dumps({"dataset": str(series_csv), "method": "split", "name": name}))
+    out = tmp_path / "o" / "inner"
+    argv = {
+        "run": ["run", "--config", str(config)],
+        "grid": ["run", "--config", str(write_config(tmp_path)), str(config), "--jobs", "2"],
+        "wrap": ["wrap", "--trace", str(persistence_trace_csv(tmp_path, series_csv)),
+                 "--series", str(series_csv), "--config", str(config)],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: name must be a plain file name, got {name!r}\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("index, phase", [(1800, "calibration seeding"), (2500, "test step")])

@@ -299,6 +299,12 @@ def test_quantile_boundary_ranks():
     assert empirical_quantile(buf, 0.0) == 0.0
     assert empirical_quantile(buf, 0.999) == math.inf
     assert empirical_quantile(buf, 1.5) == math.inf
+    # a huge finite ACI step size moves the level to about +-gamma, where
+    # (n + 1) * level may overflow
+    for level in (-1e306, -1.7976931348623157e308, -math.inf):
+        assert empirical_quantile(buf, level) == 0.0
+    for level in (1e306, 1.7976931348623157e308, math.inf):
+        assert empirical_quantile(buf, level) == math.inf
 
 
 def test_quantile_hits_exact_order_statistics():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from driftband import conformal, datagen, evaluate
 from driftband.conformal import AgAciState, ScoreBuffer, agaci_step, agaci_update
@@ -109,6 +111,27 @@ def test_run_name_default_and_override():
     assert RunConfig(dataset="toy").run_name == "toy-ar-aci"
     assert RunConfig(dataset="/data/apnea.csv").run_name == "apnea-ar-aci"
     assert RunConfig(dataset="toy", name="exp1").run_name == "exp1"
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", ".", "..", "a\0b"])
+def test_run_name_must_be_a_plain_file_name(name):
+    with pytest.raises(ConfigError, match="name must be a plain file name"):
+        RunConfig(dataset="toy", name=name)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"gamma": math.inf}, "gamma must be finite, got inf"),
+    ({"gamma": math.nan}, "gamma must be finite, got nan"),
+    ({"gamma_grid": (0.01, math.inf)}, "gamma_grid steps must be finite, got [0.01, inf]"),
+    ({"gamma_grid": (math.nan,)}, "gamma_grid steps must be finite, got [nan]"),
+    # a negative infinity is named as negative, as before
+    ({"gamma": -math.inf}, "gamma must be non-negative, got -inf"),
+    ({"gamma_grid": (-math.inf,)}, "gamma_grid must be distinct non-negative steps, got [-inf]"),
+], ids=["gamma-inf", "gamma-nan", "grid-inf", "grid-nan", "gamma-minus-inf", "grid-minus-inf"])
+def test_config_rejects_non_finite_steps(bad, message):
+    with pytest.raises(ConfigError) as raised:
+        RunConfig(dataset="toy", **bad)
+    assert str(raised.value) == message
 
 
 def test_compute_metrics_oracles():
@@ -289,6 +312,35 @@ def test_band_bounds_overflowing_to_inf_raise_no_numpy_warning():
         warnings.simplefilter("error")
         report = run_rolling(config, series=series)
     assert np.isinf(report.columns["upper"]).any()
+
+
+SHORT_WALK = TimeSeries(values=np.cumsum(np.random.default_rng(4).normal(size=200)))
+# Accepted step sizes up to 1e308, besides 0 and ordinary ones.
+STEPS = st.floats(0, 1e308) | st.sampled_from([0.0, 0.01, 1.0, 1e306, 1e308])
+ALPHAS = st.floats(0, 1, exclude_min=True, exclude_max=True) | st.sampled_from(
+    [5e-324, 1e-300, 1e-16, 0.5, 1 - 1e-16, 1 - 2**-53]
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    method=st.sampled_from(["none", "split", "aci", "agaci"]),
+    alpha=ALPHAS,
+    gamma=STEPS,
+    gamma_grid=st.lists(STEPS, min_size=1, max_size=4, unique=True),
+    eta=st.floats(0) | st.sampled_from([0.0, 1e308, math.inf]),
+    weight_floor=st.floats(0, 1, exclude_max=True) | st.just(0.0),
+    aggregation=st.sampled_from(["ewa", "fixed"]),
+    cap_factor=st.floats(0, exclude_min=True) | st.sampled_from([5e-324, 1e308, math.inf]),
+    buffer_mode=st.sampled_from(["rolling", "frozen"]),
+)
+def test_extreme_accepted_bank_values_raise_only_config_or_numeric_errors(**bank):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nor does numpy warn
+        try:
+            run_rolling(RunConfig(dataset="walk", forecaster="persistence", **bank), SHORT_WALK)
+        except (ConfigError, NumericError):
+            pass
 
 
 def test_degenerate_training_window_is_a_numeric_error():
@@ -525,9 +577,8 @@ def test_grid_runs_one_load_and_one_forecast_pass_per_group(tmp_path, monkeypatc
 
     failing = [c for c in mixed_grid(tmp_path) if c.dataset != "toy"]
     assert all(isinstance(r, RunFailure) for r in grid_run(failing, jobs=jobs))
-    # in one process a failed pass is not kept, so each cell runs it again;
-    # a worker's failed pass is reported once for every cell of its key
-    assert calls()["make_forecaster"] == (len(failing) if jobs == 1 else 1)
+    # a failed pass runs once and is reported for every cell of its key
+    assert calls()["make_forecaster"] == 1
 
 
 def test_grid_rejects_empty_and_bad_jobs():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftband.errors import ConfigError, NumericError
+from driftband.evaluate import RunConfig
 from driftband.forecasters import ExternalForecastTrace
 from driftband.series import (
     SplitSpec,
@@ -62,8 +63,9 @@ def test_split_rejects_bad_boundaries(bounds):
     "fractions", [(0.5, 0.5), (0.5, 0.5, 0.5), (0.6, 0.4, 0.0), (0.5, -0.1, 0.6)]
 )
 def test_split_rejects_bad_fractions(fractions):
-    with pytest.raises(ConfigError):
-        SplitSpec.from_fractions(100, fractions)
+    # RunConfig checks the fractions once; SplitSpec.from_fractions takes them as checked
+    with pytest.raises(ConfigError, match="split"):
+        RunConfig(dataset="toy", split=fractions)
 
 
 def test_fit_scaler_matches_numpy():
