@@ -153,6 +153,8 @@ class AciState:
             raise ConfigError(f"nominal alpha must lie in (0, 1), got {self.alpha_nominal}")
         if self.gamma < 0:
             raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
+        if not math.isfinite(self.gamma):
+            raise ConfigError(f"gamma must be finite, got {self.gamma}")
         if self.alpha_t is None:
             object.__setattr__(self, "alpha_t", self.alpha_nominal)
 
@@ -216,18 +218,18 @@ class AgAciState:
             raise ConfigError("expert bank must contain at least one expert")
         if len(self.weights) != len(self.alphas):
             raise ConfigError(f"got {len(self.weights)} weights for {len(self.alphas)} experts")
-        if any(w < 0 for w in self.weights):
+        if any(not w >= 0 for w in self.weights):  # also true for NaN
             raise ConfigError(f"weights must be non-negative, got {self.weights}")
         total = math.fsum(self.weights)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"weights must sum to 1, got {total}")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ConfigError(f"eta must be non-negative, got {self.eta}")
         if not 0 <= self.weight_floor < 1:
             raise ConfigError(f"weight floor must lie in [0, 1), got {self.weight_floor}")
         if self.mode not in ("ewa", "fixed"):
             raise ConfigError(f"aggregation mode must be 'ewa' or 'fixed', got {self.mode!r}")
-        if self.infinite_cap_factor <= 0:
+        if not self.infinite_cap_factor > 0:
             raise ConfigError(
                 f"infinite cap factor must be positive, got {self.infinite_cap_factor}"
             )
@@ -257,6 +259,10 @@ class AgAciState:
         gammas = tuple(float(g) for g in gammas)
         if any(g < 0 for g in gammas) or len(set(gammas)) != len(gammas):
             raise ConfigError(f"step sizes must be distinct and non-negative, got {gammas}")
+        if not all(map(math.isfinite, gammas)):
+            raise ConfigError(f"step sizes must be finite, got {gammas}")
+        if not gammas:
+            raise ConfigError("expert bank must contain at least one expert")
         k = len(gammas)
         bank = object.__new__(cls)
         vars(bank).update(
@@ -316,7 +322,8 @@ def agaci_step(
             if math.inf in widths:
                 cap = buffer.max() * state.infinite_cap_factor
                 capped = [min(hw, cap) for hw in widths]
-            half_width = math.fsum([w * hw for w, hw in zip(weights, capped)])
+            # a zero weight leaves its expert out, as 0 * inf would be NaN
+            half_width = math.fsum([w * hw for w, hw in zip(weights, capped) if w])
         level = math.fsum([w * lv for w, lv in zip(weights, levels)])
     # Both objects are filled in without their constructors. The interval's
     # half-width needs no check: it is an order statistic of scores checked

@@ -99,14 +99,14 @@ class RunConfig:
             raise ConfigError(f"gamma_grid must be distinct non-negative steps, got {list(grid)}")
         if not all(map(math.isfinite, grid)):
             raise ConfigError(f"gamma_grid steps must be finite, got {list(grid)}")
-        if self.eta < 0:
+        if not self.eta >= 0:  # also true for NaN
             raise ConfigError(f"eta must be non-negative, got {self.eta}")
         if not 0 <= self.weight_floor < 1:
             raise ConfigError(f"weight_floor must lie in [0, 1), got {self.weight_floor}")
-        if self.cap_factor <= 0:
+        if not self.cap_factor > 0:
             raise ConfigError(f"cap_factor must be positive, got {self.cap_factor}")
         object.__setattr__(self, "split", tuple(float(f) for f in self.split))
-        if len(self.split) != 3 or any(f <= 0 for f in self.split):
+        if len(self.split) != 3 or any(not f > 0 for f in self.split):
             raise ConfigError(f"split must be three positive fractions, got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {self.split}")
@@ -287,10 +287,10 @@ def _native_forecast(config: RunConfig) -> Forecast:
 
 def _forecast_pass(
     config: RunConfig, series: TimeSeries, forecast: Forecast
-) -> tuple[SplitSpec, StandardScaler, np.ndarray, np.ndarray]:
+) -> tuple[TimeSeries, SplitSpec, StandardScaler, np.ndarray, np.ndarray]:
     """Split and scale ``series``, then run ``forecast`` over [train_end,
-    test_end) and check its column. Returns the split, the scaler, the
-    standardized series ``z`` and the column."""
+    test_end) and check its column. Returns what calibration reads: the
+    series, the split, the scaler, the standardized series ``z`` and the column."""
     split = SplitSpec.from_fractions(len(series), config.split)
     try:
         scaler = fit_scaler(series.values, 0, split.train_end)
@@ -325,7 +325,7 @@ def _forecast_pass(
     # last: the native pass stops after its first non-finite forecast
     if y_hat.size < n_run:
         raise shape_error
-    return split, scaler, z, y_hat
+    return series, split, scaler, z, y_hat
 
 
 def run_rolling(
@@ -342,9 +342,15 @@ def run_rolling(
     """
     if series is None:
         series = load_dataset(config)
-    split, scaler, z, y_hat = _forecast_pass(
-        config, series, forecast or _native_forecast(config)
-    )
+    forecast = forecast or _native_forecast(config)
+    return _calibrate(config, *_forecast_pass(config, series, forecast))
+
+
+def _calibrate(
+    config: RunConfig, series: TimeSeries, split: SplitSpec, scaler: StandardScaler,
+    z: np.ndarray, y_hat: np.ndarray,
+) -> RunReport:
+    """The calibration pass of one run on the output of its forecast pass."""
     n_seed = split.cal_end - split.train_end
 
     # Calibration pass. Split conformal is ACI with gamma = 0, and ACI is a
@@ -417,23 +423,22 @@ def _forecast_key(config: RunConfig) -> tuple:
     return (config.dataset, config.seed, config.forecaster, params, config.lag, config.split)
 
 
-def _group_forecast(config: RunConfig) -> tuple[TimeSeries, np.ndarray] | RunFailure:
-    """The forecast pass of one forecast key: the series and its checked
-    column, or the failure every cell of the key would raise, as every
-    input of the pass is in the key."""
+def _group_forecast(config: RunConfig) -> tuple | RunFailure:
+    """The forecast pass of one forecast key, or the failure every cell of
+    the key would raise, as every input of the pass is in the key."""
     try:
-        series = load_dataset(config)
-        return series, _forecast_pass(config, series, _native_forecast(config))[3]
+        return _forecast_pass(config, load_dataset(config), _native_forecast(config))
     except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
         return _failure(config, exc)
 
 
-def _run_cell(
-    config: RunConfig, series: TimeSeries, y_hat: np.ndarray
-) -> RunReport | RunFailure:
-    """The calibration of one cell on its key's forecast column."""
+def _run_cell(config: RunConfig, made: tuple | RunFailure) -> RunReport | RunFailure:
+    """The calibration of one cell on its key's forecast pass, or the
+    pass's failure reported under this cell's config."""
+    if isinstance(made, RunFailure):
+        return replace(made, config=config)
     try:
-        return run_rolling(config, series, lambda *_: y_hat)
+        return _calibrate(config, *made)
     except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
         return _failure(config, exc)
 
@@ -462,10 +467,7 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
         for idx in groups.values():
             made = _group_forecast(configs[idx[0]])
             for i in idx:
-                if isinstance(made, RunFailure):
-                    results[i] = replace(made, config=configs[i])
-                else:
-                    results[i] = _run_cell(configs[i], *made)
+                results[i] = _run_cell(configs[i], made)
         return results
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
         passes = {pool.submit(_group_forecast, configs[idx[0]]): idx for idx in groups.values()}
@@ -478,10 +480,10 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
                 made = _failure(configs[idx[0]], exc)
             for i in idx:
                 if isinstance(made, RunFailure):
-                    results[i] = replace(made, config=configs[i])
+                    results[i] = _run_cell(configs[i], made)
                     continue
                 try:
-                    cells[i] = pool.submit(_run_cell, configs[i], *made)
+                    cells[i] = pool.submit(_run_cell, configs[i], made)
                 except BrokenProcessPool as exc:
                     results[i] = _failure(configs[i], exc)
     for i, future in cells.items():

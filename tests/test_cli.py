@@ -481,6 +481,20 @@ def test_infinite_eta_cap_factor_and_threshold_still_run(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_a_zero_weight_expert_with_an_infinite_cap_writes_no_nan_band(tmp_path, capsys):
+    config = write_config(
+        tmp_path, method="agaci", seed=3, gamma_grid=[0.01, 1e300], weight_floor=0,
+        cap_factor=math.inf,
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    bands_csv = tmp_path / "o" / "toy-persistence-agaci.bands.csv"
+    header, *rows = [line.split(",") for line in bands_csv.read_text().splitlines()]
+    assert len(rows) == 900
+    # at the zero weight's 0 * inf, 808 of the 900 rows read nan
+    bands = [float(row[header.index(col)]) for row in rows for col in ("lower", "upper")]
+    assert not any(map(math.isnan, bands))
+
+
 @pytest.mark.parametrize("name", ["../escaped", "a/b"])
 @pytest.mark.parametrize("command", ["run", "grid", "wrap"])
 def test_a_name_with_path_parts_exits_2_and_writes_nothing(

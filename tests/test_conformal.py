@@ -358,6 +358,9 @@ def test_aci_state_defaults_and_validation():
         AciState(alpha_nominal=0.0, gamma=0.01)
     with pytest.raises(ConfigError):
         AciState(alpha_nominal=0.1, gamma=-1.0)
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="gamma must be finite"):
+            AciState(alpha_nominal=0.1, gamma=gamma)
 
 
 def test_aci_update_directions():
@@ -428,6 +431,23 @@ def test_agaci_validation():
         AgAciState(alpha_nominal=0.2, experts=(expert,), weights=(1.0,))
     with pytest.raises(ConfigError):
         AgAciState(alpha_nominal=0.1, experts=(expert,), weights=(1.0,), mode="mean")
+    with pytest.raises(ConfigError, match="at least one expert"):
+        AgAciState.from_gammas(0.1, [])
+    for gammas in ([math.inf], [0.01, math.nan]):
+        with pytest.raises(ConfigError, match="step sizes must be finite"):
+            AgAciState.from_gammas(0.1, gammas)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"eta": math.nan}, "eta must be non-negative, got nan"),
+    ({"infinite_cap_factor": math.nan}, "infinite cap factor must be positive, got nan"),
+    ({"weights": (math.nan,)}, "weights must be non-negative, got (nan,)"),
+], ids=["eta", "cap", "weights"])
+def test_bank_rejects_nan_options(bad, message):
+    options = {"alpha_nominal": 0.1, "experts": (AciState(0.1, 0.01),), "weights": (1.0,), **bad}
+    with pytest.raises(ConfigError) as raised:
+        AgAciState(**options)
+    assert str(raised.value) == message
 
 
 def test_agaci_single_expert_reproduces_aci():
@@ -552,6 +572,24 @@ def test_aggregate_caps_infinite_expert_bands():
     assert per_expert[1].half_width == math.inf
     # the infinite band enters the mean capped at max score * cap factor
     assert agg.half_width == pytest.approx(0.5 * per_expert[0].half_width + 0.5 * 8.0)
+
+
+def test_a_zero_weight_infinite_expert_stays_out_of_the_aggregate():
+    buf = ScoreBuffer(4, [1.0, 2.0, 3.0, 4.0])
+    bank = AgAciState(
+        alpha_nominal=0.1,
+        experts=(
+            AciState(alpha_nominal=0.1, gamma=0.01, alpha_t=0.5),
+            AciState(alpha_nominal=0.1, gamma=1e300, alpha_t=-0.1),
+        ),
+        weights=(1.0, 0.0),
+        weight_floor=0.0,
+        infinite_cap_factor=math.inf,
+    )
+    agg, per_expert = agaci_step(bank, buf, 0.0)
+    assert per_expert[1].half_width == math.inf
+    # the infinite cap would make the second term 0 * inf, which is NaN
+    assert agg.half_width == per_expert[0].half_width
 
 
 def test_aggregate_with_all_experts_infinite_stays_infinite():

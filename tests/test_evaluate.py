@@ -134,6 +134,18 @@ def test_config_rejects_non_finite_steps(bad, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"eta": math.nan}, "eta must be non-negative, got nan"),
+    ({"cap_factor": math.nan}, "cap_factor must be positive, got nan"),
+    ({"split": (math.nan, 0.5, 0.5)},
+     "split must be three positive fractions, got (nan, 0.5, 0.5)"),
+], ids=["eta", "cap_factor", "split"])
+def test_config_rejects_nan(bad, message):
+    with pytest.raises(ConfigError) as raised:
+        RunConfig(dataset="toy", **bad)
+    assert str(raised.value) == message
+
+
 def test_compute_metrics_oracles():
     perfect = unbanded([1.0, -2.0], [1.0, -2.0])
     m = compute_metrics(perfect)
@@ -443,12 +455,12 @@ def test_grid_turns_a_dead_worker_into_failed_cells(tmp_path, monkeypatch):
         for i, name in enumerate(("a", "b", "dies"))
     ]
     done = [tmp_path / "a.done", tmp_path / "b.done"]
-    real_run = evaluate.run_rolling
+    real_calibrate = evaluate._calibrate
 
-    def run_or_die(config, *args, **kwargs):
+    def calibrate_or_die(config, *args):
         name = Path(config.dataset).stem
         if name != "dies":
-            report = real_run(config, *args, **kwargs)
+            report = real_calibrate(config, *args)
             (tmp_path / f"{name}.done").touch()
             return report
         # let the other cells finish and send their reports, then kill the worker
@@ -458,12 +470,12 @@ def test_grid_turns_a_dead_worker_into_failed_cells(tmp_path, monkeypatch):
         time.sleep(0.5)
         os._exit(1)
 
-    monkeypatch.setattr(evaluate, "run_rolling", run_or_die)
+    monkeypatch.setattr(evaluate, "_calibrate", calibrate_or_die)
     results = grid_run(configs, jobs=2)
     assert [type(r) for r in results] == [RunReport, RunReport, RunFailure]
     for result, config in zip(results[:2], configs):
         assert report_payload(result)["status"] == "ok"
-        assert same_columns(result.columns, real_run(config).columns)
+        assert same_columns(result.columns, run_rolling(config).columns)
     assert results[2].kind == "BrokenProcessPool"
     assert report_payload(results[2])["status"] == "failed"
 
@@ -475,11 +487,11 @@ def test_a_dead_worker_spares_the_finished_cells_of_its_forecast_key(tmp_path, m
                for m in ("split", "aci", "agaci")]
     configs.append(RunConfig(dataset=make_csv(tmp_path, "other", 6), forecaster="persistence",
                              method="aci"))
-    real_run = evaluate.run_rolling
+    real_calibrate = evaluate._calibrate
 
-    def run_or_die(config, *args, **kwargs):
+    def calibrate_or_die(config, *args):
         if config.method != "agaci":
-            report = real_run(config, *args, **kwargs)
+            report = real_calibrate(config, *args)
             (tmp_path / f"{Path(config.dataset).stem}-{config.method}.done").touch()
             return report
         # let the three other cells finish and send their reports, then kill the worker
@@ -489,11 +501,11 @@ def test_a_dead_worker_spares_the_finished_cells_of_its_forecast_key(tmp_path, m
         time.sleep(0.5)
         os._exit(1)
 
-    monkeypatch.setattr(evaluate, "run_rolling", run_or_die)
+    monkeypatch.setattr(evaluate, "_calibrate", calibrate_or_die)
     results = grid_run(configs, jobs=2)
     assert [type(r) for r in results] == [RunReport, RunReport, RunFailure, RunReport]
     for i in (0, 1, 3):
-        assert same_columns(results[i].columns, real_run(configs[i]).columns)
+        assert same_columns(results[i].columns, run_rolling(configs[i]).columns)
     assert results[2].kind == "BrokenProcessPool"
 
 
@@ -564,21 +576,24 @@ def test_grid_runs_one_load_and_one_forecast_pass_per_group(tmp_path, monkeypatc
     def calls():
         names = log.read_text().split() if log.exists() else []
         log.unlink(missing_ok=True)
-        return {name: names.count(name) for name in ("make_forecaster", "generate_toy")}
+        return {name: names.count(name)
+                for name in ("make_forecaster", "generate_toy", "fit_scaler")}
 
     monkeypatch.setattr(evaluate, "make_forecaster",
                         counting("make_forecaster", evaluate.make_forecaster))
+    monkeypatch.setattr(evaluate, "fit_scaler", counting("fit_scaler", evaluate.fit_scaler))
     monkeypatch.setattr(datagen, "generate_toy", counting("generate_toy", datagen.generate_toy))
     configs = [c for c in mixed_grid(tmp_path) if c.dataset == "toy"]
     results = grid_run(configs, jobs=jobs)
     assert all(isinstance(r, RunReport) for r in results)
-    # two seeds x three forecasters; methods and buffer modes share a pass
-    assert calls() == {"make_forecaster": 6, "generate_toy": 6}
+    # two seeds x three forecasters; methods and buffer modes share a pass,
+    # and each cell calibrates on its key's split, scaler and column
+    assert calls() == {"make_forecaster": 6, "generate_toy": 6, "fit_scaler": 6}
 
     failing = [c for c in mixed_grid(tmp_path) if c.dataset != "toy"]
     assert all(isinstance(r, RunFailure) for r in grid_run(failing, jobs=jobs))
     # a failed pass runs once and is reported for every cell of its key
-    assert calls()["make_forecaster"] == 1
+    assert calls() == {"make_forecaster": 1, "generate_toy": 0, "fit_scaler": 1}
 
 
 def test_grid_rejects_empty_and_bad_jobs():

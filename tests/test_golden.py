@@ -68,3 +68,19 @@ def test_run_and_wrap_outputs_are_byte_pinned(toy3, tmp_path, capsys, command, m
         name = f"toy3-replay-{method}"
     assert main(argv + ["--out", str(out)]) == 0
     assert _digests(out, name) == PINNED_SHA256[command, method]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_grid_of_the_run_configs_reproduces_their_pinned_outputs(tmp_path, capsys, jobs):
+    methods = sorted(method for command, method in PINNED_SHA256 if command == "run")
+    configs = []
+    for method in methods:
+        config = tmp_path / f"{method}.json"
+        config.write_text(json.dumps(
+            {"dataset": "toy", "forecaster": "persistence", "method": method, "seed": 3}
+        ))
+        configs.append(str(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", *configs, "--jobs", str(jobs), "--out", str(out)]) == 0
+    for method in methods:
+        assert _digests(out, f"toy-persistence-{method}") == PINNED_SHA256["run", method]
