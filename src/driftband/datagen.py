@@ -138,10 +138,6 @@ class ArRegime:
         if self.noise_std < 0:
             raise ConfigError(f"regime noise std must be non-negative, got {self.noise_std}")
 
-    @property
-    def stationary_mean(self) -> float:
-        return self.intercept / (1.0 - self.coef)
-
 
 @dataclass(frozen=True)
 class SwitchingArSpec:

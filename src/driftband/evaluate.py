@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -122,6 +123,11 @@ class RunConfig:
             raise ConfigError(f"lag must be >= 1, got {self.lag}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key in ("lag", "seed"):  # a numpy integer becomes an int the JSON output takes
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         check_keys(
             self.forecaster_params,
             _FORECASTER_PARAM_TYPES[self.forecaster],
@@ -423,37 +429,34 @@ def _forecast_key(config: RunConfig) -> tuple:
     return (config.dataset, config.seed, config.forecaster, params, config.lag, config.split)
 
 
-def _group_forecast(config: RunConfig) -> tuple | RunFailure:
-    """The forecast pass of one forecast key, or the failure every cell of
-    the key would raise, as every input of the pass is in the key."""
+def _run_key(configs: Sequence[RunConfig]) -> list[RunReport | RunFailure]:
+    """The cells of one forecast key: one forecast pass, then the calibration
+    of each cell in order. A failed pass is reported for every cell, as
+    every input of the pass is in the key."""
     try:
-        return _forecast_pass(config, load_dataset(config), _native_forecast(config))
+        made = _forecast_pass(configs[0], load_dataset(configs[0]), _native_forecast(configs[0]))
     except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
-        return _failure(config, exc)
-
-
-def _run_cell(config: RunConfig, made: tuple | RunFailure) -> RunReport | RunFailure:
-    """The calibration of one cell on its key's forecast pass, or the
-    pass's failure reported under this cell's config."""
-    if isinstance(made, RunFailure):
-        return replace(made, config=config)
-    try:
-        return _calibrate(config, *made)
-    except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
-        return _failure(config, exc)
+        return [_failure(config, exc) for config in configs]
+    results = []
+    for config in configs:
+        try:
+            results.append(_calibrate(config, *made))
+        except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
+            results.append(_failure(config, exc))
+    return results
 
 
 def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | RunFailure]:
     """Run many configs independently; failures become RunFailure cells.
 
     Cells are grouped by forecast key (dataset, seed, forecaster, its
-    params, lag and split). Each group is two kinds of task: one forecast
-    pass (``_group_forecast``), which loads the series once, then one
-    calibration per cell (``_run_cell``). A pass that fails runs once, and
-    its failure is reported for every cell of its key. With ``jobs > 1``
-    the tasks run in a process pool, so cells of one key still spread over
-    the workers. A dead worker fails every cell not finished yet as
-    ``BrokenProcessPool``; finished cells keep their results.
+    params, lag and split), and each key is one task under every ``jobs``:
+    it loads the series once, runs one forecast pass and calibrates each of
+    its cells on it. A pass that fails runs once, and its failure is
+    reported for every cell of its key. With ``jobs > 1`` and more than one
+    key, the keys run in a process pool of min(jobs, keys) workers; a dead
+    worker fails every cell of each key not returned yet as
+    ``BrokenProcessPool``.
     """
     if not configs:
         raise ConfigError("grid needs at least one config")
@@ -462,35 +465,22 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(_forecast_key(config), []).append(i)
-    results: list[RunReport | RunFailure | None] = [None] * len(configs)
-    if jobs == 1 or len(configs) == 1:
-        for idx in groups.values():
-            made = _group_forecast(configs[idx[0]])
-            for i in idx:
-                results[i] = _run_cell(configs[i], made)
-        return results
-    with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-        passes = {pool.submit(_group_forecast, configs[idx[0]]): idx for idx in groups.values()}
-        cells = {}
-        for done in as_completed(passes):
-            idx = passes[done]
-            try:
-                made = done.result()
-            except BrokenProcessPool as exc:
-                made = _failure(configs[idx[0]], exc)
-            for i in idx:
-                if isinstance(made, RunFailure):
-                    results[i] = _run_cell(configs[i], made)
-                    continue
+    keys = [[configs[i] for i in idx] for idx in groups.values()]
+    if jobs == 1 or len(keys) == 1:
+        done = map(_run_key, keys)
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
+            futures = [pool.submit(_run_key, key) for key in keys]
+            done = []
+            for key, future in zip(keys, futures):
                 try:
-                    cells[i] = pool.submit(_run_cell, configs[i], made)
+                    done.append(future.result())
                 except BrokenProcessPool as exc:
-                    results[i] = _failure(configs[i], exc)
-    for i, future in cells.items():
-        try:
-            results[i] = future.result()
-        except BrokenProcessPool as exc:
-            results[i] = _failure(configs[i], exc)
+                    done.append([_failure(config, exc) for config in key])
+    results: list[RunReport | RunFailure | None] = [None] * len(configs)
+    for idx, key_results in zip(groups.values(), done):
+        for i, result in zip(idx, key_results):
+            results[i] = result
     return results
 
 

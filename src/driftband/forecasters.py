@@ -200,9 +200,9 @@ class CusumDetector:
     """
 
     def __init__(self, drift: float = 0.5, threshold: float = 5.0, warmup: int = 50) -> None:
-        if drift < 0:
+        if not drift >= 0:  # also true for NaN
             raise ConfigError(f"drift allowance must be non-negative, got {drift}")
-        if threshold <= 0:
+        if not threshold > 0:
             raise ConfigError(f"alarm threshold must be positive, got {threshold}")
         # Shorter references make the plug-in std too noisy to standardize against.
         if warmup < 30:

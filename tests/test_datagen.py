@@ -102,7 +102,8 @@ def test_toy_default_shape_and_stationary_means():
     spec = default_toy_spec()
     for regime in (0, 1):
         mean = series.values[path == regime].mean()
-        assert abs(mean - spec.regimes[regime].stationary_mean) < 0.15
+        ar = spec.regimes[regime]
+        assert abs(mean - ar.intercept / (1.0 - ar.coef)) < 0.15
 
 
 def test_toy_regime_path_invariant_to_noise_scale():

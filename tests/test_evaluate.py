@@ -139,11 +139,28 @@ def test_config_rejects_non_finite_steps(bad, message):
     ({"cap_factor": math.nan}, "cap_factor must be positive, got nan"),
     ({"split": (math.nan, 0.5, 0.5)},
      "split must be three positive fractions, got (nan, 0.5, 0.5)"),
-], ids=["eta", "cap_factor", "split"])
+    # a non-integer lag ran as some AR order, and a non-integer seed failed in numpy
+    ({"lag": math.nan}, "lag must be an integer, got nan"),
+    ({"lag": 2.5}, "lag must be an integer, got 2.5"),
+    ({"seed": math.nan}, "seed must be an integer, got nan"),
+    ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    # values rejected before keep their messages
+    ({"lag": 0.5}, "lag must be >= 1, got 0.5"),
+    ({"seed": -1.5}, "seed must be non-negative, got -1.5"),
+], ids=["eta", "cap_factor", "split", "lag-nan", "lag-2.5", "seed-nan", "seed-2.5",
+        "lag-0.5", "seed-minus-1.5"])
 def test_config_rejects_nan(bad, message):
     with pytest.raises(ConfigError) as raised:
         RunConfig(dataset="toy", **bad)
     assert str(raised.value) == message
+
+
+def test_config_takes_numpy_integers_as_ints(tmp_path):
+    config = RunConfig(dataset="toy", forecaster="persistence", method="split",
+                       lag=np.int64(4), seed=np.int64(3))
+    assert (type(config.lag), type(config.seed)) == (int, int)
+    write_metrics_json(tmp_path / "m.json", run_rolling(config))
+    assert load_metrics_json(tmp_path / "m.json")["seed"] == 3
 
 
 def test_compute_metrics_oracles():
@@ -481,32 +498,55 @@ def test_grid_turns_a_dead_worker_into_failed_cells(tmp_path, monkeypatch):
 
 
 @FORK_ONLY
-def test_a_dead_worker_spares_the_finished_cells_of_its_forecast_key(tmp_path, monkeypatch):
+def test_a_dead_worker_fails_every_cell_of_its_forecast_key(tmp_path, monkeypatch):
     shared = make_csv(tmp_path, "shared", 5)
     configs = [RunConfig(dataset=shared, forecaster="persistence", method=m)
                for m in ("split", "aci", "agaci")]
     configs.append(RunConfig(dataset=make_csv(tmp_path, "other", 6), forecaster="persistence",
                              method="aci"))
+    other_done = tmp_path / "other.done"
     real_calibrate = evaluate._calibrate
 
     def calibrate_or_die(config, *args):
         if config.method != "agaci":
             report = real_calibrate(config, *args)
-            (tmp_path / f"{Path(config.dataset).stem}-{config.method}.done").touch()
+            if Path(config.dataset).stem == "other":
+                other_done.touch()
             return report
-        # let the three other cells finish and send their reports, then kill the worker
+        # let the other key finish and send its report, then kill the worker
         deadline = time.monotonic() + 30
-        while len(list(tmp_path.glob("*.done"))) < 3 and time.monotonic() < deadline:
+        while not other_done.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
         time.sleep(0.5)
         os._exit(1)
 
     monkeypatch.setattr(evaluate, "_calibrate", calibrate_or_die)
     results = grid_run(configs, jobs=2)
-    assert [type(r) for r in results] == [RunReport, RunReport, RunFailure, RunReport]
-    for i in (0, 1, 3):
-        assert same_columns(results[i].columns, run_rolling(configs[i]).columns)
-    assert results[2].kind == "BrokenProcessPool"
+    # the key is one task, so its calibrated split and aci cells die with it
+    assert [type(r) for r in results] == [RunFailure, RunFailure, RunFailure, RunReport]
+    assert [r.kind for r in results[:3]] == ["BrokenProcessPool"] * 3
+    assert [r.name for r in results] == [c.run_name for c in configs]
+    assert same_columns(results[3].columns, run_rolling(configs[3]).columns)
+
+
+def test_a_grid_of_one_forecast_key_runs_in_process(tmp_path, monkeypatch):
+    configs = [RunConfig(dataset="toy", forecaster="ar", method=m, seed=3, name=m)
+               for m in ("split", "aci", "agaci")]
+    alone = grid_run(configs, jobs=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a grid of one forecast key started a process pool")
+
+    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", no_pool)
+    pooled = grid_run(configs, jobs=2)
+    for tag, results in (("jobs1", alone), ("jobs2", pooled)):
+        for report in results:
+            write_metrics_json(tmp_path / f"{tag}-{report.name}.json", report)
+            write_bands_csv(tmp_path / f"{tag}-{report.name}.csv", report.columns)
+    for config in configs:
+        for ext in ("json", "csv"):
+            one, two = (tmp_path / f"{tag}-{config.name}.{ext}" for tag in ("jobs1", "jobs2"))
+            assert one.read_bytes() == two.read_bytes()
 
 
 def degenerate_csv(tmp_path):

@@ -267,6 +267,13 @@ def test_cusum_validation():
         CusumDetector(drift=-0.1)
     with pytest.raises(ConfigError):
         CusumDetector(threshold=0.0)
+    # NaN passes a plain comparison, and a NaN detector never alarms
+    with pytest.raises(ConfigError, match="drift allowance must be non-negative, got nan"):
+        CusumDetector(drift=math.nan)
+    with pytest.raises(ConfigError, match="alarm threshold must be positive, got nan"):
+        CusumDetector(threshold=math.nan)
+    with pytest.raises(ConfigError, match="alarm threshold must be positive, got nan"):
+        make_forecaster("segmented_ar", order=2, threshold=math.nan)
     with pytest.raises(ConfigError):
         CusumDetector(warmup=29)
     with pytest.raises(NumericError):
