@@ -173,8 +173,8 @@ def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciSt
     is 1 on a miss and 0 on a hit. Summed over a run this telescopes:
     (alpha_T - alpha_0) / gamma equals the accumulated coverage surplus.
     """
-    band = ExpertBands(interval.y_hat, [interval.half_width], [interval.level])
-    bank = agaci_update(AgAciState(state.alpha_nominal, (state,), (1.0,)), y, interval.y_hat, band)
+    bank = AgAciState(state.alpha_nominal, (state,), (1.0,))
+    bank = agaci_update(bank, y, interval.y_hat, [interval.half_width])
     return AciState(state.alpha_nominal, state.gamma, bank.alphas[0])
 
 
@@ -211,9 +211,6 @@ class AgAciState:
             gammas=tuple(e.gamma for e in experts), weights=tuple(weights), eta=eta,
             weight_floor=weight_floor, mode=mode, infinite_cap_factor=infinite_cap_factor,
         )
-        self._validate()
-
-    def _validate(self) -> None:
         if not self.alphas:
             raise ConfigError("expert bank must contain at least one expert")
         if len(self.weights) != len(self.alphas):
@@ -254,46 +251,24 @@ class AgAciState:
         cls, alpha_nominal: float, gammas: Sequence[float], eta: float = 1.0,
         weight_floor: float = 1e-6, mode: str = "ewa", infinite_cap_factor: float = 2.0,
     ) -> "AgAciState":
-        if not 0 < alpha_nominal < 1:
-            raise ConfigError(f"nominal alpha must lie in (0, 1), got {alpha_nominal}")
+        """A bank of one expert per step size, all at the nominal level, with
+        uniform weights."""
         gammas = tuple(float(g) for g in gammas)
         if any(g < 0 for g in gammas) or len(set(gammas)) != len(gammas):
             raise ConfigError(f"step sizes must be distinct and non-negative, got {gammas}")
         if not all(map(math.isfinite, gammas)):
             raise ConfigError(f"step sizes must be finite, got {gammas}")
-        if not gammas:
-            raise ConfigError("expert bank must contain at least one expert")
-        k = len(gammas)
-        bank = object.__new__(cls)
-        vars(bank).update(
-            alpha_nominal=alpha_nominal, alphas=(alpha_nominal,) * k, gammas=gammas,
-            weights=(1.0 / k,) * k, eta=eta, weight_floor=weight_floor, mode=mode,
-            infinite_cap_factor=infinite_cap_factor,
+        return cls(
+            alpha_nominal, [AciState(alpha_nominal, g) for g in gammas],
+            [1.0 / len(gammas) for _ in gammas], eta, weight_floor, mode, infinite_cap_factor,
         )
-        bank._validate()
-        return bank
-
-
-class ExpertBands(Sequence):
-    """One step's per-expert bands, kept as raw half-widths and levels;
-    indexing builds the ``PredictionInterval``, so unread bands cost nothing."""
-
-    __slots__ = ("y_hat", "half_widths", "levels")
-
-    def __init__(self, y_hat: float, half_widths: list[float], levels: list[float]) -> None:
-        self.y_hat, self.half_widths, self.levels = y_hat, half_widths, levels
-
-    def __len__(self) -> int:
-        return len(self.half_widths)
-
-    def __getitem__(self, i: int) -> PredictionInterval:
-        return PredictionInterval(self.y_hat, self.half_widths[i], self.levels[i])
 
 
 def agaci_step(
     state: AgAciState, buffer: ScoreBuffer, y_hat: float
-) -> tuple[PredictionInterval, ExpertBands]:
-    """Aggregate band plus the per-expert bands it was built from.
+) -> tuple[PredictionInterval, list[float]]:
+    """Aggregate band plus the experts' half-widths it was built from, in
+    expert order.
 
     Each expert forms its own band at its working level, and the bank
     weight-averages their half-widths. An infinite expert band cannot
@@ -311,7 +286,7 @@ def agaci_step(
         # An infinite band stays infinite, as the weight is within 1e-9 of 1.
         w, lv = weights[0], 1.0 - alphas[0]
         hw = empirical_quantile(buffer, lv)
-        levels, widths = [lv], [hw]
+        widths = [hw]
         half_width, level = w * hw + 0.0, w * lv + 0.0
     else:
         levels = [1.0 - a for a in alphas]
@@ -325,36 +300,35 @@ def agaci_step(
             # a zero weight leaves its expert out, as 0 * inf would be NaN
             half_width = math.fsum([w * hw for w, hw in zip(weights, capped) if w])
         level = math.fsum([w * lv for w, lv in zip(weights, levels)])
-    # Both objects are filled in without their constructors. The interval's
-    # half-width needs no check: it is an order statistic of scores checked
-    # non-negative on append, 0, inf, or a weighted mean of those with weights
-    # checked non-negative once per bank and kept so by agaci_update.
+    # The interval is filled in without its constructor. Its half-width needs
+    # no check: it is an order statistic of scores checked non-negative on
+    # append, 0, inf, or a weighted mean of those with weights checked
+    # non-negative once per bank and kept so by agaci_update.
     interval = _new(PredictionInterval)
     fields = interval.__dict__
     fields["y_hat"], fields["half_width"], fields["level"] = y_hat, half_width, level
-    per_expert = _new(ExpertBands)
-    per_expert.y_hat, per_expert.half_widths, per_expert.levels = y_hat, widths, levels
-    return interval, per_expert
+    return interval, widths
 
 
 def agaci_update(
-    state: AgAciState, y: float, y_hat: float, per_expert: ExpertBands
+    state: AgAciState, y: float, y_hat: float, half_widths: Sequence[float]
 ) -> AgAciState:
     """Advance every expert against its own band and reweigh the bank.
 
-    Weights move by exponential factors exp(-eta * pinball loss) of each
-    expert's half-width against the realized score, then mix with the
-    uniform distribution at the floor rate so no expert's weight can
-    vanish: w' = (1 - floor) * normalized + floor / K. An infinite band
-    has infinite loss and a zero factor. A lone expert's weight comes
-    out of that as exactly 1.0 ((1 - floor) + floor rounds to 1), so a
-    one-expert bank skips the reweighing.
+    Expert k's band is y_hat +- half_widths[k], as ``agaci_step``
+    returned them for this ``y_hat``. Weights move by exponential factors
+    exp(-eta * pinball loss) of each expert's half-width against the
+    realized score, then mix with the uniform distribution at the floor
+    rate so no expert's weight can vanish: w' = (1 - floor) * normalized
+    + floor / K. An infinite band has infinite loss and a zero factor. A
+    lone expert's weight comes out of that as exactly 1.0 ((1 - floor) +
+    floor rounds to 1), so a one-expert bank skips the reweighing.
     """
-    widths, alphas = per_expert.half_widths, state.alphas
-    k = len(widths)
+    alphas = state.alphas
+    k = len(half_widths)
     if k != len(alphas):
         raise ConfigError(f"got {k} intervals for {len(alphas)} experts")
-    y, center, alpha = float(y), per_expert.y_hat, state.alpha_nominal
+    y, center, alpha = float(y), float(y_hat), state.alpha_nominal
     # A copy of the bank without re-validation: the new levels need none, and
     # the new weights are non-negative and sum to 1 by construction.
     new = _new(AgAciState)
@@ -362,19 +336,19 @@ def agaci_update(
     fields.update(state.__dict__)
     # err_k is 0 exactly when PredictionInterval.covers(y) holds for expert k's band
     if k == 1:
-        hw = widths[0]
+        hw = half_widths[0]
         err = 0.0 if center - hw <= y <= center + hw else 1.0
         fields["alphas"] = (alphas[0] + state.gammas[0] * (alpha - err),)
         return new
     fields["alphas"] = tuple([
         a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0))
-        for a, g, hw in zip(alphas, state.gammas, widths)
+        for a, g, hw in zip(alphas, state.gammas, half_widths)
     ])
     if state.mode == "ewa" and state.eta > 0:
         score = residual_score(y, y_hat)
         tau, eta = 1.0 - alpha, state.eta
         raw = []
-        for w, hw in zip(state.weights, widths):
+        for w, hw in zip(state.weights, half_widths):
             if hw == math.inf:
                 raw.append(0.0)
                 continue

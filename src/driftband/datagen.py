@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fileio import atomic_write_text, check_keys, format_csv
+from .fileio import atomic_write_text, check_integer_fields, check_keys, format_csv
 from .series import TimeSeries
 
 _PROB_TOL = 1e-12
@@ -67,10 +67,11 @@ class MarkovChainSpec:
         k = transition.shape[0]
         if k < 1:
             raise ConfigError("chain needs at least one regime")
-        if np.any(transition < 0):
+        # each comparison is written so that NaN fails it
+        if not np.all(transition >= 0):
             raise ConfigError("transition probabilities must be non-negative")
         rows = transition.sum(axis=1)
-        bad = np.flatnonzero(np.abs(rows - 1.0) > _PROB_TOL)
+        bad = np.flatnonzero(~(np.abs(rows - 1.0) <= _PROB_TOL))
         if bad.size:
             raise ConfigError(
                 f"transition row {int(bad[0])} sums to {rows[bad[0]]!r}, expected 1"
@@ -80,7 +81,7 @@ class MarkovChainSpec:
             raise ConfigError(
                 f"initial distribution must have length {k}, got shape {initial.shape}"
             )
-        if np.any(initial < 0) or abs(initial.sum() - 1.0) > _PROB_TOL:
+        if not (np.all(initial >= 0) and abs(initial.sum() - 1.0) <= _PROB_TOL):
             raise ConfigError("initial distribution must be a probability vector")
         transition.setflags(write=False)
         initial.setflags(write=False)
@@ -135,7 +136,7 @@ class ArRegime:
             raise ConfigError(
                 f"regime coefficient must satisfy |coef| < 1 for stationarity, got {self.coef}"
             )
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:  # also true for NaN
             raise ConfigError(f"regime noise std must be non-negative, got {self.noise_std}")
 
 
@@ -164,6 +165,7 @@ class SwitchingArSpec:
             raise ConfigError(f"starting value must be finite, got {self.y0}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_integer_fields(self, ("T", "seed"))
 
 
 def default_toy_spec(T: int = 3000, seed: int = 0) -> SwitchingArSpec:
@@ -225,18 +227,19 @@ class LorenzSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
+        if not self.dt > 0:  # also true for NaN
             raise ConfigError(f"integrator step must be positive, got {self.dt}")
         if self.subsample < 1:
             raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
         _check_length(self.T)
-        if self.obs_noise < 0:
+        if not self.obs_noise >= 0:
             raise ConfigError(f"observation noise must be non-negative, got {self.obs_noise}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("sigma", "rho", "beta", "x0", "y0", "z0"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        check_integer_fields(self, ("T", "subsample", "seed"))
 
 
 def lorenz_derivative(state, sigma: float, rho: float, beta: float) -> np.ndarray:

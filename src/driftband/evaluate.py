@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -22,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import conformal, datagen
+from . import conformal, datagen, forecasters
 from .errors import ConfigError, NumericError
-from .fileio import atomic_write_text, check_keys, format_csv, read_json
+from .fileio import atomic_write_text, check_integer_fields, check_keys, format_csv, read_json
 from .forecasters import make_forecaster
 from .series import (
     SplitSpec,
@@ -53,7 +52,7 @@ class RunConfig:
     config's seed) or a path to a series CSV. The autoregression order
     is min(lag, train length / 4) unless ``forecaster_params`` sets
     ``order``, which is taken as is. ``forecaster_params`` the forecaster
-    does not take, or of the wrong type, are a ``ConfigError``.
+    does not take, of the wrong type or out of its range are a ``ConfigError``.
     """
 
     dataset: str
@@ -123,16 +122,16 @@ class RunConfig:
             raise ConfigError(f"lag must be >= 1, got {self.lag}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for key in ("lag", "seed"):  # a numpy integer becomes an int the JSON output takes
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            object.__setattr__(self, key, int(value))
-        check_keys(
-            self.forecaster_params,
-            _FORECASTER_PARAM_TYPES[self.forecaster],
-            f"{self.forecaster} forecaster_params",
-        )
+        check_integer_fields(self, ("lag", "seed"))
+        where = f"{self.forecaster} forecaster_params"
+        check_keys(self.forecaster_params, _FORECASTER_PARAM_TYPES[self.forecaster], where)
+        if self.forecaster in ("ar", "segmented_ar"):
+            try:  # the values, by the forecaster's own checks; the run builds its own later
+                forecasters.make_forecaster(
+                    self.forecaster, **{"order": self.lag, **self.forecaster_params}
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
 
     @property
     def run_name(self) -> str:
@@ -167,11 +166,7 @@ def run_config_from_dict(payload: dict) -> RunConfig:
     configured forecaster does not take are an error naming the key.
     """
     check_keys(payload, _RUN_CONFIG_TYPES, "run config", required=("dataset",))
-    kwargs = {key: value for key, value in payload.items() if key != "out"}
-    for key in ("gamma_grid", "split"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return RunConfig(**kwargs)
+    return RunConfig(**{key: value for key, value in payload.items() if key != "out"})
 
 
 def dataset_label(dataset: str) -> str:

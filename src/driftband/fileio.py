@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -179,6 +180,17 @@ def check_keys(payload, types: dict[str, str], where: str, required: Sequence[st
     for key, value in payload.items():
         if not _KINDS[types[key]](value):
             raise ConfigError(f"{where} key {key!r} must be {types[key]}, got {value!r}")
+
+
+def check_integer_fields(obj, names: Sequence[str]) -> None:
+    """Make each named field of a frozen dataclass a plain ``int``. A numpy
+    integer is converted, so JSON output takes it; any other value, NaN
+    included, is a ``ConfigError`` naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -216,6 +216,41 @@ def test_wrap_accepts_the_configured_forecasters_params(tmp_path, series_csv, ca
     assert (tmp_path / "w" / "walk-replay-aci.metrics.json").exists()
 
 
+BAD_FORECASTER_PARAMS = [
+    ("ar", {"refit_every": 0}, "refit interval must be >= 1, got 0"),
+    ("ar", {"order": 0}, "autoregression order must be >= 1, got 0"),
+    ("segmented_ar", {"warmup": 5}, "warm-up must be at least 30 samples, got 5"),
+    ("segmented_ar", {"threshold": 0}, "alarm threshold must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "forecaster, params, message", BAD_FORECASTER_PARAMS,
+    ids=["refit_every", "order", "warmup", "threshold"],
+)
+@pytest.mark.parametrize("command", ["run", "run-missing-csv", "grid", "wrap"])
+def test_bad_forecaster_param_values_exit_2_before_any_data_is_read(
+    tmp_path, series_csv, capsys, forecaster, params, message, command
+):
+    dataset = str(tmp_path / "absent.csv") if command == "run-missing-csv" else "toy"
+    bad = write_config(
+        tmp_path, "bad.json", dataset=dataset, forecaster=forecaster, forecaster_params=params
+    )
+    good = write_config(tmp_path, "good.json", forecaster="ar", method="split")
+    argv = {
+        "run": ["run", "--config", str(bad)],
+        "run-missing-csv": ["run", "--config", str(bad)],
+        "grid": ["run", "--config", str(good), str(bad)],
+        "wrap": ["wrap", "--trace", str(persistence_trace_csv(tmp_path, series_csv)),
+                 "--series", str(series_csv), "--config", str(bad)],
+    }[command]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: {forecaster} forecaster_params: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_wrap_partial_trace_exits_5(tmp_path, series_csv, capsys):
     series = load_series_csv(series_csv)
     lines = ["index,y_true,y_hat"]

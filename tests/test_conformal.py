@@ -165,9 +165,9 @@ def test_flat_kernel_matches_the_object_oracle_bit_for_bit(
         assert_same_band(agg, want)
         assert agg.covers(y) == want.covers(y)
         assert len(per_expert) == len(want_per_expert)
-        for got_iv, want_iv in zip(per_expert, want_per_expert):
-            assert_same_band(got_iv, want_iv)
-            assert got_iv.covers(y) == want_iv.covers(y)
+        for got_hw, want_iv in zip(per_expert, want_per_expert):
+            assert bits(got_hw) == bits(want_iv.half_width)
+            assert (float(y_hat) - got_hw <= y <= float(y_hat) + got_hw) == want_iv.covers(y)
         iv, want_iv = aci_step(solo, buf, y_hat), oracle_aci_step(solo_oracle, buf, y_hat)
         assert_same_band(iv, want_iv)
 
@@ -203,7 +203,7 @@ def test_one_expert_bank_matches_the_object_oracle_bit_for_bit(weight, alpha_t):
         agg, per_expert = agaci_step(bank, buf, y_hat)
         want, want_per_expert = oracle_agaci_step(oracle, buf, y_hat)
         assert_same_band(agg, want)
-        assert_same_band(per_expert[0], want_per_expert[0])
+        assert bits(*per_expert) == bits(want_per_expert[0].half_width)
         widths.append(agg.half_width)
         # the interval filled in without its constructor is an ordinary one
         assert type(agg) is PredictionInterval
@@ -222,16 +222,16 @@ def test_one_expert_bank_matches_the_object_oracle_bit_for_bit(weight, alpha_t):
         assert widths[0] == math.inf
 
 
-def test_per_expert_bands_are_built_on_read():
+def test_per_expert_half_widths_come_in_expert_order():
     buf = ScoreBuffer(4, [1.0, 2.0, 3.0, 4.0])
     bank = AgAciState.from_gammas(0.1, [0.0, 0.01])
     _, per_expert = agaci_step(bank, buf, 0.5)
-    assert len(per_expert) == 2
-    assert per_expert[0] == per_expert[-2] == PredictionInterval(0.5, math.inf, 0.9)
-    assert [iv.half_width for iv in per_expert] == [math.inf, math.inf]
-    with pytest.raises(IndexError):
-        per_expert[2]
+    assert per_expert == [math.inf, math.inf]
     assert bank.experts == (AciState(0.1, 0.0), AciState(0.1, 0.01))
+    # levels 1 - 0.3 and 1 - 0.5 read the 4th and the 3rd of the 4 scores
+    bank = AgAciState(0.1, (AciState(0.1, 0.0, 0.3), AciState(0.1, 0.01, 0.5)), (0.5, 0.5))
+    _, per_expert = agaci_step(bank, buf, 0.5)
+    assert per_expert == [4.0, 3.0]
 
 
 def test_residual_score():
@@ -438,6 +438,32 @@ def test_agaci_validation():
             AgAciState.from_gammas(0.1, gammas)
 
 
+@pytest.mark.parametrize("gammas", [[0.0], [0.01], [1e-4, 1e-3, 1e-2], [0.3, 0.0, 0.05, 1e-6]])
+def test_from_gammas_is_the_constructor_with_uniform_weights(gammas):
+    options = dict(eta=2.0, weight_floor=0.01, mode="fixed", infinite_cap_factor=3.0)
+    bank = AgAciState.from_gammas(0.2, gammas, **options)
+    k = len(gammas)
+    experts = tuple(AciState(0.2, g) for g in gammas)
+    assert bank == AgAciState(0.2, experts, (1.0 / k,) * k, **options)
+    assert bank.experts == experts and bank.alphas == (0.2,) * k
+
+
+@pytest.mark.parametrize("alpha, gammas, message", [
+    (0.1, [], "expert bank must contain at least one expert"),
+    (0.1, [0.01, -0.01], "step sizes must be distinct and non-negative, got (0.01, -0.01)"),
+    (0.1, [0.01, 0.01], "step sizes must be distinct and non-negative, got (0.01, 0.01)"),
+    (0.1, [0.01, math.inf], "step sizes must be finite, got (0.01, inf)"),
+    (0.1, [math.nan], "step sizes must be finite, got (nan,)"),
+    (0.0, [0.01], "nominal alpha must lie in (0, 1), got 0.0"),
+    (1.0, [0.01, 0.02], "nominal alpha must lie in (0, 1), got 1.0"),
+    (math.nan, [0.01], "nominal alpha must lie in (0, 1), got nan"),
+], ids=["empty", "negative", "repeated", "inf", "nan", "alpha-0", "alpha-1", "alpha-nan"])
+def test_from_gammas_messages(alpha, gammas, message):
+    with pytest.raises(ConfigError) as raised:
+        AgAciState.from_gammas(alpha, gammas)
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("bad, message", [
     ({"eta": math.nan}, "eta must be non-negative, got nan"),
     ({"infinite_cap_factor": math.nan}, "infinite cap factor must be positive, got nan"),
@@ -502,7 +528,7 @@ def test_agaci_identical_experts_stay_uniform_and_match_member():
     for _ in range(300):
         y, y_hat = rng.normal(), rng.normal(scale=0.5)
         agg, per_expert = agaci_step(bank, buf, y_hat)
-        assert agg.half_width == pytest.approx(per_expert[0].half_width, abs=1e-12)
+        assert agg.half_width == pytest.approx(per_expert[0], abs=1e-12)
         bank = agaci_update(bank, y, y_hat, per_expert)
         assert all(abs(w - 1 / 3) < 1e-12 for w in bank.weights)
         assert len({e.alpha_t for e in bank.experts}) == 1
@@ -569,9 +595,9 @@ def test_aggregate_caps_infinite_expert_bands():
         infinite_cap_factor=2.0,
     )
     agg, per_expert = agaci_step(bank, buf, 0.0)
-    assert per_expert[1].half_width == math.inf
+    assert per_expert[1] == math.inf
     # the infinite band enters the mean capped at max score * cap factor
-    assert agg.half_width == pytest.approx(0.5 * per_expert[0].half_width + 0.5 * 8.0)
+    assert agg.half_width == pytest.approx(0.5 * per_expert[0] + 0.5 * 8.0)
 
 
 def test_a_zero_weight_infinite_expert_stays_out_of_the_aggregate():
@@ -587,9 +613,9 @@ def test_a_zero_weight_infinite_expert_stays_out_of_the_aggregate():
         infinite_cap_factor=math.inf,
     )
     agg, per_expert = agaci_step(bank, buf, 0.0)
-    assert per_expert[1].half_width == math.inf
+    assert per_expert[1] == math.inf
     # the infinite cap would make the second term 0 * inf, which is NaN
-    assert agg.half_width == per_expert[0].half_width
+    assert agg.half_width == per_expert[0]
 
 
 def test_aggregate_with_all_experts_infinite_stays_infinite():

@@ -30,6 +30,13 @@ def test_chain_validation():
         MarkovChainSpec(transition=[[1.1, -0.1], [0.5, 0.5]], initial=[1.0, 0.0])
     with pytest.raises(ConfigError, match="probability vector"):
         MarkovChainSpec(transition=[[1.0, 0.0], [0.0, 1.0]], initial=[0.7, 0.7])
+    # NaN fails every comparison, so each check is written to reject it
+    for transition in ([[math.nan, 1.0], [0.5, 0.5]], [[1.0, 0.0], [math.nan, math.nan]]):
+        with pytest.raises(ConfigError, match="^transition probabilities must be non-negative$"):
+            MarkovChainSpec(transition=transition, initial=[1.0, 0.0])
+    for initial in ([math.nan, 1.0], [math.nan, math.nan]):
+        with pytest.raises(ConfigError, match="^initial distribution must be a probability"):
+            MarkovChainSpec(transition=[[0.5, 0.5], [0.5, 0.5]], initial=initial)
 
 
 def test_identity_chain_is_absorbing():
@@ -69,6 +76,8 @@ def test_regime_params_validation():
         ArRegime(intercept=0.0, coef=1.0, noise_std=0.1)
     with pytest.raises(ConfigError, match="non-negative"):
         ArRegime(intercept=0.0, coef=0.5, noise_std=-0.1)
+    with pytest.raises(ConfigError, match=r"^regime noise std must be non-negative, got nan$"):
+        ArRegime(intercept=0.0, coef=0.5, noise_std=math.nan)
 
 
 def test_switching_spec_validation():
@@ -79,6 +88,33 @@ def test_switching_spec_validation():
     for T in (10**20, 2**62):
         with pytest.raises(ConfigError, match=f"T = {T} is too large"):
             default_toy_spec(T=T)
+
+
+@pytest.mark.parametrize("make", [default_toy_spec, LorenzSpec], ids=["toy", "lorenz"])
+@pytest.mark.parametrize("key, value, message", [
+    ("T", math.nan, "T must be an integer, got nan"),
+    ("T", 2.5, "T must be an integer, got 2.5"),
+    ("T", 100.0, "T must be an integer, got 100.0"),
+    ("seed", math.nan, "seed must be an integer, got nan"),
+    ("seed", 2.5, "seed must be an integer, got 2.5"),
+    # values rejected before keep their messages
+    ("T", 0.5, "series length must be >= 1, got 0.5"),
+    ("seed", -1.5, "seed must be non-negative, got -1.5"),
+], ids=["T-nan", "T-2.5", "T-100.0", "seed-nan", "seed-2.5", "T-0.5", "seed-minus-1.5"])
+def test_spec_rejects_a_non_integer_length_or_seed(make, key, value, message):
+    with pytest.raises(ConfigError) as raised:
+        make(**{key: value})
+    assert str(raised.value) == message
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    toy = default_toy_spec(T=np.int64(50), seed=np.uint8(3))
+    lorenz = LorenzSpec(T=np.int64(50), subsample=np.int32(2), seed=np.uint8(3))
+    for spec in (toy, lorenz):
+        assert type(spec.T) is int and type(spec.seed) is int
+    assert type(lorenz.subsample) is int
+    series, _ = generate_toy(toy)
+    assert np.array_equal(series.values, generate_toy(default_toy_spec(T=50, seed=3))[0].values)
 
 
 def test_toy_deterministic_recursion():
@@ -237,6 +273,17 @@ def test_lorenz_spec_validation():
         LorenzSpec(subsample=0)
     with pytest.raises(ConfigError):
         LorenzSpec(obs_noise=-0.1)
+    # NaN fails every comparison; each check is written to reject it
+    for key, message in [
+        ("dt", "integrator step must be positive, got nan"),
+        ("obs_noise", "observation noise must be non-negative, got nan"),
+        ("subsample", "subsample must be an integer, got nan"),
+    ]:
+        with pytest.raises(ConfigError) as raised:
+            LorenzSpec(**{key: math.nan})
+        assert str(raised.value) == message
+    with pytest.raises(ConfigError, match="^subsample must be an integer, got 2.5$"):
+        LorenzSpec(subsample=2.5)
     for T in (10**20, 2**62):
         with pytest.raises(ConfigError, match=f"T = {T} is too large"):
             LorenzSpec(T=T)

@@ -74,6 +74,15 @@ def test_config_validation():
         RunConfig(dataset="toy", forecaster="persistence", forecaster_params={"order": 3})
     with pytest.raises(ConfigError, match="ar forecaster_params key 'order'"):
         RunConfig(dataset="toy", forecaster_params={"order": 2.5})
+    # and their values by the forecaster's own rules, before any data is read
+    with pytest.raises(ConfigError) as raised:
+        RunConfig(dataset="absent.csv", forecaster_params={"refit_every": 0})
+    assert str(raised.value) == "ar forecaster_params: refit interval must be >= 1, got 0"
+    with pytest.raises(ConfigError) as raised:
+        RunConfig(dataset="toy", forecaster="segmented_ar", forecaster_params={"drift": -1.0})
+    assert str(raised.value) == (
+        "segmented_ar forecaster_params: drift allowance must be non-negative, got -1.0"
+    )
     with pytest.raises(ConfigError):
         RunConfig(dataset="toy", method="conformal")
     with pytest.raises(ConfigError):
