@@ -73,27 +73,28 @@ def _write_run_outputs(out_dir: Path, result) -> None:
         evaluate.write_bands_csv(out_dir / f"{result.name}.bands.csv", result.columns)
 
 
+def _generate(payload):
+    """The series of a generator spec document and its regime path (None for lorenz)."""
+    spec = datagen.generator_spec_from_json(payload)
+    if isinstance(spec, datagen.SwitchingArSpec):
+        return datagen.generate_toy(spec)
+    return datagen.generate_lorenz(spec), None
+
+
 def cmd_generate(args) -> int:
     spec_arg = str(args.spec)
     if spec_arg in ("toy", "lorenz"):
-        spec = datagen.generator_spec_from_json({"kind": spec_arg})
-        name = spec_arg
-    else:
-        path = Path(spec_arg)
-        spec = _parse_json_file(path, datagen.generator_spec_from_json)
-        name = path.stem
+        (series, regimes), name = _generate({"kind": spec_arg}), spec_arg
+    else:  # a spec whose series overflows is named like one that fails to parse
+        (series, regimes), name = _parse_json_file(Path(spec_arg), _generate), Path(spec_arg).stem
     out_dir = _out_dir(args)
     series_path = out_dir / f"{name}.csv"
-    if isinstance(spec, datagen.SwitchingArSpec):
-        series, regimes = datagen.generate_toy(spec)
-        write_series_csv(series_path, series)
+    write_series_csv(series_path, series)
+    summary = f"generated {name}: T={len(series)}"
+    if regimes is not None:
         datagen.write_regimes_csv(out_dir / f"{name}.regimes.csv", regimes)
-        observed = int(np.unique(regimes).size)
-        print(f"generated {name}: T={len(series)} regimes={observed} -> {series_path}")
-    else:
-        series = datagen.generate_lorenz(spec)
-        write_series_csv(series_path, series)
-        print(f"generated {name}: T={len(series)} -> {series_path}")
+        summary += f" regimes={int(np.unique(regimes).size)}"
+    print(f"{summary} -> {series_path}")
     return EXIT_OK
 
 

@@ -6,6 +6,8 @@ residuals into prediction intervals, and (for the adaptive variants)
 steers the miscoverage level from observed hits and misses. Split
 conformal is an adaptive track with gamma = 0, and an adaptive track is
 a bank of one expert, so every banded method runs as an ``AgAciState``.
+``agaci_step`` and ``agaci_update`` are the one-step API; ``calibrate``
+walks a whole test window with the same arithmetic, on plain lists.
 
 States are immutable; every update returns a fresh state. That keeps
 replay and parallel evaluation trivially safe.
@@ -241,10 +243,7 @@ class AgAciState:
 
         For a single expert this is exactly that expert's level.
         """
-        weights, alphas = self.weights, self.alphas
-        if len(alphas) == 1:
-            return weights[0] * alphas[0] + 0.0  # the fsum of one term, see agaci_step
-        return math.fsum([w * a for w, a in zip(weights, alphas)])
+        return _effective_alpha(self.weights, self.alphas)
 
     @classmethod
     def from_gammas(
@@ -264,6 +263,69 @@ class AgAciState:
         )
 
 
+def _effective_alpha(weights: Sequence[float], alphas: Sequence[float]) -> float:
+    return math.fsum([w * a for w, a in zip(weights, alphas)])
+
+
+def _aggregate(
+    weights: Sequence[float], alphas: Sequence[float], buffer: ScoreBuffer, cap_factor: float
+) -> tuple[float, list[float]]:
+    """The bank's half-width at expert levels ``alphas``, and the experts'
+    own half-widths in expert order (see ``agaci_step``)."""
+    widths = [empirical_quantile(buffer, 1.0 - a) for a in alphas]
+    if min(widths) == math.inf:
+        return math.inf, widths
+    capped = widths
+    if math.inf in widths:
+        cap = buffer.max() * cap_factor
+        capped = [min(hw, cap) for hw in widths]
+    # a zero weight leaves its expert out, as 0 * inf would be NaN
+    return math.fsum([w * hw for w, hw in zip(weights, capped) if w]), widths
+
+
+def _advance(
+    alphas: Sequence[float], gammas: Sequence[float], alpha: float, y: float, center: float,
+    widths: Sequence[float],
+) -> list[float]:
+    """Each expert's next level against its band center +- widths[k]; err_k
+    is 0 exactly when PredictionInterval.covers(y) holds for that band."""
+    return [
+        a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0))
+        for a, g, hw in zip(alphas, gammas, widths)
+    ]
+
+
+def _reweigh(
+    weights: Sequence[float], widths: Sequence[float], score: float, tau: float, eta: float,
+    floor: float,
+) -> list[float]:
+    """Exponential reweighing by the pinball loss at ``tau`` of each width
+    against the realized score, mixed with uniform at the floor rate (see
+    ``agaci_update``)."""
+    raw = []
+    for w, hw in zip(weights, widths):
+        if hw == math.inf:
+            raw.append(0.0)
+            continue
+        diff = score - hw
+        raw.append(w * math.exp(-eta * (tau * diff if diff >= 0 else (tau - 1.0) * diff)))
+    k = len(raw)
+    total = math.fsum(raw)
+    base = [r / total for r in raw] if total > 0 else [1.0 / k] * k
+    return [(1.0 - floor) * b + floor / k for b in base]
+
+
+def _bank_with(
+    state: AgAciState, alphas: Sequence[float], weights: Sequence[float]
+) -> AgAciState:
+    """A copy of the bank with new levels and weights, without re-validation:
+    the levels need none, and the weights are non-negative and sum to 1 by
+    construction."""
+    new = _new(AgAciState)
+    new.__dict__.update(state.__dict__, alphas=tuple(alphas), weights=tuple(weights))
+    return new
+
+
 def agaci_step(
     state: AgAciState, buffer: ScoreBuffer, y_hat: float
 ) -> tuple[PredictionInterval, list[float]]:
@@ -279,35 +341,10 @@ def agaci_step(
     weight-average of the expert levels. Each expert's band is one index
     read of the sorted buffer.
     """
-    y_hat = float(y_hat)
     weights, alphas = state.weights, state.alphas
-    if len(alphas) == 1:
-        # The fsum of one term is that term, with -0.0 read as 0.0: w * x + 0.0.
-        # An infinite band stays infinite, as the weight is within 1e-9 of 1.
-        w, lv = weights[0], 1.0 - alphas[0]
-        hw = empirical_quantile(buffer, lv)
-        widths = [hw]
-        half_width, level = w * hw + 0.0, w * lv + 0.0
-    else:
-        levels = [1.0 - a for a in alphas]
-        widths = [empirical_quantile(buffer, lv) for lv in levels]
-        half_width = math.inf
-        if min(widths) < math.inf:
-            capped = widths
-            if math.inf in widths:
-                cap = buffer.max() * state.infinite_cap_factor
-                capped = [min(hw, cap) for hw in widths]
-            # a zero weight leaves its expert out, as 0 * inf would be NaN
-            half_width = math.fsum([w * hw for w, hw in zip(weights, capped) if w])
-        level = math.fsum([w * lv for w, lv in zip(weights, levels)])
-    # The interval is filled in without its constructor. Its half-width needs
-    # no check: it is an order statistic of scores checked non-negative on
-    # append, 0, inf, or a weighted mean of those with weights checked
-    # non-negative once per bank and kept so by agaci_update.
-    interval = _new(PredictionInterval)
-    fields = interval.__dict__
-    fields["y_hat"], fields["half_width"], fields["level"] = y_hat, half_width, level
-    return interval, widths
+    half_width, widths = _aggregate(weights, alphas, buffer, state.infinite_cap_factor)
+    level = math.fsum([w * (1.0 - a) for w, a in zip(weights, alphas)])
+    return PredictionInterval(float(y_hat), half_width, level), widths
 
 
 def agaci_update(
@@ -324,38 +361,57 @@ def agaci_update(
     lone expert's weight comes out of that as exactly 1.0 ((1 - floor) +
     floor rounds to 1), so a one-expert bank skips the reweighing.
     """
-    alphas = state.alphas
+    alphas, weights = state.alphas, state.weights
     k = len(half_widths)
     if k != len(alphas):
         raise ConfigError(f"got {k} intervals for {len(alphas)} experts")
     y, center, alpha = float(y), float(y_hat), state.alpha_nominal
-    # A copy of the bank without re-validation: the new levels need none, and
-    # the new weights are non-negative and sum to 1 by construction.
-    new = _new(AgAciState)
-    fields = new.__dict__
-    fields.update(state.__dict__)
-    # err_k is 0 exactly when PredictionInterval.covers(y) holds for expert k's band
-    if k == 1:
-        hw = half_widths[0]
-        err = 0.0 if center - hw <= y <= center + hw else 1.0
-        fields["alphas"] = (alphas[0] + state.gammas[0] * (alpha - err),)
-        return new
-    fields["alphas"] = tuple([
-        a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0))
-        for a, g, hw in zip(alphas, state.gammas, half_widths)
-    ])
-    if state.mode == "ewa" and state.eta > 0:
-        score = residual_score(y, y_hat)
-        tau, eta = 1.0 - alpha, state.eta
-        raw = []
-        for w, hw in zip(state.weights, half_widths):
-            if hw == math.inf:
-                raw.append(0.0)
-                continue
-            diff = score - hw  # pinball loss at tau of the band against the score
-            raw.append(w * math.exp(-eta * (tau * diff if diff >= 0 else (tau - 1.0) * diff)))
-        total = math.fsum(raw)
-        base = [r / total for r in raw] if total > 0 else [1.0 / k] * k
-        floor = state.weight_floor
-        fields["weights"] = tuple([(1.0 - floor) * b + floor / k for b in base])
-    return new
+    new_alphas = _advance(alphas, state.gammas, alpha, y, center, half_widths)
+    if k > 1 and state.mode == "ewa" and state.eta > 0:
+        weights = _reweigh(
+            weights, half_widths, residual_score(y, y_hat), 1.0 - alpha, state.eta,
+            state.weight_floor,
+        )
+    return _bank_with(state, new_alphas, weights)
+
+
+def calibrate(
+    bank: AgAciState, buffer: ScoreBuffer, z_run: Sequence[float], y_hat_run: Sequence[float],
+    rolling: bool,
+) -> tuple[list[float], list[float], AgAciState]:
+    """Walk a test window: per step, ``agaci_step`` at the forecast,
+    ``agaci_update`` on the observation and, if ``rolling``, ``buffer.append``
+    of the step's score, with the same arithmetic on plain lists.
+
+    ``z_run`` and ``y_hat_run`` hold the observations and forecasts as
+    Python floats. Returns the aggregate half-width and the effective level
+    ``alpha_t`` of each step's band, and the bank after the last step.
+    """
+    alpha, gammas = bank.alpha_nominal, bank.gammas
+    alphas, weights = list(bank.alphas), list(bank.weights)
+    quantile, append = empirical_quantile, buffer.append
+    half_widths, levels = [], []
+    if len(alphas) == 1:
+        (w,), (a,), (g,) = weights, alphas, gammas
+        for y, f in zip(z_run, y_hat_run):
+            # the fsum of one term is that term, with -0.0 read as 0.0: w * x + 0.0
+            levels.append(w * a + 0.0)
+            hw = quantile(buffer, 1.0 - a)
+            half_widths.append(w * hw + 0.0)
+            a += g * (alpha - (0.0 if f - hw <= y <= f + hw else 1.0))
+            if rolling:
+                append(abs(y - f))
+        alphas = [a]
+    else:
+        cap_factor, eta, floor = bank.infinite_cap_factor, bank.eta, bank.weight_floor
+        tau, reweigh = 1.0 - alpha, bank.mode == "ewa" and eta > 0
+        for y, f in zip(z_run, y_hat_run):
+            levels.append(_effective_alpha(weights, alphas))
+            half_width, widths = _aggregate(weights, alphas, buffer, cap_factor)
+            half_widths.append(half_width)
+            alphas = _advance(alphas, gammas, alpha, y, f, widths)
+            if reweigh:
+                weights = _reweigh(weights, widths, abs(y - f), tau, eta, floor)
+            if rolling:
+                append(abs(y - f))
+    return half_widths, levels, _bank_with(bank, alphas, weights)

@@ -138,6 +138,9 @@ class ArRegime:
             )
         if not self.noise_std >= 0:  # also true for NaN
             raise ConfigError(f"regime noise std must be non-negative, got {self.noise_std}")
+        for name in ("intercept", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"regime {name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +239,7 @@ class LorenzSpec:
             raise ConfigError(f"observation noise must be non-negative, got {self.obs_noise}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for name in ("sigma", "rho", "beta", "x0", "y0", "z0"):
+        for name in ("sigma", "rho", "beta", "x0", "y0", "z0", "obs_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         check_integer_fields(self, ("T", "subsample", "seed"))
@@ -289,7 +292,9 @@ def generate_lorenz(spec: LorenzSpec) -> TimeSeries:
         out.append(x)
     out = np.array(out)
     if spec.obs_noise > 0:
-        out = out + spec.obs_noise * np.random.default_rng(spec.seed).standard_normal(spec.T)
+        noise = np.random.default_rng(spec.seed).standard_normal(spec.T)
+        with np.errstate(over="ignore"):  # TimeSeries names the first overflowed value
+            out = out + spec.obs_noise * noise
     return TimeSeries(values=out)
 
 

@@ -353,32 +353,6 @@ def _calibrate(
 ) -> RunReport:
     """The calibration pass of one run on the output of its forecast pass."""
     n_seed = split.cal_end - split.train_end
-
-    # Calibration pass. Split conformal is ACI with gamma = 0, and ACI is a
-    # bank of one expert. y and f are Python floats, so abs(y - f) is
-    # conformal.residual_score.
-    z_run, y_hat_run = z[split.train_end : split.test_end].tolist(), y_hat.tolist()
-    buffer = conformal.ScoreBuffer(capacity=n_seed)
-    for y, f in zip(z_run[:n_seed], y_hat_run[:n_seed]):
-        buffer.append(abs(y - f))
-    gammas = {"split": (0.0,), "aci": (config.gamma,)}.get(config.method, config.gamma_grid)
-    bank = None
-    if config.method != "none":
-        bank = conformal.AgAciState.from_gammas(
-            config.alpha, gammas, eta=config.eta, weight_floor=config.weight_floor,
-            mode=config.aggregation, infinite_cap_factor=config.cap_factor,
-        )
-    rolling = config.buffer_mode == "rolling"
-    half_widths, alphas = [], []
-    for y, f in zip(z_run[n_seed:], y_hat_run[n_seed:]):
-        if bank is not None:
-            alphas.append(bank.alpha_t)
-            interval, per_expert = conformal.agaci_step(bank, buffer, f)
-            bank = conformal.agaci_update(bank, y, f, per_expert)
-            half_widths.append(interval.half_width)
-        if rolling:
-            buffer.append(abs(y - f))
-
     # The same IEEE multiply-add per element as a scalar inverse_transform.
     y_hat_test, z_test = y_hat[n_seed:], z[split.cal_end : split.test_end]
     columns = {
@@ -387,7 +361,23 @@ def _calibrate(
         "y_hat": scaler.inverse_transform(y_hat_test),
         "lower": None, "upper": None, "alpha_t": None, "covered": None,
     }
-    if bank is not None:
+    bank = None
+    if config.method != "none":
+        # Split conformal is ACI with gamma = 0, and ACI is a bank of one
+        # expert. y and f are Python floats, so abs(y - f) is
+        # conformal.residual_score.
+        z_run, y_hat_run = z[split.train_end : split.test_end].tolist(), y_hat.tolist()
+        buffer = conformal.ScoreBuffer(capacity=n_seed)
+        for y, f in zip(z_run[:n_seed], y_hat_run[:n_seed]):
+            buffer.append(abs(y - f))
+        gammas = {"split": (0.0,), "aci": (config.gamma,)}.get(config.method, config.gamma_grid)
+        bank = conformal.AgAciState.from_gammas(
+            config.alpha, gammas, eta=config.eta, weight_floor=config.weight_floor,
+            mode=config.aggregation, infinite_cap_factor=config.cap_factor,
+        )
+        half_widths, alphas, bank = conformal.calibrate(
+            bank, buffer, z_run[n_seed:], y_hat_run[n_seed:], config.buffer_mode == "rolling"
+        )
         lower, upper = y_hat_test - half_widths, y_hat_test + half_widths
         with np.errstate(over="ignore"):  # overflow to inf, as on Python floats
             columns.update(

@@ -69,6 +69,25 @@ def test_generate_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "lorenz", "T": 20, "obs_noise": 1e308},
+    {"kind": "toy", "T": 50, "regimes": [
+        {"intercept": 1e308, "coef": 0.5, "noise_std": 0.1},
+        {"intercept": 0.0, "coef": 0.5, "noise_std": 0.1},
+    ]},
+], ids=["lorenz-obs_noise", "toy-intercept"])
+def test_generate_a_finite_spec_whose_series_overflows_names_the_file(tmp_path, capsys, spec):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: series contains a non-finite value at position ")
+    assert not (tmp_path / "out" / "huge.csv").exists()
+
+
 def test_run_writes_outputs_and_prints_metrics(tmp_path, series_csv, capsys):
     config = write_config(tmp_path, dataset=str(series_csv))
     out_dir = tmp_path / "runs"

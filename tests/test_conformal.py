@@ -3,7 +3,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftband.conformal import (
@@ -15,6 +15,7 @@ from driftband.conformal import (
     aci_update,
     agaci_step,
     agaci_update,
+    calibrate,
     empirical_quantile,
     residual_score,
 )
@@ -79,9 +80,10 @@ def oracle_agaci_step(state, buffer, y_hat):
     half_width = math.inf
     if not all(math.isinf(w) for w in widths):
         if any(math.isinf(w) for w in widths):
-            cap = max(buffer.values()) * state.infinite_cap_factor
+            cap = float(max(buffer.values())) * state.infinite_cap_factor
             widths = [min(w, cap) for w in widths]
-        half_width = math.fsum(w * hw for w, hw in zip(state.weights, widths))
+        # a zero-weight expert is left out, as an infinite cap would make 0 * inf
+        half_width = math.fsum(w * hw for w, hw in zip(state.weights, widths) if w)
     level = math.fsum(w * iv.level for w, iv in zip(state.weights, per_expert))
     return PredictionInterval(y_hat=float(y_hat), half_width=half_width, level=level), per_expert
 
@@ -182,6 +184,81 @@ def test_flat_kernel_matches_the_object_oracle_bit_for_bit(
         assert bits(solo.alpha_t) == bits(solo_oracle.alpha_t)
         if rolling:
             buf.append(residual_score(y, y_hat))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    experts=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 1e-4, 1e-2, 0.05, 0.3]) | st.floats(0, 0.5),
+            st.sampled_from([0.1, -0.3, 0.0, 0.95, 1.0, 1.4]) | st.floats(-0.5, 1.5),
+        ),
+        min_size=1, max_size=6,
+    ),
+    raw_weights=st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=6, max_size=6),
+    eta=st.sampled_from([0.0, 0.5, 1.0, 5.0, 60.0]),
+    floor=st.sampled_from([0.0, 0.0, 1e-6, 0.2]),
+    mode=st.sampled_from(["ewa", "fixed"]),
+    cap=st.sampled_from([0.5, 2.0, 1e306, math.inf]) | st.floats(0.5, 10),
+    seed_scores=st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5]), min_size=1, max_size=12),
+    capacity=st.integers(1, 12),
+    rolling=st.booleans(),
+    steps=st.lists(st.tuples(STEP_VALUES, STEP_VALUES), min_size=1, max_size=40),
+)
+@example(  # y = y_hat + hw is covered, though abs(y - y_hat) > hw after rounding
+    experts=[(0.01, 0.6)], raw_weights=[1.0] * 6, eta=1.0, floor=1e-6, mode="ewa", cap=2.0,
+    seed_scores=[0.2], capacity=1, rolling=False, steps=[(0.1 + 0.2, 0.1)] * 3,
+)
+@example(  # the same for each expert of a bank
+    experts=[(0.01, 0.6), (0.0, 0.1)], raw_weights=[1.0] * 6, eta=1.0, floor=1e-6, mode="ewa",
+    cap=2.0, seed_scores=[0.2], capacity=1, rolling=False, steps=[(0.1 + 0.2, 0.1)] * 3,
+)
+@example(  # a weightless expert's infinite band, capped at inf, stays out of the mean
+    experts=[(0.01, 0.5), (0.3, -0.2), (0.0, 0.1)], raw_weights=[1.0, 0.0, 3.0, 1.0, 1.0, 1.0],
+    eta=5.0, floor=0.0, mode="ewa", cap=math.inf, seed_scores=[1.0, 2.5, 0.25], capacity=3,
+    rolling=True, steps=[(0.0, 0.0), (2.0, 0.0), (-1.0, 0.5), (0.0, 3.0)] * 3,
+)
+def test_calibrate_matches_the_step_loop_and_the_object_oracle_bit_for_bit(
+    experts, raw_weights, eta, floor, mode, cap, seed_scores, capacity, rolling, steps
+):
+    """``calibrate`` over a window is the loop of agaci_step, agaci_update
+    and (rolling) ScoreBuffer.append, and both are the object oracle. Buffers
+    shorter than the window evict; levels outside (0, 1) give infinite and
+    zero-width bands; zero weights, given or reweighed to, meet infinite caps."""
+    k = len(experts)
+    total = math.fsum(raw_weights[:k])
+    assume(total > 0)
+    weights = tuple(w / total for w in raw_weights[:k])
+    states = tuple(AciState(alpha_nominal=0.1, gamma=g, alpha_t=a) for g, a in experts)
+    options = dict(eta=eta, weight_floor=floor, mode=mode, infinite_cap_factor=cap)
+    bank = AgAciState(alpha_nominal=0.1, experts=states, weights=weights, **options)
+    oracle = OracleBank(alpha_nominal=0.1, experts=states, weights=weights, **options)
+    ys, y_hats = [float(y) for y, _ in steps], [float(f) for _, f in steps]
+    buf = ScoreBuffer(capacity, seed_scores)
+    got_widths, got_levels, got_bank = calibrate(bank, buf, ys, y_hats, rolling)
+
+    step_buf, oracle_buf = ScoreBuffer(capacity, seed_scores), ScoreBuffer(capacity, seed_scores)
+    widths, levels, oracle_widths, oracle_levels = [], [], [], []
+    for y, y_hat in zip(ys, y_hats):
+        levels.append(bank.alpha_t)
+        interval, per_expert = agaci_step(bank, step_buf, y_hat)
+        widths.append(interval.half_width)
+        bank = agaci_update(bank, y, y_hat, per_expert)
+        oracle_levels.append(oracle.alpha_t)
+        interval, per_expert = oracle_agaci_step(oracle, oracle_buf, y_hat)
+        oracle_widths.append(interval.half_width)
+        oracle = oracle_agaci_update(oracle, y, y_hat, per_expert)
+        if rolling:
+            step_buf.append(residual_score(y, y_hat))
+            oracle_buf.append(residual_score(y, y_hat))
+    assert bits(*got_widths) == bits(*widths) == bits(*oracle_widths)
+    assert bits(*got_levels) == bits(*levels) == bits(*oracle_levels)
+    assert bits(*got_bank.alphas) == bits(*bank.alphas) == bits(
+        *(e.alpha_t for e in oracle.experts)
+    )
+    assert bits(*got_bank.weights) == bits(*bank.weights) == bits(*oracle.weights)
+    assert got_bank == bank
+    assert bits(*buf.values()) == bits(*step_buf.values())
 
 
 @pytest.mark.parametrize("weight", [1.0, 1 - 1e-10])

@@ -78,6 +78,12 @@ def test_regime_params_validation():
         ArRegime(intercept=0.0, coef=0.5, noise_std=-0.1)
     with pytest.raises(ConfigError, match=r"^regime noise std must be non-negative, got nan$"):
         ArRegime(intercept=0.0, coef=0.5, noise_std=math.nan)
+    # a non-finite scale can only make a non-finite series
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match=f"^regime intercept must be finite, got {bad}$"):
+            ArRegime(intercept=bad, coef=0.5, noise_std=0.1)
+    with pytest.raises(ConfigError, match="^regime noise_std must be finite, got inf$"):
+        ArRegime(intercept=0.0, coef=0.5, noise_std=math.inf)
 
 
 def test_switching_spec_validation():
@@ -284,6 +290,8 @@ def test_lorenz_spec_validation():
         assert str(raised.value) == message
     with pytest.raises(ConfigError, match="^subsample must be an integer, got 2.5$"):
         LorenzSpec(subsample=2.5)
+    with pytest.raises(ConfigError, match="^obs_noise must be finite$"):
+        LorenzSpec(obs_noise=math.inf)
     for T in (10**20, 2**62):
         with pytest.raises(ConfigError, match=f"T = {T} is too large"):
             LorenzSpec(T=T)

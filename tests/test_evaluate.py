@@ -293,13 +293,15 @@ def test_agaci_effective_alpha_recorded():
     assert 0.0 < np.median(alpha_t) < 0.3
 
 
-@pytest.mark.parametrize("method", ["split", "aci", "agaci"])
+@pytest.mark.parametrize("method", ["split", "aci", "agaci", "none"])
 @pytest.mark.parametrize("buffer_mode", ["rolling", "frozen"])
 def test_run_loop_calls_step_update_and_append_per_step(monkeypatch, method, buffer_mode):
-    """The calls an external tracer times by patching these attributes: one
-    band and one update per test step, and one append per seeding step plus,
-    when the buffer rolls, one per test step."""
-    calls = {"step": 0, "update": 0, "append": 0}
+    """The calls an external tracer times by patching these attributes: a
+    banded run walks its test window in one ``calibrate`` call, which reads
+    one quantile per expert per test step; the buffer gets one append per
+    seeding step plus, when it rolls, one per test step. An unbanded run
+    fills no buffer."""
+    calls = {"calibrate": 0, "quantile": 0, "append": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -308,8 +310,10 @@ def test_run_loop_calls_step_update_and_append_per_step(monkeypatch, method, buf
 
         return wrapper
 
-    monkeypatch.setattr(conformal, "agaci_step", counting("step", conformal.agaci_step))
-    monkeypatch.setattr(conformal, "agaci_update", counting("update", conformal.agaci_update))
+    monkeypatch.setattr(conformal, "calibrate", counting("calibrate", conformal.calibrate))
+    monkeypatch.setattr(
+        conformal, "empirical_quantile", counting("quantile", conformal.empirical_quantile)
+    )
     monkeypatch.setattr(
         conformal.ScoreBuffer, "append", counting("append", conformal.ScoreBuffer.append)
     )
@@ -319,7 +323,12 @@ def test_run_loop_calls_step_update_and_append_per_step(monkeypatch, method, buf
     split = SplitSpec.from_fractions(3000, config.split)
     seeding = split.cal_end - split.train_end
     assert report.n_steps == split.test_end - split.cal_end
-    assert calls["step"] == calls["update"] == report.n_steps
+    if method == "none":
+        assert calls == {"calibrate": 0, "quantile": 0, "append": 0}
+        return
+    experts = len(config.gamma_grid) if method == "agaci" else 1
+    assert calls["calibrate"] == 1
+    assert calls["quantile"] == experts * report.n_steps
     assert calls["append"] == seeding + (report.n_steps if buffer_mode == "rolling" else 0)
 
 

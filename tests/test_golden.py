@@ -84,3 +84,43 @@ def test_a_grid_of_the_run_configs_reproduces_their_pinned_outputs(tmp_path, cap
     assert main(["run", "--config", *configs, "--jobs", str(jobs), "--out", str(out)]) == 0
     for method in methods:
         assert _digests(out, f"toy-persistence-{method}") == PINNED_SHA256["run", method]
+
+
+
+# SHA-256 of (bands CSV, metrics JSON) of more toy seed 3 persistence runs,
+# each named after its key. Two are six-expert AgACI banks: the 0.5 step
+# drives its expert's level below 0, so a quarter of the steps cap an
+# infinite expert band, once with a frozen buffer and fixed weights and once
+# with sharp reweighing and no weight floor, where an infinite band's zero
+# factor leaves its expert weightless. The unbanded run fills no buffer.
+SIX_EXPERT_GRID = [0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.5]
+PINNED_CASE_SHA256 = {
+    "frozen-fixed": (
+        {"method": "agaci", "gamma_grid": SIX_EXPERT_GRID, "buffer_mode": "frozen",
+         "aggregation": "fixed"},
+        ("8a55e987920d9edaaa5231418c0d5a2bb510a9062eb0bb25974af0c913aa2f75",
+         "76c800f85a9087b3081e37fd0f7cf287dc750ca2f430db01fb3f0b8ad8d1348b"),
+    ),
+    "eta5-floor0": (
+        {"method": "agaci", "gamma_grid": SIX_EXPERT_GRID, "eta": 5.0, "weight_floor": 0.0},
+        ("c807b5ff24195d7ec0cdd20c85c9105225c40d878a50d18e52ac85846d6e54da",
+         "0d58b46e5bfa102ab3d59aa579ff96365f32ed448c1252b3354f98fbd77d2b73"),
+    ),
+    "none": (
+        {"method": "none"},
+        ("eb1b2f4dfb162b83b38b9f3389070a3aaf185d4fdb021bc694a57cf2c7faca82",
+         "910ed12be52e898c1657f3e7319e7f92b1ad0fa6a0001e5d4a3fa640603a4c90"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASE_SHA256))
+def test_more_run_options_are_byte_pinned(tmp_path, capsys, name):
+    options, digests = PINNED_CASE_SHA256[name]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        {"dataset": "toy", "forecaster": "persistence", "seed": 3, "name": name, **options}
+    ))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert _digests(out, name) == digests
