@@ -16,7 +16,7 @@ import numpy as np
 
 from . import datagen, evaluate
 from .errors import AlignmentError, ConfigError, NumericError
-from .fileio import atomic_write_text, read_json
+from .fileio import atomic_write_text, read_json, shared_cells
 from .forecasters import ExternalForecastTrace
 from .forecasters import ReplayForecaster  # noqa: F401 - perfbench/tracing.py patches it
 from .series import load_series_csv, write_series_csv
@@ -29,12 +29,13 @@ EXIT_ALIGNMENT = 5
 
 
 def _parse_json_file(path: Path, parse):
-    """``parse`` applied to a JSON file's content; its ConfigError names the file."""
+    """``parse`` applied to a JSON file's content; its ConfigError or
+    NumericError names the file."""
     payload = read_json(path)
     try:
         return parse(payload)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except (ConfigError, NumericError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _out_dir(args, config_out: str | None = None) -> Path:
@@ -67,10 +68,10 @@ def _print_run_line(result, prefix: str = "") -> None:
     print(prefix + " ".join(parts))
 
 
-def _write_run_outputs(out_dir: Path, result) -> None:
+def _write_run_outputs(out_dir: Path, result, shared: dict | None = None) -> None:
     evaluate.write_metrics_json(out_dir / f"{result.name}.metrics.json", result)
     if isinstance(result, evaluate.RunReport):
-        evaluate.write_bands_csv(out_dir / f"{result.name}.bands.csv", result.columns)
+        evaluate.write_bands_csv(out_dir / f"{result.name}.bands.csv", result.columns, shared)
 
 
 def _generate(payload):
@@ -85,7 +86,7 @@ def cmd_generate(args) -> int:
     spec_arg = str(args.spec)
     if spec_arg in ("toy", "lorenz"):
         (series, regimes), name = _generate({"kind": spec_arg}), spec_arg
-    else:  # a spec whose series overflows is named like one that fails to parse
+    else:  # a spec whose series overflows or blows up is named like one that fails to parse
         (series, regimes), name = _parse_json_file(Path(spec_arg), _generate), Path(spec_arg).stem
     out_dir = _out_dir(args)
     series_path = out_dir / f"{name}.csv"
@@ -118,8 +119,10 @@ def cmd_run(args) -> int:
         _print_run_line(report)
         return EXIT_OK
     results = evaluate.grid_run(configs, jobs=args.jobs)
+    # the cells of a forecast key share arrays; format each of them once
+    shared = shared_cells(r.columns.values() for r in results if isinstance(r, evaluate.RunReport))
     for result in results:
-        _write_run_outputs(out_dir, result)
+        _write_run_outputs(out_dir, result, shared)
         _print_run_line(result, prefix=f"{result.name}: ")
     return EXIT_OK
 

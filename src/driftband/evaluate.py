@@ -195,6 +195,8 @@ class RunReport:
     ``alpha_t`` (the working miscoverage level the band was formed at:
     nominal for split, the weighted effective level for aggregated runs)
     and ``covered``. A run without bands has None for the band columns.
+    The arrays are read-only: the cells of one grid forecast key share
+    their ``index``, ``y`` and ``y_hat`` arrays.
     """
 
     config: RunConfig
@@ -206,6 +208,15 @@ class RunReport:
     n_steps: int
     alpha_final: float | None
     columns: dict[str, np.ndarray | None]
+
+    def __post_init__(self) -> None:
+        for column in self.columns.values():
+            if column is not None:
+                column.setflags(write=False)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()  # an unpickled array is writable again
 
     @property
     def name(self) -> str:
@@ -288,10 +299,11 @@ def _native_forecast(config: RunConfig) -> Forecast:
 
 def _forecast_pass(
     config: RunConfig, series: TimeSeries, forecast: Forecast
-) -> tuple[TimeSeries, SplitSpec, StandardScaler, np.ndarray, np.ndarray]:
+) -> tuple[SplitSpec, StandardScaler, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Split and scale ``series``, then run ``forecast`` over [train_end,
     test_end) and check its column. Returns what calibration reads: the
-    series, the split, the scaler, the standardized series ``z`` and the column."""
+    split, the scaler, the standardized series ``z``, the column and the
+    ``index``, ``y`` and ``y_hat`` report columns of the test window."""
     split = SplitSpec.from_fractions(len(series), config.split)
     try:
         scaler = fit_scaler(series.values, 0, split.train_end)
@@ -326,7 +338,12 @@ def _forecast_pass(
     # last: the native pass stops after its first non-finite forecast
     if y_hat.size < n_run:
         raise shape_error
-    return series, split, scaler, z, y_hat
+    return split, scaler, z, y_hat, {
+        "index": np.arange(split.cal_end, split.test_end) + series.start_index,
+        "y": series.values[split.cal_end : split.test_end],
+        # The same IEEE multiply-add per element as a scalar inverse_transform.
+        "y_hat": scaler.inverse_transform(y_hat[n_seed:]),
+    }
 
 
 def run_rolling(
@@ -348,19 +365,14 @@ def run_rolling(
 
 
 def _calibrate(
-    config: RunConfig, series: TimeSeries, split: SplitSpec, scaler: StandardScaler,
-    z: np.ndarray, y_hat: np.ndarray,
+    config: RunConfig, split: SplitSpec, scaler: StandardScaler, z: np.ndarray,
+    y_hat: np.ndarray, test_columns: dict[str, np.ndarray],
 ) -> RunReport:
-    """The calibration pass of one run on the output of its forecast pass."""
+    """The calibration pass of one run on the output of its forecast pass;
+    the report holds the pass's own ``test_columns`` arrays."""
     n_seed = split.cal_end - split.train_end
-    # The same IEEE multiply-add per element as a scalar inverse_transform.
     y_hat_test, z_test = y_hat[n_seed:], z[split.cal_end : split.test_end]
-    columns = {
-        "index": np.arange(split.cal_end, split.test_end) + series.start_index,
-        "y": series.values[split.cal_end : split.test_end],
-        "y_hat": scaler.inverse_transform(y_hat_test),
-        "lower": None, "upper": None, "alpha_t": None, "covered": None,
-    }
+    columns = {**test_columns, "lower": None, "upper": None, "alpha_t": None, "covered": None}
     bank = None
     if config.method != "none":
         # Split conformal is ACI with gamma = 0, and ACI is a bank of one
@@ -414,12 +426,17 @@ def _forecast_key(config: RunConfig) -> tuple:
     return (config.dataset, config.seed, config.forecaster, params, config.lag, config.split)
 
 
-def _run_key(configs: Sequence[RunConfig]) -> list[RunReport | RunFailure]:
-    """The cells of one forecast key: one forecast pass, then the calibration
-    of each cell in order. A failed pass is reported for every cell, as
-    every input of the pass is in the key."""
+def _run_key(
+    configs: Sequence[RunConfig], series: TimeSeries | Exception
+) -> list[RunReport | RunFailure]:
+    """The cells of one forecast key on its series: one forecast pass, then
+    the calibration of each cell in order. A failed load (``series`` is
+    then its exception) or pass is reported for every cell, as every input
+    of the pass is in the key."""
+    if isinstance(series, Exception):
+        return [_failure(config, series) for config in configs]
     try:
-        made = _forecast_pass(configs[0], load_dataset(configs[0]), _native_forecast(configs[0]))
+        made = _forecast_pass(configs[0], series, _native_forecast(configs[0]))
     except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
         return [_failure(config, exc) for config in configs]
     results = []
@@ -434,14 +451,15 @@ def _run_key(configs: Sequence[RunConfig]) -> list[RunReport | RunFailure]:
 def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | RunFailure]:
     """Run many configs independently; failures become RunFailure cells.
 
-    Cells are grouped by forecast key (dataset, seed, forecaster, its
-    params, lag and split), and each key is one task under every ``jobs``:
-    it loads the series once, runs one forecast pass and calibrates each of
-    its cells on it. A pass that fails runs once, and its failure is
-    reported for every cell of its key. With ``jobs > 1`` and more than one
-    key, the keys run in a process pool of min(jobs, keys) workers; a dead
-    worker fails every cell of each key not returned yet as
-    ``BrokenProcessPool``.
+    Each distinct series is loaded once, before any cell runs. Cells are
+    grouped by forecast key (dataset, seed, forecaster, its params, lag and
+    split), and each key is one task under every ``jobs``: it runs one
+    forecast pass on its series and calibrates each of its cells on it, and
+    its reports share one ``index``, ``y`` and ``y_hat`` array each. A load
+    or pass that fails runs once, and its failure is reported for every cell
+    it feeds. With ``jobs > 1`` and more than one key, the keys run in a
+    process pool of min(jobs, keys) workers; a dead worker fails every cell
+    of each key not returned yet as ``BrokenProcessPool``.
     """
     if not configs:
         raise ConfigError("grid needs at least one config")
@@ -451,11 +469,22 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     for i, config in enumerate(configs):
         groups.setdefault(_forecast_key(config), []).append(i)
     keys = [[configs[i] for i in idx] for idx in groups.values()]
+    loaded: dict[tuple, TimeSeries | Exception] = {}
+    tasks = []
+    for key in keys:
+        # the fields load_dataset reads: only the builtin generators take the seed
+        source = key[0].dataset, key[0].seed if key[0].dataset in ("toy", "lorenz") else None
+        if source not in loaded:
+            try:
+                loaded[source] = load_dataset(key[0])
+            except Exception as exc:  # noqa: BLE001 - reported for every cell of the series
+                loaded[source] = exc
+        tasks.append((key, loaded[source]))
     if jobs == 1 or len(keys) == 1:
-        done = map(_run_key, keys)
+        done = [_run_key(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
-            futures = [pool.submit(_run_key, key) for key in keys]
+            futures = [pool.submit(_run_key, *task) for task in tasks]
             done = []
             for key, future in zip(keys, futures):
                 try:
@@ -532,10 +561,15 @@ def load_metrics_json(path: str | Path) -> dict:
     return payload
 
 
-def write_bands_csv(path: str | Path, columns: dict[str, np.ndarray | None]) -> None:
+def write_bands_csv(
+    path: str | Path, columns: dict[str, np.ndarray | None],
+    shared: dict[int, list] | None = None,
+) -> None:
     """Per-step band table in original units, one row per test step; an
-    unbanded run's band columns are empty cells."""
-    atomic_write_text(path, format_csv(BANDS_CSV_HEADER, [columns[k] for k in BANDS_CSV_HEADER]))
+    unbanded run's band columns are empty cells. ``shared`` is a
+    ``fileio.shared_cells`` table of the columns other band tables hold too."""
+    table = [columns[k] for k in BANDS_CSV_HEADER]
+    atomic_write_text(path, format_csv(BANDS_CSV_HEADER, table, shared))
 
 
 def comparison_rows(payloads: Sequence[dict]) -> list[dict]:

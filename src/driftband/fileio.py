@@ -128,12 +128,43 @@ def _column_cells(column, rows: int) -> Iterable[str]:
     return map(_csv_field, column)
 
 
-def format_csv(header: Sequence[str], columns: Sequence[Sequence | None]) -> str:
+def shared_cells(tables: Iterable[Iterable]) -> dict[int, list]:
+    """A table for ``format_csv`` of the column arrays that more than one
+    of ``tables`` (each an iterable of columns) holds: by id, the array,
+    its number of uses left and, from its first use, its formatted cells.
+    Each entry holds its array, so no other array can take its id."""
+    held: dict[int, list] = {}
+    for table in tables:
+        for column in table:
+            if isinstance(column, np.ndarray):
+                held.setdefault(id(column), [column, 0, None])[1] += 1
+    return {key: entry for key, entry in held.items() if entry[1] > 1}
+
+
+def _cells_once(column, rows: int, shared: dict[int, list]) -> Iterable[str]:
+    """``_column_cells``, formatted once for a column of ``shared`` and
+    dropped from it at its last use."""
+    entry = shared.get(id(column))
+    if entry is None:
+        return _column_cells(column, rows)
+    if entry[2] is None:
+        entry[2] = list(_column_cells(column, rows))
+    entry[1] -= 1
+    if not entry[1]:
+        del shared[id(column)]
+    return entry[2]
+
+
+def format_csv(
+    header: Sequence[str], columns: Sequence[Sequence | None],
+    shared: dict[int, list] | None = None,
+) -> str:
     """CSV text of a header and its columns, one per header name: a None
     column is empty cells, booleans are 1/0 and floats their shortest
-    round-trip decimal. Columns of unequal length are a ValueError."""
+    round-trip decimal. Columns of unequal length are a ValueError. A
+    column in ``shared`` (a ``shared_cells`` table) reuses its cells."""
     rows = max((len(c) for c in columns if c is not None), default=0)
-    cells = [_column_cells(c, rows) for c in columns]
+    cells = [_cells_once(c, rows, shared or {}) for c in columns]
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*cells, strict=True)))
     return "\n".join(lines) + "\n"

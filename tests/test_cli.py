@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftband import cli, evaluate
 from driftband.cli import main
 from driftband.datagen import default_toy_spec, generate_toy
 from driftband.series import TimeSeries, load_series_csv, write_series_csv
@@ -86,6 +87,16 @@ def test_generate_a_finite_spec_whose_series_overflows_names_the_file(tmp_path, 
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {path}: series contains a non-finite value at position ")
     assert not (tmp_path / "out" / "huge.csv").exists()
+
+
+def test_generate_a_spec_whose_integration_blows_up_exits_4_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps({"kind": "lorenz", "T": 50, "dt": 0.5}))
+    assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {path}: integration blew up at step 5 (dt = 0.5 is too coarse)\n"
+    )
+    assert not (tmp_path / "out" / "coarse.csv").exists()
 
 
 def test_run_writes_outputs_and_prints_metrics(tmp_path, series_csv, capsys):
@@ -661,3 +672,84 @@ def test_jobs_below_1_exit_2_for_every_run(tmp_path, capsys, n_configs, jobs):
     argv = ["run", "--config", *configs, "--jobs", jobs, "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
+def grid_configs(tmp_path):
+    """Config files of a mixed grid, forecaster-major: two toy seeds of every
+    method, a frozen-buffer cell and a key whose forecast pass fails."""
+    rng = np.random.default_rng(0)
+    flat = tmp_path / "flat-tail.csv"  # segmented_ar's CUSUM warm-up is constant
+    write_series_csv(flat, TimeSeries(values=np.concatenate([rng.normal(size=50),
+                                                             np.full(250, 3.0)])))
+    cells = [dict(dataset="toy", forecaster=f, method=m, seed=seed, name=f"{f}-{m}-{seed}")
+             for f in ("persistence", "ar")
+             for seed in (1, 2)
+             for m in ("none", "split", "aci", "agaci")]
+    cells.append(dict(dataset="toy", forecaster="ar", method="aci", seed=1,
+                      buffer_mode="frozen", name="ar-aci-1-frozen"))
+    cells += [dict(dataset=str(flat), forecaster="segmented_ar", method=m, name=f"flat-{m}",
+                   forecaster_params={"order": 2, "refit_every": 50})
+              for m in ("split", "aci")]
+    paths = []
+    for cell in cells:
+        path = tmp_path / "configs" / f"{cell['name']}.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(cell))
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_grid_files_equal_each_config_run_alone(tmp_path, capsys, monkeypatch, jobs):
+    paths = grid_configs(tmp_path)
+    alone = {}
+    for path in paths:
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "alone")])
+        alone[path.stem] = code, capsys.readouterr().err
+    assert [p.stem for p in paths if alone[p.stem][0] != 0] == ["flat-split", "flat-aci"]
+
+    tables, reports = [], []
+
+    def shared_cells(columns_of_each_run):
+        table = cli_shared_cells(columns_of_each_run)
+        tables.append((len(table), table))
+        return table
+
+    def grid_run(configs, jobs):
+        results = real_grid_run(configs, jobs=jobs)
+        reports.extend(results)
+        return results
+
+    cli_shared_cells, real_grid_run = cli.shared_cells, evaluate.grid_run
+    monkeypatch.setattr(cli, "shared_cells", shared_cells)
+    monkeypatch.setattr(evaluate, "grid_run", grid_run)
+
+    def method_major(path):  # and, within a forecaster, the seeds interleaved
+        cell = json.loads(path.read_text())
+        return cell["method"], cell["forecaster"], cell.get("seed", 0)
+
+    for order, grid in (("forecaster-major", paths),
+                        ("method-major", sorted(paths, key=method_major))):
+        out = tmp_path / order
+        argv = ["run", "--jobs", jobs, "--config", *map(str, grid), "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        for path in paths:
+            code, err = alone[path.stem]
+            metrics = (out / f"{path.stem}.metrics.json").read_bytes()
+            if code != 0:  # the cell reports the error the config alone exits with
+                assert code == 4
+                assert json.loads(metrics)["error"] + "\n" == "NumericError: " + err.removeprefix("error: ")
+                assert not (out / f"{path.stem}.bands.csv").exists()
+                continue
+            assert metrics == (tmp_path / "alone" / f"{path.stem}.metrics.json").read_bytes()
+            assert ((out / f"{path.stem}.bands.csv").read_bytes()
+                    == (tmp_path / "alone" / f"{path.stem}.bands.csv").read_bytes())
+    # 4 toy forecast keys, each with index, y and y_hat held by all its cells
+    assert [(n, table) for n, table in tables] == [(12, {}), (12, {})]
+    columns = [c for r in reports if isinstance(r, evaluate.RunReport)
+               for c in r.columns.values() if c is not None]
+    assert len(columns) == 2 * (4 * 3 + 13 * 7)  # two grids: 4 unbanded and 13 banded cells
+    for column in columns:
+        with pytest.raises(ValueError):
+            column[0] = 0.0

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import time
 import warnings
 from pathlib import Path
@@ -30,7 +31,13 @@ from driftband.evaluate import (
     write_bands_csv,
     write_metrics_json,
 )
-from driftband.series import SplitSpec, TimeSeries, fit_scaler, write_series_csv
+from driftband.series import (
+    SplitSpec,
+    TimeSeries,
+    fit_scaler,
+    load_series_csv,
+    write_series_csv,
+)
 
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
 FORK_ONLY = pytest.mark.skipif(
@@ -433,6 +440,17 @@ def make_csv(tmp_path, name, seed):
     return str(path)
 
 
+def test_report_columns_are_read_only_also_after_pickling(tmp_path):
+    config = RunConfig(dataset=make_csv(tmp_path, "a", 0), forecaster="persistence",
+                       method="aci")
+    report = run_rolling(config)
+    for columns in (report.columns, pickle.loads(pickle.dumps(report)).columns):
+        assert [k for k, c in columns.items() if c is not None] == list(evaluate.BANDS_CSV_HEADER)
+        for column in columns.values():
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+
 def test_grid_single_config_matches_direct_run(tmp_path):
     config = RunConfig(dataset=make_csv(tmp_path, "a", 0), forecaster="persistence",
                        method="split")
@@ -468,6 +486,23 @@ def test_grid_records_failures_without_aborting(tmp_path):
     assert isinstance(results[0], RunReport)
     assert isinstance(results[1], RunFailure)
     assert results[1].kind == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failed_load_runs_once_and_fails_every_key_on_its_series(tmp_path, monkeypatch, jobs):
+    missing = str(tmp_path / "missing.csv")
+    configs = [RunConfig(dataset=missing, forecaster=f, method=m, lag=8)
+               for f in ("persistence", "ar") for m in ("split", "aci")]
+    configs.append(RunConfig(dataset=make_csv(tmp_path, "ok", 1), forecaster="ar", method="aci"))
+    with pytest.raises(FileNotFoundError) as alone:
+        run_rolling(configs[0])
+    loads = []
+    monkeypatch.setattr(evaluate, "load_series_csv",
+                        lambda path: loads.append(path) or load_series_csv(path))
+    results = grid_run(configs, jobs=jobs)
+    assert loads == [missing, configs[-1].dataset]
+    assert [(r.kind, r.error) for r in results[:4]] == [("FileNotFoundError", str(alone.value))] * 4
+    assert isinstance(results[4], RunReport)
 
 
 def test_grid_parallel_matches_sequential(tmp_path):
@@ -635,23 +670,29 @@ def test_grid_runs_one_load_and_one_forecast_pass_per_group(tmp_path, monkeypatc
         names = log.read_text().split() if log.exists() else []
         log.unlink(missing_ok=True)
         return {name: names.count(name)
-                for name in ("make_forecaster", "generate_toy", "fit_scaler")}
+                for name in ("make_forecaster", "generate_toy", "load_series_csv", "fit_scaler")}
 
     monkeypatch.setattr(evaluate, "make_forecaster",
                         counting("make_forecaster", evaluate.make_forecaster))
     monkeypatch.setattr(evaluate, "fit_scaler", counting("fit_scaler", evaluate.fit_scaler))
     monkeypatch.setattr(datagen, "generate_toy", counting("generate_toy", datagen.generate_toy))
+    monkeypatch.setattr(evaluate, "load_series_csv",
+                        counting("load_series_csv", evaluate.load_series_csv))
     configs = [c for c in mixed_grid(tmp_path) if c.dataset == "toy"]
     results = grid_run(configs, jobs=jobs)
     assert all(isinstance(r, RunReport) for r in results)
-    # two seeds x three forecasters; methods and buffer modes share a pass,
-    # and each cell calibrates on its key's split, scaler and column
-    assert calls() == {"make_forecaster": 6, "generate_toy": 6, "fit_scaler": 6}
+    # one series per seed, shared by its three forecasters; two seeds x three
+    # forecasters make six passes, which methods and buffer modes share, and
+    # each cell calibrates on its key's split, scaler and column
+    assert calls() == {"make_forecaster": 6, "generate_toy": 2, "load_series_csv": 0,
+                       "fit_scaler": 6}
 
     failing = [c for c in mixed_grid(tmp_path) if c.dataset != "toy"]
     assert all(isinstance(r, RunFailure) for r in grid_run(failing, jobs=jobs))
-    # a failed pass runs once and is reported for every cell of its key
-    assert calls() == {"make_forecaster": 1, "generate_toy": 0, "fit_scaler": 1}
+    # the key's series loads once; its failed pass runs once and is reported
+    # for every cell of the key
+    assert calls() == {"make_forecaster": 1, "generate_toy": 0, "load_series_csv": 1,
+                       "fit_scaler": 1}
 
 
 def test_grid_rejects_empty_and_bad_jobs():

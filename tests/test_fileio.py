@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftband.fileio import format_csv
+from driftband import fileio
+from driftband.fileio import format_csv, shared_cells
 
 
 def oracle_format_csv(header, rows):
@@ -71,3 +72,24 @@ def test_no_rows_is_the_header_line_and_unequal_columns_are_an_error():
     assert format_csv(("a", "b"), [np.array([]), None]) == "a,b\n"
     with pytest.raises(ValueError):
         format_csv(("a", "b"), [np.arange(3), np.arange(2.0)])
+
+
+def test_a_shared_column_is_formatted_once_and_dropped_after_its_last_use(monkeypatch):
+    y, index = np.array([0.1 + 0.2, -0.0, 1 / 3]), np.arange(3)
+    tables = [[index, y, None], [index, y, np.arange(3.0)], [np.arange(3), y, None]]
+    table = shared_cells(tables)
+    # None columns and arrays held by one table are not shared, equal ones neither
+    assert sorted(table) == sorted([id(y), id(index)])
+    formatted = []
+
+    def column_cells(column, rows):
+        formatted.append(column)
+        return real_column_cells(column, rows)
+
+    real_column_cells = fileio._column_cells
+    monkeypatch.setattr(fileio, "_column_cells", column_cells)
+    header = ("index", "y", "band")
+    texts = [format_csv(header, columns, table) for columns in tables]
+    assert [id(c) for c in formatted].count(id(y)) == 1
+    assert table == {}
+    assert texts == [oracle_format_csv(header, oracle_rows(columns)) for columns in tables]
