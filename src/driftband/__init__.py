@@ -1,11 +1,11 @@
 """Online conformal prediction bands for one-step time-series forecasting.
 
-The package wraps any point forecaster honoring a three-method contract
-(fit / predict_one / observe) with distribution-free prediction bands:
-plain split conformal, an adaptive variant that steers its working
-miscoverage level online, and an aggregated bank of adaptive experts.
-Synthetic regime-switching generators and a rolling evaluation harness
-round out the toolkit.
+The package wraps one-step point forecasts in distribution-free
+prediction bands: plain split conformal, an adaptive variant that steers
+its working miscoverage level online, and an aggregated bank of adaptive
+experts. Forecasts come from a built-in forecaster, the ``forecast``
+argument of ``run_rolling`` or a trace CSV given to ``driftband wrap``.
+Synthetic generators and a rolling evaluation harness complete it.
 """
 
 from .conformal import (

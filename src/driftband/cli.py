@@ -112,7 +112,15 @@ def cmd_run(args) -> int:
                 f"and {path}; give one of them a distinct 'name'"
             )
         first_with[config.run_name] = path
-    out_dir = _out_dir(args, next((o for o in outs if o), None))
+    # Without --out a grid writes every run to the one 'out' its configs give.
+    given = [(path, out) for path, out in zip(args.config, outs) if out and args.out is None]
+    for path, out in given[1:]:
+        if Path(out) != Path(given[0][1]):
+            raise ConfigError(
+                f"{given[0][0]} sets out {given[0][1]!r} but {path} sets out {out!r}; "
+                "give them one 'out' or pass --out"
+            )
+    out_dir = _out_dir(args, given[0][1] if given else None)
     if len(configs) == 1:
         report = evaluate.run_rolling(configs[0])
         _write_run_outputs(out_dir, report)

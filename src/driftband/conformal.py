@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import ConfigError, NumericError
 # an order statistic (level = k/(n+1)) select that statistic rather than
 # the next one up.
 _RANK_EPS = 1e-9
-_new = object.__new__
 
 
 def residual_score(y: float, y_hat: float) -> float:
@@ -177,46 +176,37 @@ def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciSt
     """
     bank = AgAciState(state.alpha_nominal, (state,), (1.0,))
     bank = agaci_update(bank, y, interval.y_hat, [interval.half_width])
-    return AciState(state.alpha_nominal, state.gamma, bank.alphas[0])
+    return bank.experts[0]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class AgAciState:
-    """A bank of adaptive tracks with online weights.
+    """A bank of ACI experts with online weights.
 
     Each expert runs its own step size; the bank aggregates their
     half-widths with exponential weights driven by the pinball loss at
     the nominal coverage level. ``mode="fixed"`` (or ``eta == 0``)
-    freezes the weights, turning the bank into a static mixture. Expert
-    k is kept as its level ``alphas[k]`` and step size ``gammas[k]``;
-    ``experts`` rebuilds the ``AciState``s when read.
+    freezes the weights, turning the bank into a static mixture.
+    ``alphas`` and ``gammas`` read the experts' levels and step sizes.
     """
 
     alpha_nominal: float
-    alphas: tuple[float, ...]
-    gammas: tuple[float, ...]
+    experts: tuple[AciState, ...]
     weights: tuple[float, ...]
-    eta: float
-    weight_floor: float
-    mode: str
-    infinite_cap_factor: float
+    eta: float = 1.0
+    weight_floor: float = 1e-6
+    mode: str = "ewa"
+    infinite_cap_factor: float = 2.0
 
-    def __init__(
-        self, alpha_nominal: float, experts: Sequence[AciState], weights: Sequence[float],
-        eta: float = 1.0, weight_floor: float = 1e-6, mode: str = "ewa",
-        infinite_cap_factor: float = 2.0,
-    ) -> None:
-        if any(e.alpha_nominal != alpha_nominal for e in experts):
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "experts", tuple(self.experts))
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if any(e.alpha_nominal != self.alpha_nominal for e in self.experts):
             raise ConfigError("all experts must share the bank's nominal alpha")
-        vars(self).update(
-            alpha_nominal=alpha_nominal, alphas=tuple(e.alpha_t for e in experts),
-            gammas=tuple(e.gamma for e in experts), weights=tuple(weights), eta=eta,
-            weight_floor=weight_floor, mode=mode, infinite_cap_factor=infinite_cap_factor,
-        )
-        if not self.alphas:
+        if not self.experts:
             raise ConfigError("expert bank must contain at least one expert")
-        if len(self.weights) != len(self.alphas):
-            raise ConfigError(f"got {len(self.weights)} weights for {len(self.alphas)} experts")
+        if len(self.weights) != len(self.experts):
+            raise ConfigError(f"got {len(self.weights)} weights for {len(self.experts)} experts")
         if any(not w >= 0 for w in self.weights):  # also true for NaN
             raise ConfigError(f"weights must be non-negative, got {self.weights}")
         total = math.fsum(self.weights)
@@ -234,8 +224,12 @@ class AgAciState:
             )
 
     @property
-    def experts(self) -> tuple[AciState, ...]:
-        return tuple(AciState(self.alpha_nominal, g, a) for a, g in zip(self.alphas, self.gammas))
+    def alphas(self) -> tuple[float, ...]:
+        return tuple(e.alpha_t for e in self.experts)
+
+    @property
+    def gammas(self) -> tuple[float, ...]:
+        return tuple(e.gamma for e in self.experts)
 
     @property
     def alpha_t(self) -> float:
@@ -318,12 +312,9 @@ def _reweigh(
 def _bank_with(
     state: AgAciState, alphas: Sequence[float], weights: Sequence[float]
 ) -> AgAciState:
-    """A copy of the bank with new levels and weights, without re-validation:
-    the levels need none, and the weights are non-negative and sum to 1 by
-    construction."""
-    new = _new(AgAciState)
-    new.__dict__.update(state.__dict__, alphas=tuple(alphas), weights=tuple(weights))
-    return new
+    """The bank with new expert levels and weights, checked by its constructor."""
+    experts = [replace(e, alpha_t=a) for e, a in zip(state.experts, alphas)]
+    return replace(state, experts=experts, weights=weights)
 
 
 def agaci_step(
@@ -364,7 +355,7 @@ def agaci_update(
     alphas, weights = state.alphas, state.weights
     k = len(half_widths)
     if k != len(alphas):
-        raise ConfigError(f"got {k} intervals for {len(alphas)} experts")
+        raise ConfigError(f"got {k} half-widths for {len(alphas)} experts")
     y, center, alpha = float(y), float(y_hat), state.alpha_nominal
     new_alphas = _advance(alphas, state.gammas, alpha, y, center, half_widths)
     if k > 1 and state.mode == "ewa" and state.eta > 0:

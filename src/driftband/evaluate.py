@@ -379,9 +379,8 @@ def _calibrate(
         # expert. y and f are Python floats, so abs(y - f) is
         # conformal.residual_score.
         z_run, y_hat_run = z[split.train_end : split.test_end].tolist(), y_hat.tolist()
-        buffer = conformal.ScoreBuffer(capacity=n_seed)
-        for y, f in zip(z_run[:n_seed], y_hat_run[:n_seed]):
-            buffer.append(abs(y - f))
+        seed_scores = [abs(y - f) for y, f in zip(z_run[:n_seed], y_hat_run)]
+        buffer = conformal.ScoreBuffer(n_seed, seed_scores)
         gammas = {"split": (0.0,), "aci": (config.gamma,)}.get(config.method, config.gamma_grid)
         bank = conformal.AgAciState.from_gammas(
             config.alpha, gammas, eta=config.eta, weight_floor=config.weight_floor,
@@ -538,7 +537,7 @@ def write_metrics_json(path: str | Path, result: RunReport | RunFailure) -> None
 # The JSON type of each key of a metrics file (run config fields, then the
 # outcome) and of its 'metrics' object.
 _METRICS_FILE_TYPES = {
-    **_RUN_CONFIG_TYPES, "status": "a string", "error": "a string",
+    **_RUN_CONFIG_TYPES, "status": '"ok" or "failed"', "error": "a string",
     "alpha_final": "a number or null", "metrics": "an object",
 }
 _METRIC_TYPES = {

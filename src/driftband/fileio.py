@@ -185,6 +185,7 @@ def _is_numbers(value) -> bool:
 _KINDS = {
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
+    '"ok" or "failed"': lambda v: v in ("ok", "failed"),
     "a number": _is_number,
     "a number or null": lambda v: v is None or _is_number(v),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),

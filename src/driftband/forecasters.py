@@ -3,9 +3,8 @@
 A forecaster is fit once on a training window, asked for a point
 prediction of the next value given the full observed history so far,
 and then told what actually happened. The calibration layer never looks
-inside; anything honoring ``fit`` / ``predict_one`` / ``observe`` can
-be wrapped, including a replay of predictions made by an external
-system.
+inside: predictions made elsewhere reach it through the ``forecast``
+argument of ``evaluate.run_rolling`` or a trace CSV given to ``wrap``.
 
 All forecasters operate in standardized units; rescaling to the
 original data units happens in the evaluation layer.

@@ -461,6 +461,8 @@ MALFORMED_INPUTS = [
     ("series", b"index,value\n0," + b"1" * 200000 + b"\n", "{path}: line 2: field larger"),
     ("spec", {"kind": "lorenz", "T": 10**20}, "{path}: series length T = 10"),
     ("spec", {"kind": "toy", "T": 2**62}, "{path}: series length T = 4611686018427387904"),
+    ("metrics", {"dataset": "toy", "forecaster": "ar", "method": "aci", "status": "weird"},
+     """{path}: metrics file key 'status' must be "ok" or "failed", got 'weird'"""),
 ]
 
 
@@ -658,6 +660,38 @@ def test_duplicate_run_names_exit_2_before_any_load(tmp_path, capsys):
         "second.bands.csv", "second.metrics.json",
         "toy-persistence-aci.bands.csv", "toy-persistence-aci.metrics.json",
     ]
+
+
+def test_grid_configs_with_different_outs_exit_2_before_any_load(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def config(run_name, dataset="toy", **out):
+        path = tmp_path / f"{run_name}.json"
+        path.write_text(json.dumps({"dataset": dataset, "method": "split", "name": run_name,
+                                    **out}))
+        return str(path)
+
+    missing = str(tmp_path / "missing.csv")
+    a, b = config("a", missing, out="runs_a"), config("b", missing, out="runs_b")
+    assert main(["run", "--config", a, b]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {a} sets out 'runs_a' but {b} sets out 'runs_b'; "
+        "give them one 'out' or pass --out\n"
+    )
+    assert not (tmp_path / "runs_a").exists() and not (tmp_path / "runs_b").exists()
+    # one 'out', however spelled, takes the runs of configs without one too
+    a, c, d = config("a", out="runs_a"), config("c", out="runs_a/"), config("d")
+    assert main(["run", "--config", a, c, d]) == 0
+    assert sorted(p.name for p in (tmp_path / "runs_a").iterdir()) == [
+        f"{name}.{ext}" for name in "acd" for ext in ("bands.csv", "metrics.json")
+    ]
+    # --out takes every run, whatever its config says
+    b = config("b", out="runs_b")
+    assert main(["run", "--config", a, b, "--out", "o"]) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        f"{name}.{ext}" for name in "ab" for ext in ("bands.csv", "metrics.json")
+    ]
+    assert not (tmp_path / "runs_b").exists()
 
 
 @pytest.mark.parametrize("n_configs", [1, 2])

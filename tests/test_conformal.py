@@ -553,6 +553,47 @@ def test_bank_rejects_nan_options(bad, message):
     assert str(raised.value) == message
 
 
+def test_a_replaced_bank_is_checked_by_the_constructor():
+    bank = AgAciState.from_gammas(0.1, [0.0, 0.01])
+    with pytest.raises(ConfigError) as raised:
+        replace(bank, weights=(0.5, 0.6))
+    assert str(raised.value) == "weights must sum to 1, got 1.1"
+
+
+def test_length_mismatches_name_both_counts():
+    bank = AgAciState.from_gammas(0.1, [0.0, 0.01])
+    with pytest.raises(ConfigError) as raised:
+        agaci_update(bank, 0.0, 0.0, [1.0])
+    assert str(raised.value) == "got 1 half-widths for 2 experts"
+    with pytest.raises(ConfigError) as raised:
+        AgAciState(0.1, bank.experts, (1.0,))
+    assert str(raised.value) == "got 1 weights for 2 experts"
+
+
+@pytest.mark.parametrize("gammas", [[0.01], [0.0, 0.01, 0.3]])
+def test_returned_banks_equal_the_constructor_on_their_own_fields(gammas):
+    def rebuilt(bank):
+        return AgAciState(
+            bank.alpha_nominal, bank.experts, bank.weights, eta=bank.eta,
+            weight_floor=bank.weight_floor, mode=bank.mode,
+            infinite_cap_factor=bank.infinite_cap_factor,
+        )
+
+    steps = [(0.0, 0.0), (2.0, 0.0), (-1.0, 0.5), (0.3, 0.1)]
+    bank = AgAciState.from_gammas(0.1, gammas, eta=2.0)
+    buf = ScoreBuffer(4, [0.25, 1.0, 0.5])
+    *_, calibrated = calibrate(bank, ScoreBuffer(4, [0.25, 1.0, 0.5]), *zip(*steps), True)
+    for y, y_hat in steps:
+        _, per_expert = agaci_step(bank, buf, y_hat)
+        bank = agaci_update(bank, y, y_hat, per_expert)
+        buf.append(residual_score(y, y_hat))
+        assert bank == rebuilt(bank)
+        assert type(bank.experts) is type(bank.weights) is tuple
+        assert all(type(e) is AciState for e in bank.experts)
+    assert calibrated == rebuilt(calibrated) == bank
+    assert type(calibrated.experts) is type(calibrated.weights) is tuple
+
+
 def test_agaci_single_expert_reproduces_aci():
     rng = np.random.default_rng(3)
     buf_a = ScoreBuffer(50, np.abs(rng.normal(size=50)))
