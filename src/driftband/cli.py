@@ -62,8 +62,7 @@ def _print_run_line(result, prefix: str = "") -> None:
     parts = []
     if result.coverage is not None:
         parts.append(f"coverage={result.coverage:.3f}")
-        width = result.median_width
-        parts.append(f"width={width:.3f}" if width is not None else "width=inf")
+        parts.append(f"width={result.median_width:.3f}")
     parts.append(f"rmse={result.rmse:.3f}")
     print(prefix + " ".join(parts))
 

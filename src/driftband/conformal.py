@@ -51,6 +51,8 @@ class ScoreBuffer:
     """
 
     def __init__(self, capacity: int, scores: Iterable[float] = ()) -> None:
+        if not float(capacity).is_integer():  # also false for NaN and inf
+            raise ConfigError(f"buffer capacity must be an integer, got {capacity}")
         capacity = int(capacity)
         if capacity < 1:
             raise ConfigError(f"buffer capacity must be >= 1, got {capacity}")
@@ -97,13 +99,15 @@ def empirical_quantile(buffer: ScoreBuffer, level: float) -> float:
     if n == 0:
         raise NumericError("cannot take a quantile of an empty score buffer")
     # ceil(rank) <= 0 exactly when rank <= 0, and > n exactly when rank > n;
-    # comparing first keeps an infinite rank away from ceil
+    # comparing first keeps an infinite or NaN rank away from ceil
     rank = (n + 1) * level - _RANK_EPS
+    if 0 < rank <= n:
+        return ordered[math.ceil(rank) - 1]
     if rank <= 0:
         return 0.0
     if rank > n:
         return math.inf
-    return ordered[math.ceil(rank) - 1]
+    raise ConfigError("quantile level must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -125,10 +129,6 @@ class PredictionInterval:
     @property
     def upper(self) -> float:
         return self.y_hat + self.half_width
-
-    @property
-    def width(self) -> float:
-        return 2.0 * self.half_width
 
     def covers(self, y: float) -> bool:
         """Boundary values count as covered."""
@@ -158,6 +158,8 @@ class AciState:
             raise ConfigError(f"gamma must be finite, got {self.gamma}")
         if self.alpha_t is None:
             object.__setattr__(self, "alpha_t", self.alpha_nominal)
+        if math.isnan(self.alpha_t):  # +-inf are the documented excursions
+            raise ConfigError("working level alpha_t must not be NaN")
 
 
 def aci_step(state: AciState, buffer: ScoreBuffer, y_hat: float) -> PredictionInterval:

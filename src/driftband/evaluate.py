@@ -498,7 +498,9 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
 
 
 def report_payload(result: RunReport | RunFailure) -> dict:
-    """The metrics JSON object for one run (or one failed grid cell)."""
+    """The metrics object of one run (or one failed grid cell) in Python floats;
+    the metrics file codec (``write_metrics_json``/``load_metrics_json``) owns
+    the string "inf" that stands for an infinite ``median_width`` in JSON."""
     config = result.config
     payload = {
         "name": result.name,
@@ -521,8 +523,7 @@ def report_payload(result: RunReport | RunFailure) -> dict:
     payload["metrics"] = {
         "rmse": result.rmse,
         "coverage": result.coverage,
-        # an all-infinite run's width, as a string to keep the JSON strict
-        "median_width": "inf" if result.median_width == math.inf else result.median_width,
+        "median_width": result.median_width,
         "n_infinite": result.n_infinite,
         "n_zero_width": result.n_zero_width,
         "n_steps": result.n_steps,
@@ -531,7 +532,11 @@ def report_payload(result: RunReport | RunFailure) -> dict:
 
 
 def write_metrics_json(path: str | Path, result: RunReport | RunFailure) -> None:
-    atomic_write_text(path, json.dumps(report_payload(result), indent=2) + "\n")
+    payload = report_payload(result)
+    if payload.get("metrics", {}).get("median_width") == math.inf:
+        # an all-infinite run's width, as a string to keep the JSON strict
+        payload["metrics"]["median_width"] = "inf"
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 # The JSON type of each key of a metrics file (run config fields, then the

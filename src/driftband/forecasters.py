@@ -138,7 +138,16 @@ class ArForecaster(Forecaster):
     The window length is pinned to the training window length at fit
     time; the model is refit every ``refit_every`` observations. Every value
     goes twice into a ring of twice that length, so refits read a view.
+
+    A ``detector`` (None here; see ``SegmentedArForecaster``) watches the
+    one-step residuals. An alarm truncates the fit window to the
+    observation that raised it, on the view that older data came from a
+    different regime. Until the new segment has ``order + 2`` points the
+    forecaster falls back to persistence, then refits eagerly. Without a
+    detector the segment never shrinks, so every refit reads the whole ring.
     """
+
+    detector: CusumDetector | None = None
 
     def __init__(self, order: int, refit_every: int = 25) -> None:
         if order < 1:
@@ -148,43 +157,60 @@ class ArForecaster(Forecaster):
         self.order = int(order)
         self.refit_every = int(refit_every)
         self._ring: np.ndarray | None = None
-        self._head = 0  # ring slot of the oldest value; the next push overwrites it
-        self._model: ArModel | None = None
+        self._head = 0  # ring slot of the oldest value; the next observation overwrites it
+        self._model: ArModel | None = None  # None while a segment regrows
         self._since_refit = 0
+        self._segment_len = 0  # the fit window and later values, or those since an alarm
+        self._last_pred: float | None = None
 
     def fit(self, window) -> None:
         arr = np.asarray(window, dtype=float)
         self._model = ar_fit(arr, self.order)
         self._ring, self._head = np.concatenate([arr, arr]), 0
         self._since_refit = 0
+        self._segment_len = arr.size
+        self._last_pred = None
+        if self.detector is not None:
+            self.detector.reset()
 
     def predict_one(self, history) -> float:
-        if self._model is None:
+        if self._ring is None:
             raise NumericError("forecaster is not fitted")
-        return self._model.predict(history)
+        if self._model is None:
+            if len(history) < 1:
+                raise NumericError("persistence fallback needs a non-empty history")
+            pred = float(history[-1])
+        else:
+            pred = self._model.predict(history)
+        self._last_pred = pred
+        return pred
 
     def observe(self, y: float) -> None:
         if self._ring is None:
             raise NumericError("forecaster is not fitted")
-        self._push(float(y))
-        self._since_refit += 1
-        if self._since_refit >= self.refit_every:
-            self._refit()
-
-    def _push(self, y: float) -> None:
+        y = float(y)
+        pred, self._last_pred = self._last_pred, None
+        alarm = self.detector is not None and pred is not None and self.detector.update(y - pred)
         size = self._ring.size // 2
         self._ring[self._head] = self._ring[self._head + size] = y
         self._head = (self._head + 1) % size
+        if alarm:
+            self._segment_len, self._model, self._since_refit = 1, None, 0
+            return
+        self._segment_len += 1
+        self._since_refit += 1
+        if self._model is None:
+            due = self._segment_len >= self.order + 2
+        else:
+            due = self._since_refit >= self.refit_every
+        if due:
+            self._model = ar_fit(self._fit_window(), self.order)
+            self._since_refit = 0
 
     def _fit_window(self) -> np.ndarray:
-        """The last ``window`` values, oldest first, as a view of the ring."""
-        return self._ring[self._head : self._head + self._ring.size // 2]
-
-    def _refit(self) -> None:
-        window = self._fit_window()
-        if window.size >= self.order + 1:
-            self._model = ar_fit(window, self.order)
-            self._since_refit = 0
+        """The last min(window, segment) values, oldest first, as a view of the ring."""
+        size = self._ring.size // 2
+        return self._ring[self._head + size - min(self._segment_len, size) : self._head + size]
 
 
 class CusumDetector:
@@ -249,14 +275,10 @@ class CusumDetector:
 
 
 class SegmentedArForecaster(ArForecaster):
-    """Autoregression that restarts its fit window on detected breaks.
-
-    One-step residuals feed a CUSUM detector; an alarm truncates the fit
-    window to the observation that raised it, on the view that older
-    data came from a different regime. Until the new segment has
-    ``order + 2`` points the forecaster falls back to persistence, then
-    refits eagerly. With an infinite threshold this reduces exactly to
-    the plain rolling autoregression.
+    """The rolling autoregression plus a CUSUM detector on its one-step
+    residuals: an alarm restarts the fit window (see ``ArForecaster``).
+    With an infinite threshold this is exactly the plain rolling
+    autoregression.
     """
 
     def __init__(
@@ -269,52 +291,6 @@ class SegmentedArForecaster(ArForecaster):
     ) -> None:
         super().__init__(order, refit_every)
         self.detector = CusumDetector(drift=drift, threshold=threshold, warmup=warmup)
-        self._segment_len = 0
-        self._last_pred: float | None = None
-
-    def fit(self, window) -> None:
-        super().fit(window)
-        self.detector.reset()
-        self._segment_len = self._ring.size // 2
-        self._last_pred = None
-
-    def predict_one(self, history) -> float:
-        if self._ring is None:
-            raise NumericError("forecaster is not fitted")
-        if self._model is None:
-            if len(history) < 1:
-                raise NumericError("persistence fallback needs a non-empty history")
-            pred = float(history[-1])
-        else:
-            pred = self._model.predict(history)
-        self._last_pred = pred
-        return pred
-
-    def observe(self, y: float) -> None:
-        if self._ring is None:
-            raise NumericError("forecaster is not fitted")
-        y = float(y)
-        alarm = False
-        if self._last_pred is not None:
-            alarm = self.detector.update(y - self._last_pred)
-            self._last_pred = None
-        self._push(y)
-        if alarm:
-            self._segment_len = 1
-            self._model = None
-            self._since_refit = 0
-            return
-        self._segment_len += 1
-        self._since_refit += 1
-        if self._model is None:
-            if self._segment_len >= self.order + 2:
-                self._refit()
-        elif self._since_refit >= self.refit_every:
-            self._refit()
-
-    def _fit_window(self) -> np.ndarray:
-        window = super()._fit_window()
-        return window[window.size - min(self._segment_len, window.size) :]
 
 
 @dataclass(frozen=True)
@@ -353,9 +329,6 @@ class ExternalForecastTrace:
     @property
     def end(self) -> int:
         return int(self.indices[-1]) + 1
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
 
     def y_hat_at(self, t: int) -> float:
         if not self.start <= t < self.end:

@@ -729,6 +729,21 @@ def test_metrics_json_survives_infinite_median(tmp_path):
     assert load_metrics_json(path)["metrics"]["median_width"] == math.inf
 
 
+def test_an_all_infinite_run_renders_through_the_payload_chain(tmp_path):
+    """report_payload -> comparison_rows -> render_comparison_table, the chain
+    acceptance criterion 9 uses, shows an all-infinite run's width as inf,
+    as the CLI report path over its metrics file does."""
+    report = RunReport(
+        config=RunConfig(dataset="toy"), rmse=1.0, coverage=1.0, median_width=math.inf,
+        n_infinite=3, n_zero_width=0, n_steps=3, alpha_final=0.1, columns=banded([math.inf]),
+    )
+    write_metrics_json(tmp_path / "inf.json", report)
+    for payload in (report_payload(report), load_metrics_json(tmp_path / "inf.json")):
+        rows = comparison_rows([payload])
+        assert rows[0]["median_width"] == math.inf
+        assert render_comparison_table(rows).splitlines()[-1].split()[-1] == "inf"
+
+
 def test_comparison_rows_dedupe_and_conflict():
     ok = {
         "dataset": "toy", "forecaster": "ar", "method": "aci", "status": "ok",

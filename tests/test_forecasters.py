@@ -262,6 +262,170 @@ def test_segmented_ar_falls_back_to_persistence_after_alarm():
     assert seg.predict_one(history) == pytest.approx(40.0, abs=1.0)
 
 
+class _ReferenceAr:
+    """The rolling AR as it stood when the segmented AR kept its own copy
+    of the state machine; the reference for the differential test below."""
+
+    def __init__(self, order, refit_every=25):
+        self.order, self.refit_every = order, refit_every
+        self._ring, self._head, self._model, self._since_refit = None, 0, None, 0
+
+    def fit(self, window):
+        arr = np.asarray(window, dtype=float)
+        self._model = ar_fit(arr, self.order)
+        self._ring, self._head = np.concatenate([arr, arr]), 0
+        self._since_refit = 0
+
+    def predict_one(self, history):
+        if self._model is None:
+            raise NumericError("forecaster is not fitted")
+        return self._model.predict(history)
+
+    def observe(self, y):
+        if self._ring is None:
+            raise NumericError("forecaster is not fitted")
+        self._push(float(y))
+        self._since_refit += 1
+        if self._since_refit >= self.refit_every:
+            self._refit()
+
+    def _push(self, y):
+        size = self._ring.size // 2
+        self._ring[self._head] = self._ring[self._head + size] = y
+        self._head = (self._head + 1) % size
+
+    def _fit_window(self):
+        return self._ring[self._head : self._head + self._ring.size // 2]
+
+    def _refit(self):
+        window = self._fit_window()
+        if window.size >= self.order + 1:
+            self._model = ar_fit(window, self.order)
+            self._since_refit = 0
+
+
+class _ReferenceSegmentedAr(_ReferenceAr):
+    def __init__(self, order, refit_every=25, drift=0.5, threshold=5.0, warmup=50):
+        super().__init__(order, refit_every)
+        self.detector = CusumDetector(drift=drift, threshold=threshold, warmup=warmup)
+        self._segment_len, self._last_pred = 0, None
+
+    def fit(self, window):
+        super().fit(window)
+        self.detector.reset()
+        self._segment_len, self._last_pred = self._ring.size // 2, None
+
+    def predict_one(self, history):
+        if self._ring is None:
+            raise NumericError("forecaster is not fitted")
+        if self._model is None:
+            if len(history) < 1:
+                raise NumericError("persistence fallback needs a non-empty history")
+            pred = float(history[-1])
+        else:
+            pred = self._model.predict(history)
+        self._last_pred = pred
+        return pred
+
+    def observe(self, y):
+        if self._ring is None:
+            raise NumericError("forecaster is not fitted")
+        y = float(y)
+        alarm = False
+        if self._last_pred is not None:
+            alarm = self.detector.update(y - self._last_pred)
+            self._last_pred = None
+        self._push(y)
+        if alarm:
+            self._segment_len, self._model, self._since_refit = 1, None, 0
+            return
+        self._segment_len += 1
+        self._since_refit += 1
+        if self._model is None:
+            if self._segment_len >= self.order + 2:
+                self._refit()
+        elif self._since_refit >= self.refit_every:
+            self._refit()
+
+    def _fit_window(self):
+        window = super()._fit_window()
+        return window[window.size - min(self._segment_len, window.size) :]
+
+
+def _outcome(call, *args):
+    try:
+        value = call(*args)
+    except (ConfigError, NumericError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", None if value is None else float.hex(value)
+
+
+_QUIET = [0.1 * (i % 7) - 0.3 for i in range(40)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    segmented=st.booleans(),
+    order=st.integers(1, 4),
+    refit_every=st.integers(1, 30),
+    threshold=st.sampled_from([1.0, 3.0, math.inf]),
+    drift=st.sampled_from([0.0, 0.5]),
+    train=st.lists(st.floats(-5, 5), min_size=5, max_size=40),
+    # a predicted prefix past the detector's warm-up, then spikes and skipped predictions
+    warm=st.lists(st.floats(-1, 1), min_size=30, max_size=60),
+    steps=st.lists(
+        st.tuples(st.booleans(), st.sampled_from([80.0, -80.0]) | st.floats(-5, 5)),
+        max_size=150,
+    ),
+    refit_at=st.none() | st.integers(0, 200),
+)
+@example(  # alarms, regrown segments, and an unpredicted spike after a prediction
+    segmented=True, order=2, refit_every=3, threshold=3.0, drift=0.0,
+    train=[0.0, 1.0, 0.5, -0.5] * 3, warm=_QUIET,
+    steps=[(True, 0.1), (False, 80.0)] + [(True, y) for y in _QUIET] + [(True, 80.0)] * 3
+    + [(True, y) for y in _QUIET],
+    refit_at=None,
+)
+@example(  # a plain AR whose refits must read the whole ring
+    segmented=False, order=3, refit_every=4, threshold=math.inf, drift=0.5,
+    train=[float(i % 5) for i in range(30)], warm=_QUIET, steps=[], refit_at=None,
+)
+def test_ar_forecasters_match_the_separate_reference_state_machines(
+    segmented, order, refit_every, threshold, drift, train, warm, steps, refit_at
+):
+    """The plain and the segmented AR share one state machine; driven
+    through the same fit/predict/observe calls (predictions sometimes
+    skipped, a second fit sometimes made), both match reference copies
+    that write it out once per class: bit-equal predictions, equal fit
+    windows and equal refit counts at every step."""
+    if segmented:
+        params = dict(drift=drift, threshold=threshold, warmup=30)
+        pair = (SegmentedArForecaster(order, refit_every, **params),
+                _ReferenceSegmentedAr(order, refit_every, **params))
+    else:
+        pair = (ArForecaster(order, refit_every), _ReferenceAr(order, refit_every))
+    history = list(train)
+    refits = [0, 0]
+    for f in pair:
+        f.fit(np.asarray(train))
+    for i, (predict, y) in enumerate([(True, y) for y in warm] + steps):
+        if i == refit_at:
+            assert len({_outcome(f.fit, np.asarray(history[-len(train):])) for f in pair}) == 1
+        if predict:
+            outcomes = {_outcome(f.predict_one, np.asarray(history)) for f in pair}
+            assert len(outcomes) == 1, outcomes
+        models = [f._model for f in pair]
+        outcomes = {_outcome(f.observe, y) for f in pair}
+        assert len(outcomes) == 1, outcomes
+        if outcomes.pop()[0] != "ok":
+            return
+        history.append(y)
+        for k, f in enumerate(pair):
+            refits[k] += f._model is not models[k] and f._model is not None
+        assert refits[0] == refits[1]
+        assert pair[0]._fit_window().tolist() == pair[1]._fit_window().tolist()
+
+
 def test_cusum_validation():
     with pytest.raises(ConfigError):
         CusumDetector(drift=-0.1)
