@@ -96,11 +96,18 @@ def ar_fit(window, order: int) -> ArModel:
     Solves the centered normal equations of the lag rows, width
     ``order + 1`` slices of the window minus its mean: the order x order
     lag block of their Gram is eigendecomposed, eigenvalues at or below
-    ``n * eps * max`` (the rounding floor of a Gram of n values) are
-    dropped, and one refinement step follows. So a rank-deficient window
-    predicts as a minimum-norm ``lstsq`` does, and a constant window
-    gives exactly zero coefficients and its level as intercept. Cost per
-    call: O(n * order**2) plus O(order**3).
+    ``(n + order**2) * eps * max`` are dropped, and one refinement step
+    follows. So a rank-deficient window predicts as a minimum-norm
+    ``lstsq`` does, and a constant window gives exactly zero coefficients
+    and its level as intercept. Cost per call: O(n * order**2) plus
+    O(order**3).
+
+    The cutoff is taken from measurement, not derived. ``n * eps * max``
+    alone is the rounding floor of n-term sums, but on windows of
+    order + 2 points, where a segmented AR refits after an alarm, the
+    rounding of the order x order block and of ``eigh`` outweighs those
+    sums: noise eigenvalues reach 1.1 times that floor on such windows of
+    the Lorenz series at order 24. The ``order**2`` term covers them.
     """
     if order < 1:
         raise ConfigError(f"autoregression order must be >= 1, got {order}")
@@ -121,7 +128,7 @@ def ar_fit(window, order: int) -> ArModel:
     mean = np.ones(len(rows)) @ rows / len(rows)  # BLAS; rows.mean(axis=0) is slower
     gram = rows.T @ rows - len(rows) * np.outer(mean, mean)
     eigvals, eigvecs = np.linalg.eigh(gram[:order, :order])
-    keep = eigvals > window.size * np.finfo(float).eps * eigvals[-1]
+    keep = eigvals > (window.size + order * order) * np.finfo(float).eps * eigvals[-1]
     basis, inverse = eigvecs[:, keep], 1.0 / eigvals[keep]
     coef = basis @ (inverse * (basis.T @ gram[:order, order]))
     # One refinement step from the rows' own residual takes the error from the

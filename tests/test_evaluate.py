@@ -265,6 +265,18 @@ def test_reports_are_deterministic():
     assert a.rmse == b.rmse
 
 
+def test_segmented_ar_agaci_metrics_are_pinned():
+    # this run refits on 26- and 51-point post-alarm segments, where the
+    # rank cutoff of ar_fit decides whether rounding noise enters the fit
+    report = run_rolling(
+        RunConfig(dataset="toy", forecaster="segmented_ar", method="agaci", seed=7)
+    )
+    assert report.rmse == pytest.approx(0.7102065456536328, abs=1e-9)
+    assert report.coverage == pytest.approx(0.8833333333333333, abs=1e-9)
+    assert report.median_width == pytest.approx(1.2120491595208822, abs=1e-9)
+    assert report.alpha_final == pytest.approx(0.07175569191919343, abs=1e-9)
+
+
 def test_frozen_buffer_differs_from_rolling():
     base = dict(dataset="toy", method="aci", seed=1, split=THIRDS)
     rolling = run_rolling(RunConfig(buffer_mode="rolling", **base))

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from driftband.datagen import LorenzSpec, generate_lorenz
+from driftband.datagen import LorenzSpec, default_toy_spec, generate_lorenz, generate_toy
 from driftband.errors import AlignmentError, ConfigError, NumericError
 from driftband.forecasters import (
     ArForecaster,
@@ -117,6 +117,24 @@ def test_ar_fit_matches_the_lstsq_oracle_on_lorenz_windows():
         assert_same_predictions(
             ar_fit(window, 24), lstsq_reference(window, 24), z[start : start + 76]
         )
+
+
+@pytest.mark.parametrize("dataset, seed", [("lorenz", 3), ("toy", 6), ("toy", 7)])
+def test_ar_fit_matches_the_lstsq_oracle_on_post_alarm_windows(dataset, seed):
+    # order + 2 to order + 6 points, the segments a segmented AR refits on
+    # right after an alarm: the centered design has rank n - order - 1, so
+    # every other eigenvalue of the lag Gram is rounding noise to be dropped
+    if dataset == "lorenz":
+        series = generate_lorenz(LorenzSpec(seed=seed)).values
+    else:
+        series = generate_toy(default_toy_spec(seed=seed))[0].values
+    z = fit_scaler(series, 0, series.size // 2).transform(series)
+    for length in range(26, 31):
+        for start in range(0, z.size - length - 24, 5):
+            window = z[start : start + length]
+            assert_same_predictions(
+                ar_fit(window, 24), lstsq_reference(window, 24), z[start : start + length + 25]
+            )
 
 
 @pytest.mark.parametrize("order", [4, 6])
