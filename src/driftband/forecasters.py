@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, ConfigError, NumericError
 from .fileio import read_indexed_csv
@@ -99,15 +98,22 @@ def ar_fit(window, order: int) -> ArModel:
     ``(n + order**2) * eps * max`` are dropped, and one refinement step
     follows. So a rank-deficient window predicts as a minimum-norm
     ``lstsq`` does, and a constant window gives exactly zero coefficients
-    and its level as intercept. Cost per call: O(n * order**2) plus
-    O(order**3).
+    and its level as intercept.
+
+    The Gram is formed as in the covariance method of linear prediction:
+    its first row is one correlation of the window, and each further entry
+    is its upper-left neighbour plus the product of the two lag values the
+    shifted rows gain minus the product of the two they lose. The
+    refinement step reads the window through correlations too, so no lag
+    row is copied. Cost per call: O(n * order) plus O(order**3).
 
     The cutoff is taken from measurement, not derived. ``n * eps * max``
-    alone is the rounding floor of n-term sums, but on windows of
-    order + 2 points, where a segmented AR refits after an alarm, the
-    rounding of the order x order block and of ``eigh`` outweighs those
-    sums: noise eigenvalues reach 1.1 times that floor on such windows of
-    the Lorenz series at order 24. The ``order**2`` term covers them.
+    alone is the rounding floor of n-term sums. On windows of order + 2
+    points, where a segmented AR refits after an alarm, the rounding of
+    the order updates that each entry gathers, and of ``eigh``, outweighs
+    those sums: noise eigenvalues reach 4.6 times that floor on windows of
+    order + 2 to order + 6 points of the Lorenz and toy series at order 24.
+    The ``order**2`` term covers them about five times over.
     """
     if order < 1:
         raise ConfigError(f"autoregression order must be >= 1, got {order}")
@@ -119,22 +125,32 @@ def ar_fit(window, order: int) -> ArModel:
     # Clamped into [min, max]: a constant window centers to exact zeros even if
     # its sum overflows.
     shift = min(max(window.mean(), window.min()), window.max())
-    centered = window - shift
+    c = window - shift
     # An exact power-of-two scale keeps the Gram from overflowing or underflowing.
-    scale = np.ldexp(1.0, np.frexp(np.abs(centered).max())[1] - 1)
-    centered /= scale
-    rows = sliding_window_view(centered, order + 1).copy()
-    lags, target = rows[:, :order], rows[:, order]
-    mean = np.ones(len(rows)) @ rows / len(rows)  # BLAS; rows.mean(axis=0) is slower
-    gram = rows.T @ rows - len(rows) * np.outer(mean, mean)
-    eigvals, eigvecs = np.linalg.eigh(gram[:order, :order])
+    scale = np.ldexp(1.0, np.frexp(np.abs(c).max())[1] - 1)
+    c /= scale
+    # The m lag rows are c[k : k + q]. Row i of ``skew`` holds G[i, i:], the
+    # upper triangle read along its diagonals, so that the flat buffer of
+    # ``skew`` is G in row-major order; only G's upper triangle is formed.
+    m, q = c.size - order, order + 1
+    skew = np.zeros((q, q + 1))
+    skew[0, :q] = np.correlate(c, c[:m], "valid")
+    # G[i+1, j+1] - G[i, j] = c[i+m] c[j+m] - c[i] c[j], read at j = i + d
+    steps = np.zeros(order * q)
+    steps[: order * order] = (c[m:, None] * c[m:] - c[:order, None] * c[:order]).ravel()
+    np.cumsum(steps.reshape(order, q), axis=0, out=skew[1:, :q])
+    skew[1:, :q] += skew[0, :q]
+    sums = np.concatenate(([0.0], np.cumsum(c)))
+    mean = (sums[m:] - sums[:q]) / m
+    gram = skew.ravel()[: q * q].reshape(q, q) - m * np.outer(mean, mean)
+    eigvals, eigvecs = np.linalg.eigh(gram[:order, :order], UPLO="U")
     keep = eigvals > (window.size + order * order) * np.finfo(float).eps * eigvals[-1]
     basis, inverse = eigvecs[:, keep], 1.0 / eigvals[keep]
     coef = basis @ (inverse * (basis.T @ gram[:order, order]))
     # One refinement step from the rows' own residual takes the error from the
     # normal equations' cond**2 * eps down to about lstsq's cond * eps.
-    resid = target - lags @ coef
-    coef += basis @ (inverse * (basis.T @ (lags.T @ (resid - resid.mean()))))
+    resid = c[order:] - np.correlate(c[:-1], coef, "valid")
+    coef += basis @ (inverse * (basis.T @ np.correlate(c[:-1], resid - resid.mean(), "valid")))
     intercept = float(shift + scale * mean[order] - (shift + scale * mean[:order]) @ coef)
     return ArModel(coef=coef, intercept=intercept, order=order)
 
