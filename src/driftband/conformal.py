@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -315,8 +315,11 @@ def _bank_with(
     state: AgAciState, alphas: Sequence[float], weights: Sequence[float]
 ) -> AgAciState:
     """The bank with new expert levels and weights, checked by its constructor."""
-    experts = [replace(e, alpha_t=a) for e, a in zip(state.experts, alphas)]
-    return replace(state, experts=experts, weights=weights)
+    experts = [AciState(e.alpha_nominal, e.gamma, a) for e, a in zip(state.experts, alphas)]
+    return AgAciState(
+        state.alpha_nominal, experts, weights, state.eta, state.weight_floor, state.mode,
+        state.infinite_cap_factor,
+    )
 
 
 def agaci_step(

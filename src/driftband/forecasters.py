@@ -100,12 +100,11 @@ def ar_fit(window, order: int) -> ArModel:
     ``lstsq`` does, and a constant window gives exactly zero coefficients
     and its level as intercept.
 
-    The Gram is formed as in the covariance method of linear prediction:
-    its first row is one correlation of the window, and each further entry
-    is its upper-left neighbour plus the product of the two lag values the
-    shifted rows gain minus the product of the two they lose. The
-    refinement step reads the window through correlations too, so no lag
-    row is copied. Cost per call: O(n * order) plus O(order**3).
+    The Gram is formed as in the covariance method of linear prediction,
+    from one correlation of the window and a running update down its
+    diagonals; the refinement step reads the window through correlations
+    too, so no lag row is copied. Cost per call: O(n * order) plus
+    O(order**3).
 
     The cutoff is taken from measurement, not derived. ``n * eps * max``
     alone is the rounding floor of n-term sums. On windows of order + 2
@@ -129,13 +128,15 @@ def ar_fit(window, order: int) -> ArModel:
     # An exact power-of-two scale keeps the Gram from overflowing or underflowing.
     scale = np.ldexp(1.0, np.frexp(np.abs(c).max())[1] - 1)
     c /= scale
-    # The m lag rows are c[k : k + q]. Row i of ``skew`` holds G[i, i:], the
-    # upper triangle read along its diagonals, so that the flat buffer of
-    # ``skew`` is G in row-major order; only G's upper triangle is formed.
+    # G is the Gram of the m lag rows c[k : k + q]. Row i of ``skew`` holds
+    # G[i, i:], so the first q * q values of its flat buffer are G in row-major
+    # order; only G's upper triangle is formed.
     m, q = c.size - order, order + 1
     skew = np.zeros((q, q + 1))
     skew[0, :q] = np.correlate(c, c[:m], "valid")
-    # G[i+1, j+1] - G[i, j] = c[i+m] c[j+m] - c[i] c[j], read at j = i + d
+    # P[i, j] = c[i+m] c[j+m] - c[i] c[j] is G[i+1, j+1] - G[i, j]. Laid out with
+    # row length q, row i of ``steps`` holds P[i, i:], so one cumsum down the
+    # rows sums each diagonal.
     steps = np.zeros(order * q)
     steps[: order * order] = (c[m:, None] * c[m:] - c[:order, None] * c[:order]).ravel()
     np.cumsum(steps.reshape(order, q), axis=0, out=skew[1:, :q])

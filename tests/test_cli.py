@@ -425,6 +425,39 @@ def test_console_script_entry_point(tmp_path):
     assert "generated toy" in proc.stdout
 
 
+def test_blas_kernel_moves_only_ar_outputs_and_only_in_the_last_digits(tmp_path):
+    # The README rule: persistence outputs are the same bytes under every
+    # BLAS kernel; AR outputs (Gram correlations, eigh, BLAS dot products)
+    # may differ in their last digits. The kernel is chosen per process.
+    src = Path(__file__).resolve().parents[1] / "src"
+    configs = []
+    for forecaster in ("persistence", "segmented_ar"):
+        path = tmp_path / f"{forecaster}.json"
+        path.write_text(json.dumps({"name": forecaster, "dataset": "toy",
+                                    "forecaster": forecaster, "method": "agaci", "seed": 7}))
+        configs.append(str(path))
+    outs = {}
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = outs[coretype] = tmp_path / (coretype or "default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "driftband", "run", "--config", *configs, "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+    default, other = outs[None], outs["Prescott"]
+    for name in ("persistence.bands.csv", "persistence.metrics.json"):
+        assert (default / name).read_bytes() == (other / name).read_bytes()
+    a, b = (json.loads((d / "segmented_ar.metrics.json").read_text()) for d in (default, other))
+    for key in ("rmse", "coverage", "median_width"):
+        assert a["metrics"][key] == pytest.approx(b["metrics"][key], abs=1e-9)
+    assert a["alpha_final"] == pytest.approx(b["alpha_final"], abs=1e-9)
+
+
 # Each malformed input with the fragment its error must carry; {path} is the
 # malformed file. "spec" inputs go to generate, "config" inputs to run,
 # "series" inputs are a run's dataset, "metrics" inputs go to report,
