@@ -165,8 +165,9 @@ class AciState:
 def aci_step(state: AciState, buffer: ScoreBuffer, y_hat: float) -> PredictionInterval:
     """Form the band at the current working level (no state change): the
     band of a one-expert bank, as ``aci_update`` is that bank's update."""
-    interval, _ = agaci_step(AgAciState(state.alpha_nominal, (state,), (1.0,)), buffer, y_hat)
-    return interval
+    # a lone expert's band is never capped: infinite, it is the aggregate
+    half_width, _ = _aggregate((1.0,), (state.alpha_t,), buffer, 1.0)
+    return PredictionInterval(float(y_hat), half_width, 1.0 - state.alpha_t)
 
 
 def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciState:
@@ -176,9 +177,11 @@ def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciSt
     is 1 on a miss and 0 on a hit. Summed over a run this telescopes:
     (alpha_T - alpha_0) / gamma equals the accumulated coverage surplus.
     """
-    bank = AgAciState(state.alpha_nominal, (state,), (1.0,))
-    bank = agaci_update(bank, y, interval.y_hat, [interval.half_width])
-    return bank.experts[0]
+    (alpha_t,), _ = _step_experts(
+        (state.alpha_t,), (state.gamma,), (1.0,), (interval.half_width,), state.alpha_nominal,
+        float(y), float(interval.y_hat), 0.0, None,
+    )
+    return AciState(state.alpha_nominal, state.gamma, alpha_t)
 
 
 @dataclass(frozen=True)
@@ -279,36 +282,46 @@ def _aggregate(
     return math.fsum([w * hw for w, hw in zip(weights, capped) if w]), widths
 
 
-def _advance(
-    alphas: Sequence[float], gammas: Sequence[float], alpha: float, y: float, center: float,
-    widths: Sequence[float],
-) -> list[float]:
-    """Each expert's next level against its band center +- widths[k]; err_k
-    is 0 exactly when PredictionInterval.covers(y) holds for that band."""
-    return [
-        a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0))
-        for a, g, hw in zip(alphas, gammas, widths)
-    ]
+def _ewa(bank: AgAciState) -> tuple | None:
+    """The bank's reweighing constants for ``_step_experts``, or None when its
+    weights stay fixed: ``eta``, the pinball level ``tau``, the mix ``1 -
+    floor`` and ``floor / K``, and the mixed uniform fallback. A lone
+    expert's weight is a fixed point of the mix ((1 - floor) + floor rounds
+    to 1), so a one-expert bank keeps its weight."""
+    k, floor = len(bank.experts), bank.weight_floor
+    if k == 1 or bank.mode != "ewa" or not bank.eta > 0:
+        return None
+    keep, share = 1.0 - floor, floor / k
+    return bank.eta, 1.0 - bank.alpha_nominal, keep, share, [keep * (1.0 / k) + share] * k
 
 
-def _reweigh(
-    weights: Sequence[float], widths: Sequence[float], score: float, tau: float, eta: float,
-    floor: float,
-) -> list[float]:
-    """Exponential reweighing by the pinball loss at ``tau`` of each width
-    against the realized score, mixed with uniform at the floor rate (see
-    ``agaci_update``)."""
-    raw = []
-    for w, hw in zip(weights, widths):
+def _step_experts(
+    alphas: Sequence[float], gammas: Sequence[float], weights: Sequence[float],
+    widths: Sequence[float], alpha: float, y: float, center: float, score: float,
+    ewa: tuple | None,
+) -> tuple[list[float], Sequence[float]]:
+    """One pass over the experts: each one's next level against its band
+    center +- widths[k] (err_k is 0 exactly when PredictionInterval.covers(y)
+    holds for that band) and, with ``ewa`` (see ``_ewa``), its raw factor
+    w * exp(-eta * pinball loss at ``tau`` of its width against ``score``,
+    which is |y - center|), 0 for an infinite width. The next weights are the
+    normalized factors mixed with uniform at the floor rate, or the uniform
+    fallback when every factor is 0; without ``ewa`` they are ``weights``."""
+    levels, raw = [], []
+    if ewa is None:
+        for a, g, hw in zip(alphas, gammas, widths):
+            levels.append(a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0)))
+        return levels, weights
+    eta, tau, keep, share, uniform = ewa
+    for a, g, w, hw in zip(alphas, gammas, weights, widths):
+        levels.append(a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0)))
         if hw == math.inf:
             raw.append(0.0)
             continue
         diff = score - hw
         raw.append(w * math.exp(-eta * (tau * diff if diff >= 0 else (tau - 1.0) * diff)))
-    k = len(raw)
     total = math.fsum(raw)
-    base = [r / total for r in raw] if total > 0 else [1.0 / k] * k
-    return [(1.0 - floor) * b + floor / k for b in base]
+    return levels, [keep * (r / total) + share for r in raw] if total > 0 else uniform
 
 
 def _bank_with(
@@ -357,18 +370,15 @@ def agaci_update(
     lone expert's weight comes out of that as exactly 1.0 ((1 - floor) +
     floor rounds to 1), so a one-expert bank skips the reweighing.
     """
-    alphas, weights = state.alphas, state.weights
     k = len(half_widths)
-    if k != len(alphas):
-        raise ConfigError(f"got {k} half-widths for {len(alphas)} experts")
-    y, center, alpha = float(y), float(y_hat), state.alpha_nominal
-    new_alphas = _advance(alphas, state.gammas, alpha, y, center, half_widths)
-    if k > 1 and state.mode == "ewa" and state.eta > 0:
-        weights = _reweigh(
-            weights, half_widths, residual_score(y, y_hat), 1.0 - alpha, state.eta,
-            state.weight_floor,
-        )
-    return _bank_with(state, new_alphas, weights)
+    if k != len(state.experts):
+        raise ConfigError(f"got {k} half-widths for {len(state.experts)} experts")
+    y, center = float(y), float(y_hat)
+    alphas, weights = _step_experts(
+        state.alphas, state.gammas, state.weights, half_widths, state.alpha_nominal, y, center,
+        abs(y - center), _ewa(state),
+    )
+    return _bank_with(state, alphas, weights)
 
 
 def calibrate(
@@ -399,15 +409,15 @@ def calibrate(
                 append(abs(y - f))
         alphas = [a]
     else:
-        cap_factor, eta, floor = bank.infinite_cap_factor, bank.eta, bank.weight_floor
-        tau, reweigh = 1.0 - alpha, bank.mode == "ewa" and eta > 0
+        cap_factor, ewa = bank.infinite_cap_factor, _ewa(bank)
         for y, f in zip(z_run, y_hat_run):
             levels.append(_effective_alpha(weights, alphas))
             half_width, widths = _aggregate(weights, alphas, buffer, cap_factor)
             half_widths.append(half_width)
-            alphas = _advance(alphas, gammas, alpha, y, f, widths)
-            if reweigh:
-                weights = _reweigh(weights, widths, abs(y - f), tau, eta, floor)
+            score = abs(y - f)
+            alphas, weights = _step_experts(
+                alphas, gammas, weights, widths, alpha, y, f, score, ewa
+            )
             if rolling:
-                append(abs(y - f))
+                append(score)
     return half_widths, levels, _bank_with(bank, alphas, weights)

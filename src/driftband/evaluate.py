@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -482,6 +480,10 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     if jobs == 1 or len(keys) == 1:
         done = [_run_key(*task) for task in tasks]
     else:
+        # imported here: a process pool costs start-up time no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
             futures = [pool.submit(_run_key, *task) for task in tasks]
             done = []
@@ -567,7 +569,7 @@ def load_metrics_json(path: str | Path) -> dict:
 
 def write_bands_csv(
     path: str | Path, columns: dict[str, np.ndarray | None],
-    shared: dict[int, list] | None = None,
+    shared: dict[tuple, list] | None = None,
 ) -> None:
     """Per-step band table in original units, one row per test step; an
     unbanded run's band columns are empty cells. ``shared`` is a

@@ -15,6 +15,7 @@ import numbers
 import os
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import ConfigError
 
 _INDEX_MIN, _INDEX_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_BLOCK_ROWS = 1024
 
 
 def _read_text(path: Path) -> str:
@@ -53,51 +55,78 @@ def read_indexed_csv(path: str | Path, header: Sequence[str]) -> tuple[int, np.n
     least one row of ``len(header)`` fields: an integer index, each one
     more than the last, then finite numbers. Returns the first index and
     the number columns as an array of shape ``(len(header) - 1, rows)``.
-    Any violation is a ``ConfigError`` naming the file and the line.
+    Any violation is a ``ConfigError`` naming the file and the first bad
+    line. Rows are converted a block at a time, column by column; only a
+    file that fails that is walked row by row, to name its first bad line.
     """
     path = Path(path)
     expected = ",".join(header)
     width = len(header)
-    reader = csv.reader(_read_text(path).splitlines())
-    index: list[int] = []
-    values: list[float] = []
+    lines = _read_text(path).splitlines()
+    reader = csv.reader(lines)
     try:
         first = next(reader, None)
-        if first is None:
-            raise ConfigError(f"{path}: empty file, expected header {expected!r}")
-        if tuple(h.strip() for h in first) != tuple(header):
-            raise ConfigError(f"{path}: line 1: expected header {expected!r}, got {first!r}")
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+    if first is None:
+        raise ConfigError(f"{path}: empty file, expected header {expected!r}")
+    if tuple(h.strip() for h in first) != tuple(header):
+        raise ConfigError(f"{path}: line 1: expected header {expected!r}, got {first!r}")
+    index: list[int] = []
+    blocks = []
+    try:
+        # a block of rows at a time, so the parsed fields of only one block are held
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            if set(map(len, rows)) != {width}:
+                raise ValueError("a row of another width")
+            index_column, *columns = zip(*rows)
+            index.extend(map(int, index_column))
+            blocks.append(np.array([list(map(float, column)) for column in columns]))
+    except (ValueError, csv.Error):
+        _raise_first_bad_row(path, lines, width)
+        raise
+    del lines  # freed before the checks below make lists of their own
+    if not index:
+        raise ConfigError(f"{path}: no data rows")
+    size = len(index)
+    table = np.concatenate(blocks, axis=1)
+    start = index[0]
+    if not _INDEX_MIN <= start <= _INDEX_MAX - size:
+        raise ConfigError(f"{path}: line 2: index {start} is outside the 64-bit range")
+    if index != list(range(start, start + size)):
+        row = next(i for i in range(1, size) if index[i] != index[i - 1] + 1)
+        raise ConfigError(
+            f"{path}: line {row + 2}: index {index[row]} breaks the gap-free order "
+            f"(previous was {index[row - 1]})"
+        )
+    if not np.isfinite(table).all():
+        row, column = np.argwhere(~np.isfinite(table.T))[0]
+        raise ConfigError(
+            f"{path}: line {row + 2}: non-finite {header[column + 1]} "
+            f"{float(table[column, row])!r}"
+        )
+    return start, table
+
+
+def _raise_first_bad_row(path: Path, lines: list[str], width: int) -> None:
+    """Raise the ``ConfigError`` of the first data row of ``lines`` that does
+    not parse: a CSV syntax error, another width than ``width``, or a field
+    that is not an integer index or a number."""
+    reader = csv.reader(lines)
+    next(reader)
+    try:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise ConfigError(
                     f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
                 )
             try:
-                index.append(int(row[0]))
-                values.extend(map(float, row[1:]))
+                int(row[0])
+                list(map(float, row[1:]))
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from None
     except csv.Error as exc:
         raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not index:
-        raise ConfigError(f"{path}: no data rows")
-    start = index[0]
-    if not _INDEX_MIN <= start <= _INDEX_MAX - len(index):
-        raise ConfigError(f"{path}: line 2: index {start} is outside the 64-bit range")
-    if index != list(range(start, start + len(index))):
-        row = next(i for i in range(1, len(index)) if index[i] != index[i - 1] + 1)
-        raise ConfigError(
-            f"{path}: line {row + 2}: index {index[row]} breaks the gap-free order "
-            f"(previous was {index[row - 1]})"
-        )
-    table = np.array(values).reshape(len(index), width - 1)
-    if not np.isfinite(table).all():
-        row, column = np.argwhere(~np.isfinite(table))[0]
-        raise ConfigError(
-            f"{path}: line {row + 2}: non-finite {header[column + 1]} "
-            f"{float(table[row, column])!r}"
-        )
-    return start, table.T
 
 
 def _csv_field(x) -> str:
@@ -128,36 +157,47 @@ def _column_cells(column, rows: int) -> Iterable[str]:
     return map(_csv_field, column)
 
 
-def shared_cells(tables: Iterable[Iterable]) -> dict[int, list]:
-    """A table for ``format_csv`` of the column arrays that more than one
-    of ``tables`` (each an iterable of columns) holds: by id, the array,
-    its number of uses left and, from its first use, its formatted cells.
-    Each entry holds its array, so no other array can take its id."""
-    held: dict[int, list] = {}
+def _content(column) -> tuple | None:
+    """A key that equal arrays share: dtype, shape and bytes. Equal bytes
+    format to equal cells, except in an array of Python objects, which has
+    no key, nor has anything that is not an array."""
+    if isinstance(column, np.ndarray) and column.dtype.kind != "O":
+        return column.dtype.str, column.shape, column.tobytes()
+    return None
+
+
+def shared_cells(tables: Iterable[Iterable]) -> dict[tuple, list]:
+    """A table for ``format_csv`` of the column contents that ``tables``
+    (each an iterable of columns) hold more than once: by content (see
+    ``_content``), its number of uses left and, from its first use, its
+    formatted cells."""
+    held: dict[tuple, list] = {}
     for table in tables:
         for column in table:
-            if isinstance(column, np.ndarray):
-                held.setdefault(id(column), [column, 0, None])[1] += 1
-    return {key: entry for key, entry in held.items() if entry[1] > 1}
+            key = _content(column)
+            if key is not None:
+                held.setdefault(key, [0, None])[0] += 1
+    return {key: entry for key, entry in held.items() if entry[0] > 1}
 
 
-def _cells_once(column, rows: int, shared: dict[int, list]) -> Iterable[str]:
-    """``_column_cells``, formatted once for a column of ``shared`` and
+def _cells_once(column, rows: int, shared: dict[tuple, list]) -> Iterable[str]:
+    """``_column_cells``, formatted once for a content of ``shared`` and
     dropped from it at its last use."""
-    entry = shared.get(id(column))
+    key = _content(column) if shared else None
+    entry = shared.get(key)
     if entry is None:
         return _column_cells(column, rows)
-    if entry[2] is None:
-        entry[2] = list(_column_cells(column, rows))
-    entry[1] -= 1
-    if not entry[1]:
-        del shared[id(column)]
-    return entry[2]
+    if entry[1] is None:
+        entry[1] = list(_column_cells(column, rows))
+    entry[0] -= 1
+    if not entry[0]:
+        del shared[key]
+    return entry[1]
 
 
 def format_csv(
     header: Sequence[str], columns: Sequence[Sequence | None],
-    shared: dict[int, list] | None = None,
+    shared: dict[tuple, list] | None = None,
 ) -> str:
     """CSV text of a header and its columns, one per header name: a None
     column is empty cells, booleans are 1/0 and floats their shortest

@@ -425,6 +425,19 @@ def test_console_script_entry_point(tmp_path):
     assert "generated toy" in proc.stdout
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only a grid that runs several forecast keys with --jobs > 1 imports it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = "import sys, driftband.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_blas_kernel_moves_only_ar_outputs_and_only_in_the_last_digits(tmp_path):
     # The README rule: persistence outputs are the same bytes under every
     # BLAS kernel; AR outputs (Gram correlations, eigh, BLAS dot products)
@@ -812,8 +825,9 @@ def test_grid_files_equal_each_config_run_alone(tmp_path, capsys, monkeypatch, j
             assert metrics == (tmp_path / "alone" / f"{path.stem}.metrics.json").read_bytes()
             assert ((out / f"{path.stem}.bands.csv").read_bytes()
                     == (tmp_path / "alone" / f"{path.stem}.bands.csv").read_bytes())
-    # 4 toy forecast keys, each with index, y and y_hat held by all its cells
-    assert [(n, table) for n, table in tables] == [(12, {}), (12, {})]
+    # shared by content: one index (both seeds test the same steps), each seed's
+    # y, each of the 4 toy forecast keys' y_hat and the split cells' constant alpha_t
+    assert [(n, table) for n, table in tables] == [(8, {}), (8, {})]
     columns = [c for r in reports if isinstance(r, evaluate.RunReport)
                for c in r.columns.values() if c is not None]
     assert len(columns) == 2 * (4 * 3 + 13 * 7)  # two grids: 4 unbanded and 13 banded cells

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -602,7 +603,7 @@ def test_a_grid_of_one_forecast_key_runs_in_process(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a grid of one forecast key started a process pool")
 
-    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     pooled = grid_run(configs, jobs=2)
     for tag, results in (("jobs1", alone), ("jobs2", pooled)):
         for report in results:

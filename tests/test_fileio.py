@@ -74,22 +74,51 @@ def test_no_rows_is_the_header_line_and_unequal_columns_are_an_error():
         format_csv(("a", "b"), [np.arange(3), np.arange(2.0)])
 
 
-def test_a_shared_column_is_formatted_once_and_dropped_after_its_last_use(monkeypatch):
-    y, index = np.array([0.1 + 0.2, -0.0, 1 / 3]), np.arange(3)
-    tables = [[index, y, None], [index, y, np.arange(3.0)], [np.arange(3), y, None]]
-    table = shared_cells(tables)
-    # None columns and arrays held by one table are not shared, equal ones neither
-    assert sorted(table) == sorted([id(y), id(index)])
+def formatting_spy(monkeypatch):
+    """The columns ``format_csv`` formats, in order."""
     formatted = []
+    real_column_cells = fileio._column_cells
 
     def column_cells(column, rows):
         formatted.append(column)
         return real_column_cells(column, rows)
 
-    real_column_cells = fileio._column_cells
     monkeypatch.setattr(fileio, "_column_cells", column_cells)
+    return formatted
+
+
+def test_a_shared_column_is_formatted_once_and_dropped_after_its_last_use(monkeypatch):
+    y, index = np.array([0.1 + 0.2, -0.0, 1 / 3]), np.arange(3)
+    tables = [[index, y, None], [index, y, np.arange(3.0)], [np.arange(3), y, None]]
+    table = shared_cells(tables)
+    # None columns and a content held once are not shared
+    assert len(table) == 2
+    formatted = formatting_spy(monkeypatch)
     header = ("index", "y", "band")
     texts = [format_csv(header, columns, table) for columns in tables]
-    assert [id(c) for c in formatted].count(id(y)) == 1
+    assert [id(c) for c in formatted if c is not None] == [id(index), id(y), id(tables[1][2])]
     assert table == {}
     assert texts == [oracle_format_csv(header, oracle_rows(columns)) for columns in tables]
+
+
+def test_distinct_arrays_of_equal_content_are_formatted_once(monkeypatch):
+    # equal values in other bytes (-0.0) or another dtype (int 0 and float 0.0
+    # are both zero bytes) are other contents
+    a, zeros = np.array([0.0, 1.5, np.inf]), np.zeros(3, dtype=np.int64)
+    tables = [
+        [a, zeros, np.array([True, False, True])],
+        [a.copy(), np.zeros(3), np.array([True, False, True])],
+        [np.array([-0.0, 1.5, np.inf]), zeros.copy(), a[::-1][::-1]],
+    ]
+    table = shared_cells(tables)
+    assert len(table) == 3
+    formatted = formatting_spy(monkeypatch)
+    header = ("x", "n", "z")
+    texts = [format_csv(header, columns, table) for columns in tables]
+    # a, zeros and the flags once each, then the float zeros and the -0.0 column
+    assert [id(c) for c in formatted] == [
+        id(a), id(zeros), id(tables[0][2]), id(tables[1][1]), id(tables[2][0])
+    ]
+    assert table == {}
+    assert texts == [oracle_format_csv(header, oracle_rows(columns)) for columns in tables]
+    assert texts[2].splitlines()[1] == "-0.0,0,0.0"

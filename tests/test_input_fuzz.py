@@ -1,11 +1,16 @@
 """Fuzz every parser of outside input: whatever the document, only ConfigError escapes."""
 
-from hypothesis import HealthCheck, given, settings
+import csv
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from driftband.datagen import generator_spec_from_json
 from driftband.errors import ConfigError
 from driftband.evaluate import run_config_from_dict
+from driftband.fileio import _INDEX_MAX, _INDEX_MIN, _read_text, read_indexed_csv
 from driftband.forecasters import ExternalForecastTrace
 from driftband.series import load_series_csv
 
@@ -96,3 +101,135 @@ def test_csv_readers_raise_only_config_errors(tmp_path_factory, content):
     path.write_bytes(content)
     only_config_errors(load_series_csv, path)
     only_config_errors(ExternalForecastTrace.from_csv, path)
+
+
+def reference_read_indexed_csv(path, header):
+    """The row-at-a-time reader that ``read_indexed_csv`` replaced, kept as
+    the oracle of what it returns and of every message it raises."""
+    path = Path(path)
+    expected = ",".join(header)
+    width = len(header)
+    reader = csv.reader(_read_text(path).splitlines())
+    index: list[int] = []
+    values: list[float] = []
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ConfigError(f"{path}: empty file, expected header {expected!r}")
+        if tuple(h.strip() for h in first) != tuple(header):
+            raise ConfigError(f"{path}: line 1: expected header {expected!r}, got {first!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ConfigError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+                )
+            try:
+                index.append(int(row[0]))
+                values.extend(map(float, row[1:]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not index:
+        raise ConfigError(f"{path}: no data rows")
+    start = index[0]
+    if not _INDEX_MIN <= start <= _INDEX_MAX - len(index):
+        raise ConfigError(f"{path}: line 2: index {start} is outside the 64-bit range")
+    if index != list(range(start, start + len(index))):
+        row = next(i for i in range(1, len(index)) if index[i] != index[i - 1] + 1)
+        raise ConfigError(
+            f"{path}: line {row + 2}: index {index[row]} breaks the gap-free order "
+            f"(previous was {index[row - 1]})"
+        )
+    table = np.array(values).reshape(len(index), width - 1)
+    if not np.isfinite(table).all():
+        row, column = np.argwhere(~np.isfinite(table))[0]
+        raise ConfigError(
+            f"{path}: line {row + 2}: non-finite {header[column + 1]} "
+            f"{float(table[row, column])!r}"
+        )
+    return start, table.T
+
+
+HEADERS = (("index", "value"), ("index", "y_true", "y_hat"))
+# One field past the csv module's default field size limit.
+LONG_LINE = "9" * (csv.field_size_limit() + 1)
+
+
+def apply_defect(rows, at, kind, pick, column):
+    """Spoil row ``at`` (a list of fields) with one defect of ``kind``; a
+    value defect goes to the ``column``-th value field, counted modulo."""
+    row = rows[at]
+    column = 1 + column % (len(row) - 1)
+    if kind == "width":
+        rows[at] = row[:-1] if pick else row + ["1"]
+    elif kind == "int":
+        row[0] = ("abc", "1.5", "", " ", "0x1f")[pick]
+    elif kind == "float":
+        row[column] = ("abc", "", "1_0", "1..5", "e")[pick]
+    elif kind == "gap":
+        row[0] = str(int(row[0]) + (2, -1, 0, 5, 1000)[pick])
+    elif kind == "nonfinite":
+        row[column] = ("nan", "inf", "-inf", "1e400", "-nan")[pick]
+    else:  # an unclosed quote runs to the end of the file, past the field size limit
+        row[column] = '"' + row[column]
+        rows.append([LONG_LINE])
+
+
+DEFECTS = st.tuples(
+    st.sampled_from(["width", "int", "float", "gap", "nonfinite", "quote"]),
+    st.integers(0, 4),
+    st.integers(0, 1),
+)
+
+
+@st.composite
+def damaged_tables(draw):
+    """A valid table of up to three read blocks, then zero, one or two defects,
+    each at a row of its own after a valid prefix."""
+    header = draw(st.sampled_from(HEADERS))
+    size = draw(st.integers(1, 40) | st.sampled_from([1023, 1024, 1025, 2048, 2049, 2500]))
+    start = draw(st.integers(-5, 5) | st.sampled_from([_INDEX_MIN, _INDEX_MAX - size + 1]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).normal(scale=1e3, size=(size, len(header) - 1))
+    values[values > 2e3] = -0.0
+    rows = [[str(start + i), *map(repr, v)] for i, v in enumerate(values.tolist())]
+    at = sorted(draw(st.sets(st.integers(0, size - 1), max_size=2)))
+    for position in reversed(at):  # a quote's long line goes last
+        apply_defect(rows, position, *draw(DEFECTS))
+    lines = [",".join(header), *map(",".join, rows)]
+    return header, ("\n".join(lines) + "\n").encode()
+
+
+def assert_reads_as_the_reference(path, header):
+    outcomes = []
+    for read in (reference_read_indexed_csv, read_indexed_csv):
+        try:
+            start, table = read(path, header)
+        except ConfigError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((start, table.shape, table.dtype, table.tobytes()))
+    assert outcomes[1] == outcomes[0]
+
+
+@FUZZ
+@given(st.sampled_from(HEADERS), CSV_FILES)
+def test_csv_reader_matches_the_row_reader_on_fuzzed_files(tmp_path_factory, header, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(content)
+    assert_reads_as_the_reference(path, header)
+
+
+@FUZZ
+@given(damaged_tables())
+@example((HEADERS[0], f"index,value\n0,1.5\n1,abc\n2,\"3\n{LONG_LINE}\n".encode()))
+@example((HEADERS[1], b"index,y_true,y_hat\n7,1,2\n9,nan,1\n10,1_0,x\n"))
+@example((HEADERS[1], b"index,y_true,y_hat\n7,1,2\n8,1,inf\n9,nan,1\n"))
+def test_csv_reader_matches_the_row_reader_on_damaged_tables(tmp_path_factory, case):
+    """The first bad line is named as the row reader names it, across block
+    boundaries and with a CSV syntax error after an earlier bad value."""
+    header, content = case
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(content)
+    assert_reads_as_the_reference(path, header)
