@@ -15,7 +15,7 @@ import numbers
 import os
 import sys
 import tempfile
-from itertools import islice
+import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ConfigError
 
 _INDEX_MIN, _INDEX_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-_BLOCK_ROWS = 1024
 
 
 def _read_text(path: Path) -> str:
@@ -56,8 +55,9 @@ def read_indexed_csv(path: str | Path, header: Sequence[str]) -> tuple[int, np.n
     more than the last, then finite numbers. Returns the first index and
     the number columns as an array of shape ``(len(header) - 1, rows)``.
     Any violation is a ``ConfigError`` naming the file and the first bad
-    line. Rows are converted a block at a time, column by column; only a
-    file that fails that is walked row by row, to name its first bad line.
+    line. Numbers are parsed by numpy's C reader. A file it cannot read,
+    such as one with quoted fields or Python-only spellings like ``1_0``,
+    is read row by row, with the same values and the same messages.
     """
     path = Path(path)
     expected = ",".join(header)
@@ -72,48 +72,54 @@ def read_indexed_csv(path: str | Path, header: Sequence[str]) -> tuple[int, np.n
         raise ConfigError(f"{path}: empty file, expected header {expected!r}")
     if tuple(h.strip() for h in first) != tuple(header):
         raise ConfigError(f"{path}: line 1: expected header {expected!r}, got {first!r}")
-    index: list[int] = []
-    blocks = []
-    try:
-        # a block of rows at a time, so the parsed fields of only one block are held
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            if set(map(len, rows)) != {width}:
-                raise ValueError("a row of another width")
-            index_column, *columns = zip(*rows)
-            index.extend(map(int, index_column))
-            blocks.append(np.array([list(map(float, column)) for column in columns]))
-    except (ValueError, csv.Error):
-        _raise_first_bad_row(path, lines, width)
-        raise
-    del lines  # freed before the checks below make lists of their own
-    if not index:
-        raise ConfigError(f"{path}: no data rows")
+    index, values = _parse_lines(lines, width) or _read_rows(path, reader, width)
     size = len(index)
-    table = np.concatenate(blocks, axis=1)
-    start = index[0]
+    if not size:
+        raise ConfigError(f"{path}: no data rows")
+    start = int(index[0])
     if not _INDEX_MIN <= start <= _INDEX_MAX - size:
         raise ConfigError(f"{path}: line 2: index {start} is outside the 64-bit range")
-    if index != list(range(start, start + size)):
-        row = next(i for i in range(1, size) if index[i] != index[i - 1] + 1)
+    gaps = np.flatnonzero(index != np.arange(start, start + size))
+    if gaps.size:
+        row = gaps[0]
         raise ConfigError(
             f"{path}: line {row + 2}: index {index[row]} breaks the gap-free order "
             f"(previous was {index[row - 1]})"
         )
-    if not np.isfinite(table).all():
-        row, column = np.argwhere(~np.isfinite(table.T))[0]
+    if not np.isfinite(values).all():
+        row, column = np.argwhere(~np.isfinite(values))[0]
         raise ConfigError(
             f"{path}: line {row + 2}: non-finite {header[column + 1]} "
-            f"{float(table[column, row])!r}"
+            f"{float(values[row, column])!r}"
         )
-    return start, table
+    return start, np.ascontiguousarray(values.T)
 
 
-def _raise_first_bad_row(path: Path, lines: list[str], width: int) -> None:
-    """Raise the ``ConfigError`` of the first data row of ``lines`` that does
-    not parse: a CSV syntax error, another width than ``width``, or a field
-    that is not an integer index or a number."""
-    reader = csv.reader(lines)
-    next(reader)
+def _parse_lines(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The index and ``(rows, width - 1)`` values of ``lines`` after the header, as
+    numpy's C reader parses them; None where it may read them otherwise than csv,
+    int and float: an error, a warning, a skipped blank line or a line past csv's
+    field size limit. (A header quoted over several lines leaves a quote in them.)"""
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, [("index", "i8"), ("values", "f8", (width - 1,))],
+                               delimiter=",", comments=None, quotechar=None, skiprows=1, ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            return None
+    if len(table) != len(lines) - 1:
+        return None
+    return table["index"], table["values"]
+
+
+def _read_rows(path: Path, reader, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index (Python integers) and ``(rows, width - 1)`` values of the rows
+    left in ``reader``, by ``int`` and ``float``. The first row that is a CSV
+    syntax error, not ``width`` fields, or a field that does not convert
+    raises the ``ConfigError`` naming its line."""
+    index, values = [], []
     try:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width:
@@ -121,12 +127,13 @@ def _raise_first_bad_row(path: Path, lines: list[str], width: int) -> None:
                     f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
                 )
             try:
-                int(row[0])
-                list(map(float, row[1:]))
+                index.append(int(row[0]))
+                values.extend(map(float, row[1:]))
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from None
     except csv.Error as exc:
         raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+    return np.array(index, dtype=object), np.array(values).reshape(len(index), width - 1)
 
 
 def _csv_field(x) -> str:

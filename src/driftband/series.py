@@ -113,7 +113,8 @@ def fit_scaler(values, start: int | None = None, end: int | None = None) -> Stan
         raise NumericError(f"degenerate window: need at least 2 points, got {window.size}")
     if window.min() == window.max():
         raise NumericError("degenerate window: all values identical, std would be 0")
-    return StandardScaler(mean=float(window.mean()), std=float(window.std(ddof=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # StandardScaler names a non-finite one
+        return StandardScaler(mean=float(window.mean()), std=float(window.std(ddof=1)))
 
 
 def load_series_csv(path: str | Path) -> TimeSeries:

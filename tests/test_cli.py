@@ -680,6 +680,26 @@ def test_a_failed_observation_names_its_phase_and_index(tmp_path, capsys, head, 
     assert (tmp_path / "grid" / "toy-persistence-aci.bands.csv").exists()
 
 
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(0).standard_normal(400) * 1e160,  # the std's squares overflow
+    np.random.default_rng(0).standard_normal(400) * 1e154,  # and then their sum
+    np.tile([1.7e308, 1.5e308, 1e308, 1.7e308], 100),  # the mean's sum overflows
+])
+def test_a_scaler_that_overflows_exits_4_with_one_line(tmp_path, capsys, values):
+    big = tmp_path / "big.csv"
+    write_series_csv(big, TimeSeries(values=values))
+    config = write_config(tmp_path, dataset=str(big))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
+    # the statistics overflow to inf; that is the error, not a numpy warning
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: while fitting the scaler on the training window: "
+        "scaler statistics must be finite\n"
+    )
+
+
 def test_duplicate_run_names_exit_2_before_any_load(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     a = write_config(tmp_path, "a.json", dataset=missing, seed=1)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from driftband import fileio
 from driftband.fileio import format_csv, shared_cells
+from driftband.forecasters import ExternalForecastTrace
+from driftband.series import TimeSeries, load_series_csv, write_series_csv
 
 
 def oracle_format_csv(header, rows):
@@ -122,3 +124,34 @@ def test_distinct_arrays_of_equal_content_are_formatted_once(monkeypatch):
     assert table == {}
     assert texts == [oracle_format_csv(header, oracle_rows(columns)) for columns in tables]
     assert texts[2].splitlines()[1] == "-0.0,0,0.0"
+
+
+def test_written_files_are_parsed_by_numpy_and_a_python_spelling_row_by_row(
+    tmp_path, monkeypatch
+):
+    read_rows, calls = fileio._read_rows, []
+
+    def spy(path, *args):
+        calls.append(path)
+        return read_rows(path, *args)
+
+    monkeypatch.setattr(fileio, "_read_rows", spy)
+    values = np.random.default_rng(0).normal(scale=1e3, size=3000)
+    values[:6] = [-0.0, 5e-324, -1.7e308, 1e-300, 0.1 + 0.2, 1e22]
+    series = tmp_path / "series.csv"
+    write_series_csv(series, TimeSeries(values=values, start_index=-7))
+    loaded = load_series_csv(series)
+    assert loaded.start_index == -7
+    assert loaded.values.tobytes() == values.tobytes()
+    # a trace as perfbench writes one: repr floats, one row per line
+    trace = tmp_path / "trace.csv"
+    trace.write_text("index,y_true,y_hat\n" + "".join(
+        f"{100 + i},{v!r},{-v / 3!r}\n" for i, v in enumerate(values.tolist())
+    ))
+    read = ExternalForecastTrace.from_csv(trace)
+    assert read.y_hat.tobytes() == (-values / 3).tobytes()
+    assert calls == []
+    python_only = tmp_path / "python-only.csv"
+    python_only.write_text("index,value\n0,1_0\n1,2\n")
+    assert load_series_csv(python_only).values.tolist() == [10.0, 2.0]
+    assert calls == [python_only]
