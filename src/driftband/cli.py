@@ -38,21 +38,17 @@ def _parse_json_file(path: Path, parse):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _out_dir(args, config_out: str | None = None) -> Path:
-    out = config_out if args.out is None else args.out
-    out_dir = Path(out) if out else Path(".")
+def _out_dir(args) -> Path:
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
-def _parse_run_config(path: Path, seed_override: int | None) -> tuple[evaluate.RunConfig, str | None]:
-    """The run config in a file, and the file's ``out`` directory (or None)."""
-    config, out = _parse_json_file(
-        path, lambda payload: (evaluate.run_config_from_dict(payload), payload.get("out"))
-    )
+def _parse_run_config(path: Path, seed_override: int | None) -> evaluate.RunConfig:
+    config = _parse_json_file(path, evaluate.run_config_from_dict)
     if seed_override is not None:
         config = replace(config, seed=seed_override)
-    return config, out
+    return config
 
 
 def _print_run_line(result, prefix: str = "") -> None:
@@ -101,7 +97,7 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    configs, outs = zip(*(_parse_run_config(Path(p), args.seed) for p in args.config))
+    configs = [_parse_run_config(Path(p), args.seed) for p in args.config]
     # Runs write <run name>.{metrics.json,bands.csv}, so two of one name would overwrite.
     first_with: dict[str, str] = {}
     for path, config in zip(args.config, configs):
@@ -111,15 +107,7 @@ def cmd_run(args) -> int:
                 f"and {path}; give one of them a distinct 'name'"
             )
         first_with[config.run_name] = path
-    # Without --out a grid writes every run to the one 'out' its configs give.
-    given = [(path, out) for path, out in zip(args.config, outs) if out and args.out is None]
-    for path, out in given[1:]:
-        if Path(out) != Path(given[0][1]):
-            raise ConfigError(
-                f"{given[0][0]} sets out {given[0][1]!r} but {path} sets out {out!r}; "
-                "give them one 'out' or pass --out"
-            )
-    out_dir = _out_dir(args, given[0][1] if given else None)
+    out_dir = _out_dir(args)
     if len(configs) == 1:
         report = evaluate.run_rolling(configs[0])
         _write_run_outputs(out_dir, report)
@@ -135,8 +123,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_wrap(args) -> int:
-    config, out = _parse_run_config(Path(args.config), args.seed)
-    out_dir = _out_dir(args, out)
+    config = _parse_run_config(Path(args.config), args.seed)
+    out_dir = _out_dir(args)
     series = load_series_csv(Path(args.series))
     trace = ExternalForecastTrace.from_csv(Path(args.trace))
     # forecaster_params were checked against the config's own forecaster
@@ -180,13 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a synthetic series CSV (+ regime sidecar)")
     p_gen.add_argument("--spec", required=True,
                        help="generator spec JSON, or builtin name 'toy' / 'lorenz'")
-    p_gen.add_argument("--out", default=None, help="output directory (default: .)")
+    p_gen.add_argument("--out", default=".", help="output directory (default: .)")
     p_gen.set_defaults(func=cmd_generate)
 
     p_run = sub.add_parser("run", help="evaluate one or more run configs")
     p_run.add_argument("--config", required=True, nargs="+",
                        help="run config JSON file(s); several files form a grid")
-    p_run.add_argument("--out", default=None, help="output directory (default: config 'out' or .)")
+    p_run.add_argument("--out", default=".", help="output directory (default: .)")
     p_run.add_argument("--seed", type=int, default=None, help="override every config's seed")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel workers for grids")
     p_run.set_defaults(func=cmd_run)
@@ -195,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_wrap.add_argument("--trace", required=True, help="trace CSV (index,y_true,y_hat)")
     p_wrap.add_argument("--series", required=True, help="series CSV the trace was made from")
     p_wrap.add_argument("--config", required=True, help="run config JSON file")
-    p_wrap.add_argument("--out", default=None, help="output directory (default: config 'out' or .)")
+    p_wrap.add_argument("--out", default=".", help="output directory (default: .)")
     p_wrap.add_argument("--seed", type=int, default=None, help="override the config's seed")
     p_wrap.set_defaults(func=cmd_wrap)
 
     p_rep = sub.add_parser("report", help="combine metrics JSONs into a comparison table")
     p_rep.add_argument("--inputs", required=True, nargs="+", help="metrics JSON files")
-    p_rep.add_argument("--out", default=None, help="output directory (default: .)")
+    p_rep.add_argument("--out", default=".", help="output directory (default: .)")
     p_rep.set_defaults(func=cmd_report)
     return parser
 

@@ -190,8 +190,8 @@ class AgAciState:
 
     Each expert runs its own step size; the bank aggregates their
     half-widths with exponential weights driven by the pinball loss at
-    the nominal coverage level. ``mode="fixed"`` (or ``eta == 0``)
-    freezes the weights, turning the bank into a static mixture.
+    the nominal coverage level. ``eta == 0`` freezes the weights, turning
+    the bank into a static mixture.
     ``alphas`` and ``gammas`` read the experts' levels and step sizes.
     """
 
@@ -200,7 +200,6 @@ class AgAciState:
     weights: tuple[float, ...]
     eta: float = 1.0
     weight_floor: float = 1e-6
-    mode: str = "ewa"
     infinite_cap_factor: float = 2.0
 
     def __post_init__(self) -> None:
@@ -221,8 +220,6 @@ class AgAciState:
             raise ConfigError(f"eta must be non-negative, got {self.eta}")
         if not 0 <= self.weight_floor < 1:
             raise ConfigError(f"weight floor must lie in [0, 1), got {self.weight_floor}")
-        if self.mode not in ("ewa", "fixed"):
-            raise ConfigError(f"aggregation mode must be 'ewa' or 'fixed', got {self.mode!r}")
         if not self.infinite_cap_factor > 0:
             raise ConfigError(
                 f"infinite cap factor must be positive, got {self.infinite_cap_factor}"
@@ -247,7 +244,7 @@ class AgAciState:
     @classmethod
     def from_gammas(
         cls, alpha_nominal: float, gammas: Sequence[float], eta: float = 1.0,
-        weight_floor: float = 1e-6, mode: str = "ewa", infinite_cap_factor: float = 2.0,
+        weight_floor: float = 1e-6, infinite_cap_factor: float = 2.0,
     ) -> "AgAciState":
         """A bank of one expert per step size, all at the nominal level, with
         uniform weights."""
@@ -258,7 +255,7 @@ class AgAciState:
             raise ConfigError(f"step sizes must be finite, got {gammas}")
         return cls(
             alpha_nominal, [AciState(alpha_nominal, g) for g in gammas],
-            [1.0 / len(gammas) for _ in gammas], eta, weight_floor, mode, infinite_cap_factor,
+            [1.0 / len(gammas) for _ in gammas], eta, weight_floor, infinite_cap_factor,
         )
 
 
@@ -289,7 +286,7 @@ def _ewa(bank: AgAciState) -> tuple | None:
     expert's weight is a fixed point of the mix ((1 - floor) + floor rounds
     to 1), so a one-expert bank keeps its weight."""
     k, floor = len(bank.experts), bank.weight_floor
-    if k == 1 or bank.mode != "ewa" or not bank.eta > 0:
+    if k == 1 or not bank.eta > 0:
         return None
     keep, share = 1.0 - floor, floor / k
     return bank.eta, 1.0 - bank.alpha_nominal, keep, share, [keep * (1.0 / k) + share] * k
@@ -330,7 +327,7 @@ def _bank_with(
     """The bank with new expert levels and weights, checked by its constructor."""
     experts = [AciState(e.alpha_nominal, e.gamma, a) for e, a in zip(state.experts, alphas)]
     return AgAciState(
-        state.alpha_nominal, experts, weights, state.eta, state.weight_floor, state.mode,
+        state.alpha_nominal, experts, weights, state.eta, state.weight_floor,
         state.infinite_cap_factor,
     )
 

@@ -63,7 +63,6 @@ class RunConfig:
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     eta: float = 1.0
     weight_floor: float = 1e-6
-    aggregation: str = "ewa"
     cap_factor: float = 2.0
     lag: int = 24
     split: tuple[float, float, float] = (0.5, 0.2, 0.3)
@@ -112,10 +111,6 @@ class RunConfig:
             raise ConfigError(
                 f"buffer_mode must be 'rolling' or 'frozen', got {self.buffer_mode!r}"
             )
-        if self.aggregation not in ("ewa", "fixed"):
-            raise ConfigError(
-                f"aggregation must be 'ewa' or 'fixed', got {self.aggregation!r}"
-            )
         if self.lag < 1:
             raise ConfigError(f"lag must be >= 1, got {self.lag}")
         if self.seed < 0:
@@ -138,15 +133,13 @@ class RunConfig:
         return f"{dataset_label(self.dataset)}-{self.forecaster}-{self.method}"
 
 
-# The JSON type each key of a run config must have; ``out`` is the CLI's
-# default output directory and not part of the RunConfig.
+# The JSON type each key of a run config must have.
 _RUN_CONFIG_TYPES = {
     "dataset": "a string", "forecaster": "a string", "method": "a string",
     "name": "a string or null", "forecaster_params": "an object", "alpha": "a number",
     "gamma": "a number", "gamma_grid": "a list of numbers", "eta": "a number",
-    "weight_floor": "a number", "aggregation": "a string", "cap_factor": "a number",
-    "lag": "an integer", "split": "a list of numbers", "seed": "an integer",
-    "buffer_mode": "a string", "out": "a string or null",
+    "weight_floor": "a number", "cap_factor": "a number", "lag": "an integer",
+    "split": "a list of numbers", "seed": "an integer", "buffer_mode": "a string",
 }
 # The forecaster_params each forecaster takes, with their JSON types.
 _AR_PARAM_TYPES = {"order": "an integer", "refit_every": "an integer"}
@@ -164,7 +157,7 @@ def run_config_from_dict(payload: dict) -> RunConfig:
     configured forecaster does not take are an error naming the key.
     """
     check_keys(payload, _RUN_CONFIG_TYPES, "run config", required=("dataset",))
-    return RunConfig(**{key: value for key, value in payload.items() if key != "out"})
+    return RunConfig(**payload)
 
 
 def dataset_label(dataset: str) -> str:
@@ -382,7 +375,7 @@ def _calibrate(
         gammas = {"split": (0.0,), "aci": (config.gamma,)}.get(config.method, config.gamma_grid)
         bank = conformal.AgAciState.from_gammas(
             config.alpha, gammas, eta=config.eta, weight_floor=config.weight_floor,
-            mode=config.aggregation, infinite_cap_factor=config.cap_factor,
+            infinite_cap_factor=config.cap_factor,
         )
         half_widths, alphas, bank = conformal.calibrate(
             bank, buffer, z_run[n_seed:], y_hat_run[n_seed:], config.buffer_mode == "rolling"

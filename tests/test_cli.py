@@ -728,36 +728,35 @@ def test_duplicate_run_names_exit_2_before_any_load(tmp_path, capsys):
     ]
 
 
-def test_grid_configs_with_different_outs_exit_2_before_any_load(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command, key, value", [
+    ("run", "out", "runs"), ("run", "aggregation", "fixed"), ("wrap", "out", "runs"),
+])
+def test_removed_config_keys_exit_2_before_any_load(tmp_path, capsys, monkeypatch,
+                                                     command, key, value):
+    """The output directory comes only from --out, and frozen AgACI weights
+    only from eta 0; a config that still sets ``out`` or ``aggregation`` is
+    an unknown key. The dataset is missing, so a check after the load would
+    exit 3."""
     monkeypatch.chdir(tmp_path)
-
-    def config(run_name, dataset="toy", **out):
-        path = tmp_path / f"{run_name}.json"
-        path.write_text(json.dumps({"dataset": dataset, "method": "split", "name": run_name,
-                                    **out}))
-        return str(path)
-
     missing = str(tmp_path / "missing.csv")
-    a, b = config("a", missing, out="runs_a"), config("b", missing, out="runs_b")
-    assert main(["run", "--config", a, b]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {a} sets out 'runs_a' but {b} sets out 'runs_b'; "
-        "give them one 'out' or pass --out\n"
-    )
-    assert not (tmp_path / "runs_a").exists() and not (tmp_path / "runs_b").exists()
-    # one 'out', however spelled, takes the runs of configs without one too
-    a, c, d = config("a", out="runs_a"), config("c", out="runs_a/"), config("d")
-    assert main(["run", "--config", a, c, d]) == 0
-    assert sorted(p.name for p in (tmp_path / "runs_a").iterdir()) == [
-        f"{name}.{ext}" for name in "acd" for ext in ("bands.csv", "metrics.json")
+    config = str(write_config(tmp_path, dataset=missing, **{key: value}))
+    argv = {"run": ["run", "--config", config],
+            "wrap": ["wrap", "--config", config, "--series", missing, "--trace", missing]}
+    assert main(argv[command]) == 2
+    assert capsys.readouterr().err == f"error: {config}: unknown keys in run config: {key}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_grid_without_out_writes_every_run_into_the_current_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    configs = [str(write_config(tmp_path, f"{method}.json", method=method))
+               for method in ("split", "aci")]
+    assert main(["run", "--config", *configs]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "aci.json", "split.json",
+        *(f"toy-persistence-{method}.{ext}" for method in ("aci", "split")
+          for ext in ("bands.csv", "metrics.json")),
     ]
-    # --out takes every run, whatever its config says
-    b = config("b", out="runs_b")
-    assert main(["run", "--config", a, b, "--out", "o"]) == 0
-    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
-        f"{name}.{ext}" for name in "ab" for ext in ("bands.csv", "metrics.json")
-    ]
-    assert not (tmp_path / "runs_b").exists()
 
 
 @pytest.mark.parametrize("n_configs", [1, 2])

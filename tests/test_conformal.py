@@ -56,7 +56,6 @@ class OracleBank:
     weights: tuple
     eta: float
     weight_floor: float
-    mode: str
     infinite_cap_factor: float
 
     @property
@@ -91,7 +90,7 @@ def oracle_agaci_step(state, buffer, y_hat):
 def oracle_agaci_update(state, y, y_hat, per_expert):
     experts = tuple(oracle_aci_update(e, float(y), iv) for e, iv in zip(state.experts, per_expert))
     weights = state.weights
-    if state.mode == "ewa" and state.eta > 0 and len(weights) > 1:
+    if state.eta > 0 and len(weights) > 1:
         score = residual_score(y, y_hat)
         tau = 1.0 - state.alpha_nominal
         factors = []
@@ -132,7 +131,6 @@ STEP_VALUES = st.sampled_from([-2.0, -0.5, 0.0, 0.0, 0.25, 1.0, 3.0]) | st.float
     raw_weights=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6),
     eta=st.sampled_from([0.0, 0.5, 1.0, 5.0, 60.0]),
     floor=st.sampled_from([0.0, 1e-6, 0.2]),
-    mode=st.sampled_from(["ewa", "fixed"]),
     cap=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
     seed_scores=st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5]), min_size=1, max_size=12),
     capacity=st.integers(1, 12),
@@ -141,22 +139,22 @@ STEP_VALUES = st.sampled_from([-2.0, -0.5, 0.0, 0.0, 0.25, 1.0, 3.0]) | st.float
 )
 @example(  # y = y_hat + hw is covered, though abs(y - y_hat) > hw after rounding
     experts=[(0.01, 0.6), (0.0, 0.1)], raw_weights=[0.5] * 6, eta=1.0, floor=1e-6,
-    mode="ewa", cap=2.0, seed_scores=[0.2], capacity=1, rolling=False,
+    cap=2.0, seed_scores=[0.2], capacity=1, rolling=False,
     steps=[(0.1 + 0.2, 0.1)],
 )
 @example(  # all-zero scores: zero-width bands that hit only when y == y_hat
     experts=[(0.01, 0.1), (0.0, 0.5), (0.3, -0.2)], raw_weights=[1.0] * 6, eta=5.0,
-    floor=0.0, mode="ewa", cap=2.0, seed_scores=[0.0] * 5, capacity=5, rolling=True,
+    floor=0.0, cap=2.0, seed_scores=[0.0] * 5, capacity=5, rolling=True,
     steps=[(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (-2.0, 1.0)],
 )
 def test_flat_kernel_matches_the_object_oracle_bit_for_bit(
-    experts, raw_weights, eta, floor, mode, cap, seed_scores, capacity, rolling, steps
+    experts, raw_weights, eta, floor, cap, seed_scores, capacity, rolling, steps
 ):
     """Small buffers put levels at k <= 0 and k > n; zero scores give
     zero-width bands that hit only on exact equality."""
     states = tuple(AciState(alpha_nominal=0.1, gamma=g, alpha_t=a) for g, a in experts)
     weights = tuple(w / math.fsum(raw_weights[: len(states)]) for w in raw_weights[: len(states)])
-    options = dict(eta=eta, weight_floor=floor, mode=mode, infinite_cap_factor=cap)
+    options = dict(eta=eta, weight_floor=floor, infinite_cap_factor=cap)
     bank = AgAciState(alpha_nominal=0.1, experts=states, weights=weights, **options)
     oracle = OracleBank(alpha_nominal=0.1, experts=states, weights=weights, **options)
     solo, solo_oracle = states[0], states[0]
@@ -198,7 +196,6 @@ def test_flat_kernel_matches_the_object_oracle_bit_for_bit(
     raw_weights=st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=6, max_size=6),
     eta=st.sampled_from([0.0, 0.5, 1.0, 5.0, 60.0]),
     floor=st.sampled_from([0.0, 0.0, 1e-6, 0.2]),
-    mode=st.sampled_from(["ewa", "fixed"]),
     cap=st.sampled_from([0.5, 2.0, 1e306, math.inf]) | st.floats(0.5, 10),
     seed_scores=st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5]), min_size=1, max_size=12),
     capacity=st.integers(1, 12),
@@ -206,20 +203,20 @@ def test_flat_kernel_matches_the_object_oracle_bit_for_bit(
     steps=st.lists(st.tuples(STEP_VALUES, STEP_VALUES), min_size=1, max_size=40),
 )
 @example(  # y = y_hat + hw is covered, though abs(y - y_hat) > hw after rounding
-    experts=[(0.01, 0.6)], raw_weights=[1.0] * 6, eta=1.0, floor=1e-6, mode="ewa", cap=2.0,
+    experts=[(0.01, 0.6)], raw_weights=[1.0] * 6, eta=1.0, floor=1e-6, cap=2.0,
     seed_scores=[0.2], capacity=1, rolling=False, steps=[(0.1 + 0.2, 0.1)] * 3,
 )
 @example(  # the same for each expert of a bank
-    experts=[(0.01, 0.6), (0.0, 0.1)], raw_weights=[1.0] * 6, eta=1.0, floor=1e-6, mode="ewa",
-    cap=2.0, seed_scores=[0.2], capacity=1, rolling=False, steps=[(0.1 + 0.2, 0.1)] * 3,
+    experts=[(0.01, 0.6), (0.0, 0.1)], raw_weights=[1.0] * 6, eta=1.0, floor=1e-6, cap=2.0,
+    seed_scores=[0.2], capacity=1, rolling=False, steps=[(0.1 + 0.2, 0.1)] * 3,
 )
 @example(  # a weightless expert's infinite band, capped at inf, stays out of the mean
     experts=[(0.01, 0.5), (0.3, -0.2), (0.0, 0.1)], raw_weights=[1.0, 0.0, 3.0, 1.0, 1.0, 1.0],
-    eta=5.0, floor=0.0, mode="ewa", cap=math.inf, seed_scores=[1.0, 2.5, 0.25], capacity=3,
+    eta=5.0, floor=0.0, cap=math.inf, seed_scores=[1.0, 2.5, 0.25], capacity=3,
     rolling=True, steps=[(0.0, 0.0), (2.0, 0.0), (-1.0, 0.5), (0.0, 3.0)] * 3,
 )
 def test_calibrate_matches_the_step_loop_and_the_object_oracle_bit_for_bit(
-    experts, raw_weights, eta, floor, mode, cap, seed_scores, capacity, rolling, steps
+    experts, raw_weights, eta, floor, cap, seed_scores, capacity, rolling, steps
 ):
     """``calibrate`` over a window is the loop of agaci_step, agaci_update
     and (rolling) ScoreBuffer.append, and both are the object oracle. Buffers
@@ -230,7 +227,7 @@ def test_calibrate_matches_the_step_loop_and_the_object_oracle_bit_for_bit(
     assume(total > 0)
     weights = tuple(w / total for w in raw_weights[:k])
     states = tuple(AciState(alpha_nominal=0.1, gamma=g, alpha_t=a) for g, a in experts)
-    options = dict(eta=eta, weight_floor=floor, mode=mode, infinite_cap_factor=cap)
+    options = dict(eta=eta, weight_floor=floor, infinite_cap_factor=cap)
     bank = AgAciState(alpha_nominal=0.1, experts=states, weights=weights, **options)
     oracle = OracleBank(alpha_nominal=0.1, experts=states, weights=weights, **options)
     ys, y_hats = [float(y) for y, _ in steps], [float(f) for _, f in steps]
@@ -270,7 +267,7 @@ def test_one_expert_bank_matches_the_object_oracle_bit_for_bit(weight, alpha_t):
     inside (0, 1) and at or above 1 (infinite bands), and the -0.0 score
     and level give the fsum's +0.0."""
     state = AciState(alpha_nominal=0.1, gamma=0.3, alpha_t=alpha_t)
-    options = dict(eta=1.0, weight_floor=1e-6, mode="ewa", infinite_cap_factor=2.0)
+    options = dict(eta=1.0, weight_floor=1e-6, infinite_cap_factor=2.0)
     bank = AgAciState(0.1, (state,), (weight,), **options)
     oracle = OracleBank(0.1, (state,), (weight,), **options)
     buf = ScoreBuffer(5, [0.5, 1.0, 2.0, -0.0])
@@ -519,8 +516,6 @@ def test_agaci_validation():
         AgAciState(alpha_nominal=0.1, experts=(expert,), weights=(0.7,))
     with pytest.raises(ConfigError):
         AgAciState(alpha_nominal=0.2, experts=(expert,), weights=(1.0,))
-    with pytest.raises(ConfigError):
-        AgAciState(alpha_nominal=0.1, experts=(expert,), weights=(1.0,), mode="mean")
     with pytest.raises(ConfigError, match="at least one expert"):
         AgAciState.from_gammas(0.1, [])
     for gammas in ([math.inf], [0.01, math.nan]):
@@ -530,7 +525,7 @@ def test_agaci_validation():
 
 @pytest.mark.parametrize("gammas", [[0.0], [0.01], [1e-4, 1e-3, 1e-2], [0.3, 0.0, 0.05, 1e-6]])
 def test_from_gammas_is_the_constructor_with_uniform_weights(gammas):
-    options = dict(eta=2.0, weight_floor=0.01, mode="fixed", infinite_cap_factor=3.0)
+    options = dict(eta=2.0, weight_floor=0.01, infinite_cap_factor=3.0)
     bank = AgAciState.from_gammas(0.2, gammas, **options)
     k = len(gammas)
     experts = tuple(AciState(0.2, g) for g in gammas)
@@ -588,8 +583,7 @@ def test_returned_banks_equal_the_constructor_on_their_own_fields(gammas):
     def rebuilt(bank):
         return AgAciState(
             bank.alpha_nominal, bank.experts, bank.weights, eta=bank.eta,
-            weight_floor=bank.weight_floor, mode=bank.mode,
-            infinite_cap_factor=bank.infinite_cap_factor,
+            weight_floor=bank.weight_floor, infinite_cap_factor=bank.infinite_cap_factor,
         )
 
     steps = [(0.0, 0.0), (2.0, 0.0), (-1.0, 0.5), (0.3, 0.1)]
@@ -688,16 +682,15 @@ def test_agaci_weights_track_the_better_expert():
     assert bank.weights[0] > 0.9
 
 
-def test_agaci_fixed_mode_and_zero_eta_freeze_weights():
+def test_agaci_zero_eta_freezes_weights():
     rng = np.random.default_rng(6)
     buf = ScoreBuffer(30, np.abs(rng.normal(size=30)))
-    for kwargs in ({"mode": "fixed"}, {"eta": 0.0}):
-        bank = AgAciState.from_gammas(0.1, [1e-3, 1e-2], **kwargs)
-        for _ in range(100):
-            y, y_hat = rng.normal(), rng.normal(scale=0.5)
-            _, per_expert = agaci_step(bank, buf, y_hat)
-            bank = agaci_update(bank, y, y_hat, per_expert)
-        assert bank.weights == (0.5, 0.5)
+    bank = AgAciState.from_gammas(0.1, [1e-3, 1e-2], eta=0.0)
+    for _ in range(100):
+        y, y_hat = rng.normal(), rng.normal(scale=0.5)
+        _, per_expert = agaci_step(bank, buf, y_hat)
+        bank = agaci_update(bank, y, y_hat, per_expert)
+    assert bank.weights == (0.5, 0.5)
 
 
 def test_agaci_weight_floor_is_respected():

@@ -397,7 +397,6 @@ ALPHAS = st.floats(0, 1, exclude_min=True, exclude_max=True) | st.sampled_from(
     gamma_grid=st.lists(STEPS, min_size=1, max_size=4, unique=True),
     eta=st.floats(0) | st.sampled_from([0.0, 1e308, math.inf]),
     weight_floor=st.floats(0, 1, exclude_max=True) | st.just(0.0),
-    aggregation=st.sampled_from(["ewa", "fixed"]),
     cap_factor=st.floats(0, exclude_min=True) | st.sampled_from([5e-324, 1e308, math.inf]),
     buffer_mode=st.sampled_from(["rolling", "frozen"]),
 )

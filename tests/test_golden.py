@@ -90,14 +90,14 @@ def test_a_grid_of_the_run_configs_reproduces_their_pinned_outputs(tmp_path, cap
 # SHA-256 of (bands CSV, metrics JSON) of more toy seed 3 persistence runs,
 # each named after its key. Two are six-expert AgACI banks: the 0.5 step
 # drives its expert's level below 0, so a quarter of the steps cap an
-# infinite expert band, once with a frozen buffer and fixed weights and once
+# infinite expert band, once with a frozen buffer and fixed weights (eta 0) and once
 # with sharp reweighing and no weight floor, where an infinite band's zero
 # factor leaves its expert weightless. The unbanded run fills no buffer.
 SIX_EXPERT_GRID = [0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.5]
 PINNED_CASE_SHA256 = {
     "frozen-fixed": (
         {"method": "agaci", "gamma_grid": SIX_EXPERT_GRID, "buffer_mode": "frozen",
-         "aggregation": "fixed"},
+         "eta": 0.0},
         ("8a55e987920d9edaaa5231418c0d5a2bb510a9062eb0bb25974af0c913aa2f75",
          "76c800f85a9087b3081e37fd0f7cf287dc750ca2f430db01fb3f0b8ad8d1348b"),
     ),

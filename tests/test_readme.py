@@ -1,10 +1,11 @@
+import dataclasses
 import glob
 import re
 import shlex
 from pathlib import Path
 
 import driftband
-from driftband import cli
+from driftband import cli, evaluate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +43,24 @@ def test_the_cli_quickstart_runs_as_written(tmp_path, monkeypatch, capsys):
     assert printed[1] == stdout_line + "\n"
     assert len(promised) == 4
     assert all(Path(name).is_file() for name in promised), promised
+
+
+def test_the_run_config_table_lists_exactly_the_run_config_keys():
+    """The keys in the first column of the "Run config reference" table, the
+    ``RunConfig`` fields and the keys a JSON run config may hold are one set."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Run config reference", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert len(keys) == len(set(keys))
+    fields = {f.name for f in dataclasses.fields(evaluate.RunConfig)}
+    assert set(keys) == fields == set(evaluate._RUN_CONFIG_TYPES)
+
+
+def test_the_python_api_sketch_runs_as_written():
+    text = README.read_text(encoding="utf-8")
+    sketch = text.split("## Python API sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(sketch, "README.md", "exec"), namespace)
+    assert isinstance(namespace["report"], driftband.RunReport)
+    assert namespace["report"].config.dataset == "walk"
