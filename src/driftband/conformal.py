@@ -7,7 +7,8 @@ steers the miscoverage level from observed hits and misses. Split
 conformal is an adaptive track with gamma = 0, and an adaptive track is
 a bank of one expert, so every banded method runs as an ``AgAciState``.
 ``agaci_step`` and ``agaci_update`` are the one-step API; ``calibrate``
-walks a whole test window with the same arithmetic, on plain lists.
+walks a whole test window with the same arithmetic, on plain lists, for
+every bank that reads one score buffer.
 
 States are immutable; every update returns a fresh state. That keeps
 replay and parallel evaluation trivially safe.
@@ -20,8 +21,6 @@ from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError, NumericError
 
@@ -73,10 +72,6 @@ class ScoreBuffer:
             del ordered[bisect_left(ordered, scores[0])]
         scores.append(score)
         insort(ordered, score)
-
-    def values(self) -> np.ndarray:
-        """The buffered scores, oldest first."""
-        return np.array(self._scores, dtype=float)
 
     def max(self) -> float:
         if not self._sorted:
@@ -379,42 +374,42 @@ def agaci_update(
 
 
 def calibrate(
-    bank: AgAciState, buffer: ScoreBuffer, z_run: Sequence[float], y_hat_run: Sequence[float],
-    rolling: bool,
-) -> tuple[list[float], list[float], AgAciState]:
-    """Walk a test window: per step, ``agaci_step`` at the forecast,
-    ``agaci_update`` on the observation and, if ``rolling``, ``buffer.append``
-    of the step's score, with the same arithmetic on plain lists.
-
-    ``z_run`` and ``y_hat_run`` hold the observations and forecasts as
-    Python floats. Returns the aggregate half-width and the effective level
-    ``alpha_t`` of each step's band, and the bank after the last step.
-    """
-    alpha, gammas = bank.alpha_nominal, bank.gammas
-    alphas, weights = list(bank.alphas), list(bank.weights)
+    banks: Sequence[AgAciState], buffer: ScoreBuffer, z_run: Sequence[float],
+    y_hat_run: Sequence[float], rolling: bool,
+) -> list[tuple[list[float], list[float], AgAciState]]:
+    """Walk a test window with banks that share one score buffer: per step,
+    each bank's ``agaci_step`` and ``agaci_update``, with the same arithmetic
+    on plain lists, then, if ``rolling``, one ``buffer.append`` of the step's
+    score. ``z_run`` and ``y_hat_run`` hold the observations and forecasts as
+    Python floats. Returns, per bank, the aggregate half-width and effective
+    level ``alpha_t`` of each step's band, and the bank after the last step."""
     quantile, append = empirical_quantile, buffer.append
-    half_widths, levels = [], []
-    if len(alphas) == 1:
-        (w,), (a,), (g,) = weights, alphas, gammas
-        for y, f in zip(z_run, y_hat_run):
+    # a lone expert's walk holds its level, weight and step size as floats
+    walks = [
+        [b.alphas[0], b.weights[0], b.gammas[0], b.alpha_nominal, [], []] if len(b.experts) == 1
+        else [list(b.alphas), list(b.weights), b.gammas, b.alpha_nominal, [], [],
+              b.infinite_cap_factor, _ewa(b)]
+        for b in banks
+    ]
+    solo, multi = [w for w in walks if len(w) == 6], [w for w in walks if len(w) == 8]
+    for y, f in zip(z_run, y_hat_run):
+        score = abs(y - f)
+        for walk in solo:
+            a, w, g, alpha, half_widths, levels = walk
             # the fsum of one term is that term, with -0.0 read as 0.0: w * x + 0.0
             levels.append(w * a + 0.0)
             hw = quantile(buffer, 1.0 - a)
             half_widths.append(w * hw + 0.0)
-            a += g * (alpha - (0.0 if f - hw <= y <= f + hw else 1.0))
-            if rolling:
-                append(abs(y - f))
-        alphas = [a]
-    else:
-        cap_factor, ewa = bank.infinite_cap_factor, _ewa(bank)
-        for y, f in zip(z_run, y_hat_run):
+            walk[0] = a + g * (alpha - (0.0 if f - hw <= y <= f + hw else 1.0))
+        for walk in multi:
+            alphas, weights, gammas, alpha, half_widths, levels, cap_factor, ewa = walk
             levels.append(_effective_alpha(weights, alphas))
             half_width, widths = _aggregate(weights, alphas, buffer, cap_factor)
             half_widths.append(half_width)
-            score = abs(y - f)
-            alphas, weights = _step_experts(
-                alphas, gammas, weights, widths, alpha, y, f, score, ewa
-            )
-            if rolling:
-                append(score)
-    return half_widths, levels, _bank_with(bank, alphas, weights)
+            walk[:2] = _step_experts(alphas, gammas, weights, widths, alpha, y, f, score, ewa)
+        if rolling:
+            append(score)
+    for walk in solo:
+        walk[:2] = [walk[0]], [walk[1]]
+    return [(hws, levels, _bank_with(b, alphas, weights))
+            for b, (alphas, weights, _, _, hws, levels, *_) in zip(banks, walks)]

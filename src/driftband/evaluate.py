@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -352,45 +352,55 @@ def run_rolling(
     if series is None:
         series = load_dataset(config)
     forecast = forecast or _native_forecast(config)
-    return _calibrate(config, *_forecast_pass(config, series, forecast))
+    [report] = _calibrate_key([config], *_forecast_pass(config, series, forecast))
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
-def _calibrate(
-    config: RunConfig, split: SplitSpec, scaler: StandardScaler, z: np.ndarray,
+def _calibrate_key(
+    configs: Sequence[RunConfig], split: SplitSpec, scaler: StandardScaler, z: np.ndarray,
     y_hat: np.ndarray, test_columns: dict[str, np.ndarray],
-) -> RunReport:
-    """The calibration pass of one run on the output of its forecast pass;
-    the report holds the pass's own ``test_columns`` arrays."""
+) -> Iterator[RunReport | Exception]:
+    """The calibration pass of a key's cells on its forecast pass, whose ``test_columns``
+    arrays the reports hold. A score does not depend on the method, so the banded cells
+    of one buffer mode walk one score buffer in lockstep and share what the walk raises."""
     n_seed = split.cal_end - split.train_end
     y_hat_test, z_test = y_hat[n_seed:], z[split.cal_end : split.test_end]
-    columns = {**test_columns, "lower": None, "upper": None, "alpha_t": None, "covered": None}
-    bank = None
-    if config.method != "none":
-        # Split conformal is ACI with gamma = 0, and ACI is a bank of one
-        # expert. y and f are Python floats, so abs(y - f) is
-        # conformal.residual_score.
-        z_run, y_hat_run = z[split.train_end : split.test_end].tolist(), y_hat.tolist()
-        seed_scores = [abs(y - f) for y, f in zip(z_run[:n_seed], y_hat_run)]
-        buffer = conformal.ScoreBuffer(n_seed, seed_scores)
-        gammas = {"split": (0.0,), "aci": (config.gamma,)}.get(config.method, config.gamma_grid)
-        bank = conformal.AgAciState.from_gammas(
-            config.alpha, gammas, eta=config.eta, weight_floor=config.weight_floor,
-            infinite_cap_factor=config.cap_factor,
+    # y and f are Python floats, so abs(y - f) is conformal.residual_score
+    z_run, y_hat_run = z[split.train_end : split.test_end].tolist(), y_hat.tolist()
+    seed_scores = [abs(y - f) for y, f in zip(z_run[:n_seed], y_hat_run)]
+    walked: dict[int, tuple | Exception] = {}
+    for mode in dict.fromkeys(c.buffer_mode for c in configs if c.method != "none"):
+        cells = [i for i, c in enumerate(configs) if c.method != "none" and c.buffer_mode == mode]
+        # Split conformal is ACI with gamma = 0, and ACI is a bank of one expert.
+        banks = [conformal.AgAciState.from_gammas(
+            c.alpha, {"split": (0.0,), "aci": (c.gamma,)}.get(c.method, c.gamma_grid),
+            eta=c.eta, weight_floor=c.weight_floor, infinite_cap_factor=c.cap_factor,
+        ) for c in map(configs.__getitem__, cells)]
+        try:
+            walked.update(zip(cells, conformal.calibrate(
+                banks, conformal.ScoreBuffer(n_seed, seed_scores), z_run[n_seed:],
+                y_hat_run[n_seed:], mode == "rolling",
+            )))
+        except Exception as exc:  # noqa: BLE001 - the result of every cell of the buffer
+            walked.update(dict.fromkeys(cells, exc))
+    for i, config in enumerate(configs):
+        columns = {**test_columns, "lower": None, "upper": None, "alpha_t": None, "covered": None}
+        outcome = walked.get(i)
+        if isinstance(outcome, tuple):
+            half_widths, alphas, _ = outcome
+            lower, upper = y_hat_test - half_widths, y_hat_test + half_widths
+            with np.errstate(over="ignore"):  # overflow to inf, as on Python floats
+                columns.update(
+                    lower=scaler.inverse_transform(lower), upper=scaler.inverse_transform(upper)
+                )
+            # PredictionInterval.covers on the scaled values
+            columns.update(alpha_t=np.array(alphas), covered=(lower <= z_test) & (z_test <= upper))
+        yield outcome if isinstance(outcome, Exception) else RunReport(
+            config=config, **compute_metrics(columns),
+            alpha_final=outcome and outcome[2].alpha_t, columns=columns,
         )
-        half_widths, alphas, bank = conformal.calibrate(
-            bank, buffer, z_run[n_seed:], y_hat_run[n_seed:], config.buffer_mode == "rolling"
-        )
-        lower, upper = y_hat_test - half_widths, y_hat_test + half_widths
-        with np.errstate(over="ignore"):  # overflow to inf, as on Python floats
-            columns.update(
-                lower=scaler.inverse_transform(lower), upper=scaler.inverse_transform(upper)
-            )
-        # PredictionInterval.covers on the scaled values
-        columns.update(alpha_t=np.array(alphas), covered=(lower <= z_test) & (z_test <= upper))
-    return RunReport(
-        config=config, **compute_metrics(columns),
-        alpha_final=None if bank is None else bank.alpha_t, columns=columns,
-    )
 
 
 @dataclass(frozen=True)
@@ -420,22 +430,16 @@ def _run_key(
     configs: Sequence[RunConfig], series: TimeSeries | Exception
 ) -> list[RunReport | RunFailure]:
     """The cells of one forecast key on its series: one forecast pass, then
-    the calibration of each cell in order. A failed load (``series`` is
-    then its exception) or pass is reported for every cell, as every input
-    of the pass is in the key."""
+    ``_calibrate_key``. A failed load (``series`` is then its exception) or
+    pass is reported for every cell, as every input of the pass is in the key."""
     if isinstance(series, Exception):
         return [_failure(config, series) for config in configs]
     try:
         made = _forecast_pass(configs[0], series, _native_forecast(configs[0]))
     except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
         return [_failure(config, exc) for config in configs]
-    results = []
-    for config in configs:
-        try:
-            results.append(_calibrate(config, *made))
-        except Exception as exc:  # noqa: BLE001 - grid cells must not abort siblings
-            results.append(_failure(config, exc))
-    return results
+    return [_failure(config, result) if isinstance(result, Exception) else result
+            for config, result in zip(configs, _calibrate_key(configs, *made))]
 
 
 def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | RunFailure]:
@@ -444,12 +448,12 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     Each distinct series is loaded once, before any cell runs. Cells are
     grouped by forecast key (dataset, seed, forecaster, its params, lag and
     split), and each key is one task under every ``jobs``: it runs one
-    forecast pass on its series and calibrates each of its cells on it, and
-    its reports share one ``index``, ``y`` and ``y_hat`` array each. A load
-    or pass that fails runs once, and its failure is reported for every cell
-    it feeds. With ``jobs > 1`` and more than one key, the keys run in a
-    process pool of min(jobs, keys) workers; a dead worker fails every cell
-    of each key not returned yet as ``BrokenProcessPool``.
+    forecast pass on its series, its banded cells of one buffer mode walk one
+    score buffer in lockstep, and its reports share one ``index``, ``y`` and
+    ``y_hat`` array each. A load or pass that fails runs once, and its failure
+    is reported for every cell it feeds. With ``jobs > 1`` and more than one
+    key, the keys run in a process pool of min(jobs, keys) workers; a dead
+    worker fails every cell of each key not returned yet as ``BrokenProcessPool``.
     """
     if not configs:
         raise ConfigError("grid needs at least one config")

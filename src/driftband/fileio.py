@@ -72,34 +72,34 @@ def read_indexed_csv(path: str | Path, header: Sequence[str]) -> tuple[int, np.n
         raise ConfigError(f"{path}: empty file, expected header {expected!r}")
     if tuple(h.strip() for h in first) != tuple(header):
         raise ConfigError(f"{path}: line 1: expected header {expected!r}, got {first!r}")
-    index, values = _parse_lines(lines, width) or _read_rows(path, reader, width)
+    index, values, line_of = _parse_lines(lines, width) or _read_rows(path, reader, width)
     size = len(index)
     if not size:
         raise ConfigError(f"{path}: no data rows")
     start = int(index[0])
     if not _INDEX_MIN <= start <= _INDEX_MAX - size:
-        raise ConfigError(f"{path}: line 2: index {start} is outside the 64-bit range")
+        raise ConfigError(f"{path}: line {line_of[0]}: index {start} is outside the 64-bit range")
     gaps = np.flatnonzero(index != np.arange(start, start + size))
     if gaps.size:
         row = gaps[0]
         raise ConfigError(
-            f"{path}: line {row + 2}: index {index[row]} breaks the gap-free order "
+            f"{path}: line {line_of[row]}: index {index[row]} breaks the gap-free order "
             f"(previous was {index[row - 1]})"
         )
     if not np.isfinite(values).all():
         row, column = np.argwhere(~np.isfinite(values))[0]
         raise ConfigError(
-            f"{path}: line {row + 2}: non-finite {header[column + 1]} "
+            f"{path}: line {line_of[row]}: non-finite {header[column + 1]} "
             f"{float(values[row, column])!r}"
         )
     return start, np.ascontiguousarray(values.T)
 
 
-def _parse_lines(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The index and ``(rows, width - 1)`` values of ``lines`` after the header, as
-    numpy's C reader parses them; None where it may read them otherwise than csv,
-    int and float: an error, a warning, a skipped blank line or a line past csv's
-    field size limit. (A header quoted over several lines leaves a quote in them.)"""
+def _parse_lines(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray, range] | None:
+    """The index, ``(rows, width - 1)`` values and lines of the rows of ``lines``
+    after the header, as numpy's C reader parses them; None where it may read them
+    otherwise than csv, int and float: an error, a warning, a skipped blank line or a line
+    past csv's field size limit. (A header quoted over several lines leaves a quote in them.)"""
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     with warnings.catch_warnings():
@@ -111,29 +111,30 @@ def _parse_lines(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray] 
             return None
     if len(table) != len(lines) - 1:
         return None
-    return table["index"], table["values"]
+    return table["index"], table["values"], range(2, len(lines) + 1)
 
 
-def _read_rows(path: Path, reader, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index (Python integers) and ``(rows, width - 1)`` values of the rows
-    left in ``reader``, by ``int`` and ``float``. The first row that is a CSV
-    syntax error, not ``width`` fields, or a field that does not convert
-    raises the ``ConfigError`` naming its line."""
-    index, values = [], []
+def _read_rows(path: Path, reader, width: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The index (Python integers), ``(rows, width - 1)`` values and last physical
+    line of the rows left in ``reader``, by ``int`` and ``float``. The first row
+    that is a CSV syntax error, not ``width`` fields, or a field that does not
+    convert raises the ``ConfigError`` naming its line."""
+    index, values, line_of = [], [], []
     try:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            line_of.append(reader.line_num)
             if len(row) != width:
                 raise ConfigError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+                    f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}"
                 )
             try:
                 index.append(int(row[0]))
                 values.extend(map(float, row[1:]))
             except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+                raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
     except csv.Error as exc:
         raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
-    return np.array(index, dtype=object), np.array(values).reshape(len(index), width - 1)
+    return np.array(index, dtype=object), np.array(values).reshape(len(index), width - 1), line_of
 
 
 def _csv_field(x) -> str:

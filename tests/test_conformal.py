@@ -22,6 +22,11 @@ from driftband.conformal import (
 from driftband.errors import ConfigError, NumericError
 
 
+def scores_of(buffer):
+    """The buffered scores, oldest first."""
+    return list(buffer._scores)
+
+
 def sort_quantile(scores, level):
     """Brute-force oracle: k-th smallest with k = ceil((n+1)*level)."""
     n = len(scores)
@@ -64,7 +69,7 @@ class OracleBank:
 
 
 def oracle_aci_step(state, buffer, y_hat):
-    q = sort_quantile(buffer.values().tolist(), 1.0 - state.alpha_t)
+    q = sort_quantile(scores_of(buffer), 1.0 - state.alpha_t)
     return PredictionInterval(y_hat=float(y_hat), half_width=q, level=1.0 - state.alpha_t)
 
 
@@ -79,7 +84,7 @@ def oracle_agaci_step(state, buffer, y_hat):
     half_width = math.inf
     if not all(math.isinf(w) for w in widths):
         if any(math.isinf(w) for w in widths):
-            cap = float(max(buffer.values())) * state.infinite_cap_factor
+            cap = max(scores_of(buffer)) * state.infinite_cap_factor
             widths = [min(w, cap) for w in widths]
         # a zero-weight expert is left out, as an infinite cap would make 0 * inf
         half_width = math.fsum(w * hw for w, hw in zip(state.weights, widths) if w)
@@ -232,7 +237,7 @@ def test_calibrate_matches_the_step_loop_and_the_object_oracle_bit_for_bit(
     oracle = OracleBank(alpha_nominal=0.1, experts=states, weights=weights, **options)
     ys, y_hats = [float(y) for y, _ in steps], [float(f) for _, f in steps]
     buf = ScoreBuffer(capacity, seed_scores)
-    got_widths, got_levels, got_bank = calibrate(bank, buf, ys, y_hats, rolling)
+    [(got_widths, got_levels, got_bank)] = calibrate([bank], buf, ys, y_hats, rolling)
 
     step_buf, oracle_buf = ScoreBuffer(capacity, seed_scores), ScoreBuffer(capacity, seed_scores)
     widths, levels, oracle_widths, oracle_levels = [], [], [], []
@@ -255,7 +260,67 @@ def test_calibrate_matches_the_step_loop_and_the_object_oracle_bit_for_bit(
     )
     assert bits(*got_bank.weights) == bits(*bank.weights) == bits(*oracle.weights)
     assert got_bank == bank
-    assert bits(*buf.values()) == bits(*step_buf.values())
+    assert bits(*scores_of(buf)) == bits(*scores_of(step_buf))
+
+
+@st.composite
+def expert_banks(draw):
+    """A bank of one to three experts with its own nominal level, step sizes,
+    working levels, weights and options."""
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.3]))
+    k = draw(st.integers(1, 3))
+    experts = [
+        AciState(alpha, draw(st.sampled_from([0.0, 1e-2, 0.3])),
+                 draw(st.sampled_from([0.1, -0.3, 0.0, 0.95, 1.4]) | st.floats(-0.5, 1.5)))
+        for _ in range(k)
+    ]
+    raw = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=k, max_size=k))
+    assume(sum(raw) > 0)
+    return AgAciState(
+        alpha, experts, [w / math.fsum(raw) for w in raw],
+        eta=draw(st.sampled_from([0.0, 1.0, 5.0])),
+        weight_floor=draw(st.sampled_from([0.0, 1e-6, 0.2])),
+        infinite_cap_factor=draw(st.sampled_from([0.5, 2.0, math.inf])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    banks=st.lists(expert_banks(), min_size=1, max_size=4),
+    seed_scores=st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5]), min_size=1, max_size=12),
+    capacity=st.integers(1, 12),
+    rolling=st.booleans(),
+    steps=st.lists(st.tuples(STEP_VALUES, STEP_VALUES), min_size=1, max_size=40),
+)
+def test_banks_in_lockstep_on_one_buffer_match_each_bank_alone_bit_for_bit(
+    banks, seed_scores, capacity, rolling, steps
+):
+    """Banks of mixed expert counts walking one shared buffer each give the
+    widths, levels and final bank of that bank calibrated alone on its own
+    copy of the buffer, and of the agaci_step/agaci_update loop; the shared
+    buffer ends with the scores of each copy."""
+    ys, y_hats = [float(y) for y, _ in steps], [float(f) for _, f in steps]
+    shared = ScoreBuffer(capacity, seed_scores)
+    together = calibrate(banks, shared, ys, y_hats, rolling)
+    assert len(together) == len(banks)
+    for bank, (widths, levels, final) in zip(banks, together):
+        own = ScoreBuffer(capacity, seed_scores)
+        [(alone_widths, alone_levels, alone_final)] = calibrate([bank], own, ys, y_hats, rolling)
+        step_buf, state = ScoreBuffer(capacity, seed_scores), bank
+        step_widths, step_levels = [], []
+        for y, y_hat in zip(ys, y_hats):
+            step_levels.append(state.alpha_t)
+            interval, per_expert = agaci_step(state, step_buf, y_hat)
+            step_widths.append(interval.half_width)
+            state = agaci_update(state, y, y_hat, per_expert)
+            if rolling:
+                step_buf.append(residual_score(y, y_hat))
+        assert bits(*widths) == bits(*alone_widths) == bits(*step_widths)
+        assert bits(*levels) == bits(*alone_levels) == bits(*step_levels)
+        for got in (alone_final, state):
+            assert bits(*final.alphas, *final.weights) == bits(*got.alphas, *got.weights)
+        assert final == alone_final == state
+        assert bits(*scores_of(shared)) == bits(*scores_of(own)) == bits(*scores_of(step_buf))
 
 
 @pytest.mark.parametrize("weight", [1.0, 1 - 1e-10])
@@ -318,7 +383,7 @@ def test_buffer_fifo_eviction():
     buf = ScoreBuffer(capacity=3, scores=[1.0, 2.0, 3.0])
     buf.append(4.0)
     buf.append(5.0)
-    assert buf.values().tolist() == [3.0, 4.0, 5.0]
+    assert scores_of(buf) == [3.0, 4.0, 5.0]
     assert len(buf) == 3
     assert buf.max() == 5.0
 
@@ -349,8 +414,8 @@ def test_sorted_buffer_matches_partition_of_the_fifo(capacity, scores):
         buf.append(score)
         fifo = (fifo + [score])[-capacity:]
         n = len(fifo)
-        assert buf.values().tolist() == fifo
-        assert buf.max() == max(buf.values())
+        assert scores_of(buf) == fifo
+        assert buf.max() == max(scores_of(buf))
         for k in range(n + 2):
             # the rank rule maps this level to exactly k
             got = empirical_quantile(buf, k / (n + 1))
@@ -589,7 +654,7 @@ def test_returned_banks_equal_the_constructor_on_their_own_fields(gammas):
     steps = [(0.0, 0.0), (2.0, 0.0), (-1.0, 0.5), (0.3, 0.1)]
     bank = AgAciState.from_gammas(0.1, gammas, eta=2.0)
     buf = ScoreBuffer(4, [0.25, 1.0, 0.5])
-    *_, calibrated = calibrate(bank, ScoreBuffer(4, [0.25, 1.0, 0.5]), *zip(*steps), True)
+    [(*_, calibrated)] = calibrate([bank], ScoreBuffer(4, [0.25, 1.0, 0.5]), *zip(*steps), True)
     for y, y_hat in steps:
         _, per_expert = agaci_step(bank, buf, y_hat)
         bank = agaci_update(bank, y, y_hat, per_expert)
@@ -604,7 +669,7 @@ def test_returned_banks_equal_the_constructor_on_their_own_fields(gammas):
 def test_agaci_single_expert_reproduces_aci():
     rng = np.random.default_rng(3)
     buf_a = ScoreBuffer(50, np.abs(rng.normal(size=50)))
-    buf_b = ScoreBuffer(50, buf_a.values())
+    buf_b = ScoreBuffer(50, scores_of(buf_a))
     bank = AgAciState.from_gammas(0.1, [0.01])
     solo = AciState(alpha_nominal=0.1, gamma=0.01)
     for _ in range(500):

@@ -352,6 +352,69 @@ def test_run_loop_calls_step_update_and_append_per_step(monkeypatch, method, buf
     assert calls["append"] == seeding + (report.n_steps if buffer_mode == "rolling" else 0)
 
 
+def test_a_grid_key_walks_one_buffer_per_buffer_mode(monkeypatch):
+    """The banded cells of one forecast key that share a buffer mode walk
+    one score buffer in one ``calibrate`` call: each buffer is seeded once
+    and a rolling one gets one append per test step, while every expert of
+    every cell still reads one quantile per step."""
+    calls = {"calibrate": 0, "quantile": 0, "append": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(conformal, "calibrate", counting("calibrate", conformal.calibrate))
+    monkeypatch.setattr(
+        conformal, "empirical_quantile", counting("quantile", conformal.empirical_quantile)
+    )
+    monkeypatch.setattr(
+        conformal.ScoreBuffer, "append", counting("append", conformal.ScoreBuffer.append)
+    )
+    configs = [RunConfig(dataset="toy", forecaster="persistence", method=m, seed=2, name=m)
+               for m in ("split", "aci", "agaci")]
+    configs.append(RunConfig(dataset="toy", forecaster="persistence", method="aci", seed=2,
+                             buffer_mode="frozen", name="aci-frozen"))
+    results = grid_run(configs, jobs=1)
+    assert all(isinstance(r, RunReport) for r in results)
+    split = SplitSpec.from_fractions(3000, configs[0].split)
+    seeding, steps = split.cal_end - split.train_end, split.test_end - split.cal_end
+    assert calls == {"calibrate": 2, "quantile": (1 + 1 + 3 + 1) * steps,
+                     "append": 2 * seeding + steps}
+
+
+def test_a_score_that_overflows_fails_the_rolling_cells_of_its_key_alone(tmp_path):
+    """A test-step score |y - y_hat| that overflows to inf fails every rolling
+    cell of the key with the error each raises alone; the frozen and unbanded
+    cells of the key report as their single runs do."""
+    # A scale small enough that two values finite in scaled units can lie further
+    # apart there than the largest double while their squared errors in original
+    # units stay finite, and large enough that the scaler's squares do not underflow.
+    values = np.random.default_rng(0).normal(size=300) * 3e-155
+    split = SplitSpec.from_fractions(values.size, (0.5, 0.2, 0.3))
+    big = 0.9 * np.finfo(float).max * fit_scaler(values, 0, split.train_end).std
+    values[split.cal_end + 40 : split.cal_end + 42] = big, -big
+    path = tmp_path / "overflow.csv"
+    write_series_csv(path, TimeSeries(values=values))
+    cells = [("split", "rolling"), ("aci", "rolling"), ("agaci", "rolling"),
+             ("aci", "frozen"), ("none", "rolling")]
+    configs = [RunConfig(dataset=str(path), forecaster="persistence", method=m, buffer_mode=b,
+                         name=f"{m}-{b}") for m, b in cells]
+    results = grid_run(configs, jobs=1)
+    assert [type(r) for r in results] == [RunFailure] * 3 + [RunReport] * 2
+    for config, result in zip(configs[:3], results):
+        with pytest.raises(NumericError) as alone:
+            run_rolling(config)
+        assert str(alone.value) == "scores must be finite and non-negative, got inf"
+        assert (result.kind, result.error) == ("NumericError", str(alone.value))
+    for config, result in zip(configs[3:], results[3:]):
+        single = run_rolling(config)
+        assert report_payload(result) == report_payload(single)
+        assert same_columns(result.columns, single.columns)
+
+
 def test_split_cp_iid_control_hits_nominal_coverage():
     # i.i.d. data + constant forecast = exchangeable scores: split CP must
     # deliver ~90% marginal coverage averaged over seeded replications
@@ -537,14 +600,14 @@ def test_grid_turns_a_dead_worker_into_failed_cells(tmp_path, monkeypatch):
         for i, name in enumerate(("a", "b", "dies"))
     ]
     done = [tmp_path / "a.done", tmp_path / "b.done"]
-    real_calibrate = evaluate._calibrate
+    real_calibrate = evaluate._calibrate_key
 
-    def calibrate_or_die(config, *args):
-        name = Path(config.dataset).stem
+    def calibrate_or_die(key, *args):
+        name = Path(key[0].dataset).stem
         if name != "dies":
-            report = real_calibrate(config, *args)
+            reports = list(real_calibrate(key, *args))
             (tmp_path / f"{name}.done").touch()
-            return report
+            return reports
         # let the other cells finish and send their reports, then kill the worker
         deadline = time.monotonic() + 30
         while not all(p.exists() for p in done) and time.monotonic() < deadline:
@@ -552,7 +615,7 @@ def test_grid_turns_a_dead_worker_into_failed_cells(tmp_path, monkeypatch):
         time.sleep(0.5)
         os._exit(1)
 
-    monkeypatch.setattr(evaluate, "_calibrate", calibrate_or_die)
+    monkeypatch.setattr(evaluate, "_calibrate_key", calibrate_or_die)
     results = grid_run(configs, jobs=2)
     assert [type(r) for r in results] == [RunReport, RunReport, RunFailure]
     for result, config in zip(results[:2], configs):
@@ -570,14 +633,14 @@ def test_a_dead_worker_fails_every_cell_of_its_forecast_key(tmp_path, monkeypatc
     configs.append(RunConfig(dataset=make_csv(tmp_path, "other", 6), forecaster="persistence",
                              method="aci"))
     other_done = tmp_path / "other.done"
-    real_calibrate = evaluate._calibrate
+    real_calibrate = evaluate._calibrate_key
 
-    def calibrate_or_die(config, *args):
-        if config.method != "agaci":
-            report = real_calibrate(config, *args)
-            if Path(config.dataset).stem == "other":
+    def calibrate_or_die(key, *args):
+        if all(config.method != "agaci" for config in key):
+            reports = list(real_calibrate(key, *args))
+            if Path(key[0].dataset).stem == "other":
                 other_done.touch()
-            return report
+            return reports
         # let the other key finish and send its report, then kill the worker
         deadline = time.monotonic() + 30
         while not other_done.exists() and time.monotonic() < deadline:
@@ -585,9 +648,9 @@ def test_a_dead_worker_fails_every_cell_of_its_forecast_key(tmp_path, monkeypatc
         time.sleep(0.5)
         os._exit(1)
 
-    monkeypatch.setattr(evaluate, "_calibrate", calibrate_or_die)
+    monkeypatch.setattr(evaluate, "_calibrate_key", calibrate_or_die)
     results = grid_run(configs, jobs=2)
-    # the key is one task, so its calibrated split and aci cells die with it
+    # the key is one task, so its split and aci cells die with its agaci cell
     assert [type(r) for r in results] == [RunFailure, RunFailure, RunFailure, RunReport]
     assert [r.kind for r in results[:3]] == ["BrokenProcessPool"] * 3
     assert [r.name for r in results] == [c.run_name for c in configs]

@@ -4,6 +4,7 @@ import csv
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -109,20 +110,24 @@ def test_csv_readers_raise_only_config_errors(tmp_path_factory, content):
 
 def reference_read_indexed_csv(path, header):
     """The row-at-a-time reader that ``read_indexed_csv`` replaced, kept as
-    the oracle of what it returns and of every message it raises."""
+    the oracle of what it returns and of every message it raises. A row is
+    named by its last physical line, as a quoted field may span lines."""
     path = Path(path)
     expected = ",".join(header)
     width = len(header)
     reader = csv.reader(_read_text(path).splitlines())
     index: list[int] = []
     values: list[float] = []
+    line_of: list[int] = []
     try:
         first = next(reader, None)
         if first is None:
             raise ConfigError(f"{path}: empty file, expected header {expected!r}")
         if tuple(h.strip() for h in first) != tuple(header):
             raise ConfigError(f"{path}: line 1: expected header {expected!r}, got {first!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
+            line_of.append(lineno)
             if len(row) != width:
                 raise ConfigError(
                     f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
@@ -138,18 +143,18 @@ def reference_read_indexed_csv(path, header):
         raise ConfigError(f"{path}: no data rows")
     start = index[0]
     if not _INDEX_MIN <= start <= _INDEX_MAX - len(index):
-        raise ConfigError(f"{path}: line 2: index {start} is outside the 64-bit range")
+        raise ConfigError(f"{path}: line {line_of[0]}: index {start} is outside the 64-bit range")
     if index != list(range(start, start + len(index))):
         row = next(i for i in range(1, len(index)) if index[i] != index[i - 1] + 1)
         raise ConfigError(
-            f"{path}: line {row + 2}: index {index[row]} breaks the gap-free order "
+            f"{path}: line {line_of[row]}: index {index[row]} breaks the gap-free order "
             f"(previous was {index[row - 1]})"
         )
     table = np.array(values).reshape(len(index), width - 1)
     if not np.isfinite(table).all():
         row, column = np.argwhere(~np.isfinite(table))[0]
         raise ConfigError(
-            f"{path}: line {row + 2}: non-finite {header[column + 1]} "
+            f"{path}: line {line_of[row]}: non-finite {header[column + 1]} "
             f"{float(table[row, column])!r}"
         )
     return start, table.T
@@ -259,6 +264,9 @@ def test_csv_reader_matches_the_row_reader_on_fuzzed_files(tmp_path_factory, hea
 @example((HEADERS[0], b"index,value\r\n0,1\r\n1,2\r\n\r\n"))
 @example((HEADERS[1], f"index,y_true,y_hat\n0,1,{LONG_LINE}\n".encode()))
 @example((HEADERS[0], b'"index\n",value\n0,1\n1,2\n'))
+@example((HEADERS[0], b'index,value\n0,1\n1,"2\n3"\n2,x\n'))
+@example((HEADERS[0], b'index,value\n0,1\n1,"2\n"\n5,3\n'))
+@example((HEADERS[0], b'index,value\n0,1\n1,"2\n"\n2,inf\n'))
 def test_csv_reader_matches_the_row_reader_on_damaged_tables(tmp_path_factory, case):
     """The first bad line is named as the row reader names it, also with a
     CSV syntax error after an earlier bad value; a spelling numpy's reader
@@ -267,3 +275,21 @@ def test_csv_reader_matches_the_row_reader_on_damaged_tables(tmp_path_factory, c
     path = tmp_path_factory.getbasetemp() / "table.csv"
     path.write_bytes(content)
     assert_reads_as_the_reference(path, header)
+
+
+@pytest.mark.parametrize("body, message", [
+    ('0,1\n1,"2\n3"\n2,x\n', "could not convert string to float: 'x'"),
+    ('0,1\n1,"2\n"\n5,3\n', "index 5 breaks the gap-free order (previous was 1)"),
+    ('0,1\n1,"2\n"\n2,inf\n', "non-finite value inf"),
+])
+def test_a_row_after_a_quoted_field_over_two_lines_is_named_by_its_own_line(
+    tmp_path, body, message
+):
+    """The bad row is on line 5: the header, a row, a row whose quoted field
+    spans lines 3 and 4, then the bad row."""
+    path = tmp_path / "quoted.csv"
+    path.write_text("index,value\n" + body)
+    for read in (reference_read_indexed_csv, read_indexed_csv):
+        with pytest.raises(ConfigError) as raised:
+            read(path, HEADERS[0])
+        assert str(raised.value) == f"{path}: line 5: {message}"
