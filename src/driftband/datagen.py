@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,72 +42,16 @@ _LORENZ_SPEC_TYPES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class MarkovChainSpec:
-    """A finite Markov chain over regimes 0..K-1.
-
-    ``transition[i, j]`` is the probability of moving from regime i to
-    regime j; ``initial`` is the distribution of the first regime.
-    """
-
-    transition: np.ndarray
-    initial: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MarkovChainSpec):
-            return NotImplemented
-        return np.array_equal(self.transition, other.transition) and np.array_equal(
-            self.initial, other.initial
-        )
-
-    def __post_init__(self) -> None:
-        transition = np.asarray(self.transition, dtype=float)
-        if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
-            raise ConfigError(f"transition matrix must be square, got shape {transition.shape}")
-        k = transition.shape[0]
-        if k < 1:
-            raise ConfigError("chain needs at least one regime")
-        # each comparison is written so that NaN fails it
-        if not np.all(transition >= 0):
-            raise ConfigError("transition probabilities must be non-negative")
-        rows = transition.sum(axis=1)
-        bad = np.flatnonzero(~(np.abs(rows - 1.0) <= _PROB_TOL))
-        if bad.size:
-            raise ConfigError(
-                f"transition row {int(bad[0])} sums to {rows[bad[0]]!r}, expected 1"
-            )
-        initial = np.asarray(self.initial, dtype=float)
-        if initial.shape != (k,):
-            raise ConfigError(
-                f"initial distribution must have length {k}, got shape {initial.shape}"
-            )
-        if not (np.all(initial >= 0) and abs(initial.sum() - 1.0) <= _PROB_TOL):
-            raise ConfigError("initial distribution must be a probability vector")
-        transition.setflags(write=False)
-        initial.setflags(write=False)
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "initial", initial)
-
-    @property
-    def n_regimes(self) -> int:
-        return int(self.transition.shape[0])
-
-    @classmethod
-    def start_in(cls, transition, regime: int = 0) -> "MarkovChainSpec":
-        """Chain that starts deterministically in one regime."""
-        transition = np.asarray(transition, dtype=float)
-        initial = (np.arange(len(transition)) == regime).astype(float)
-        return cls(transition=transition, initial=initial)
-
-
-def sample_regimes(spec: MarkovChainSpec, T: int, seed) -> np.ndarray:
-    """Sample a regime path of length T. ``seed`` is anything default_rng accepts."""
+def sample_regimes(transition, initial, T: int, seed) -> np.ndarray:
+    """Sample a regime path of length T from a checked chain: ``transition[i][j]``
+    is the chance of moving from regime i to j, ``initial`` the distribution of
+    the first regime. ``seed`` is anything default_rng accepts."""
     if T < 1:
         raise ConfigError(f"regime path length must be >= 1, got {T}")
     u = np.random.default_rng(seed).random(T).tolist()
-    cum_rows = np.cumsum(spec.transition, axis=1).tolist()
-    last = spec.n_regimes - 1
-    regime = min(bisect_right(np.cumsum(spec.initial).tolist(), u[0]), last)
+    cum_rows = np.cumsum(transition, axis=1).tolist()
+    last = len(cum_rows) - 1
+    regime = min(bisect_right(np.cumsum(initial).tolist(), u[0]), last)
     path = [regime]
     for u_t in u[1:]:
         regime = min(bisect_right(cum_rows[regime], u_t), last)
@@ -124,44 +68,63 @@ def _check_length(T: int) -> None:
 
 
 @dataclass(frozen=True)
-class ArRegime:
-    """AR(1) parameters of one regime: y' = intercept + coef * y + noise_std * eps."""
-
-    intercept: float
-    coef: float
-    noise_std: float
-
-    def __post_init__(self) -> None:
-        if not abs(self.coef) < 1:
-            raise ConfigError(
-                f"regime coefficient must satisfy |coef| < 1 for stationarity, got {self.coef}"
-            )
-        if not self.noise_std >= 0:  # also true for NaN
-            raise ConfigError(f"regime noise std must be non-negative, got {self.noise_std}")
-        for name in ("intercept", "noise_std"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"regime {name} must be finite, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class SwitchingArSpec:
     """Markov-switching AR(1): y_t = c_d + phi_d * y_{t-1} + sigma_d * eps_t.
 
-    The first emitted value is ``y0`` itself; the recursion starts at the
-    second. The regime at each step is drawn from ``chain``.
+    ``regimes`` holds one (intercept c, coef phi, noise_std sigma) triple per
+    regime. The regime d of each step follows a Markov chain:
+    ``transition[i][j]`` is the chance of moving from regime i to regime j,
+    and ``initial`` is the distribution of the first regime (None starts in
+    regime 0). The first emitted value is ``y0`` itself; the recursion starts
+    at the second. The defaults are the stock toy: a slow drifter and a fast
+    mean-reverter on a sticky chain that starts in regime 0.
     """
 
-    regimes: tuple[ArRegime, ...]
-    chain: MarkovChainSpec
+    regimes: tuple[tuple[float, float, float], ...] = ((0.0, 0.9, 0.1), (2.0, -0.5, 0.4))
+    transition: tuple[tuple[float, ...], ...] = ((0.99, 0.01), (0.02, 0.98))
+    initial: tuple[float, ...] | None = None
     T: int = 3000
     seed: int = 0
     y0: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.regimes) != self.chain.n_regimes:
+        for intercept, coef, noise_std in self.regimes:
+            if not abs(coef) < 1:
+                raise ConfigError(
+                    f"regime coefficient must satisfy |coef| < 1 for stationarity, got {coef}"
+                )
+            if not noise_std >= 0:  # also true for NaN
+                raise ConfigError(f"regime noise std must be non-negative, got {noise_std}")
+            for name, value in (("intercept", intercept), ("noise_std", noise_std)):
+                if not math.isfinite(value):
+                    raise ConfigError(f"regime {name} must be finite, got {value}")
+        transition = np.asarray(self.transition, dtype=float)
+        if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
+            raise ConfigError(f"transition matrix must be square, got shape {transition.shape}")
+        k = transition.shape[0]
+        if k < 1:
+            raise ConfigError("chain needs at least one regime")
+        # each comparison is written so that NaN fails it
+        if not np.all(transition >= 0):
+            raise ConfigError("transition probabilities must be non-negative")
+        rows = transition.sum(axis=1)
+        bad = np.flatnonzero(~(np.abs(rows - 1.0) <= _PROB_TOL))
+        if bad.size:
             raise ConfigError(
-                f"got {len(self.regimes)} regime parameter sets for a chain with "
-                f"{self.chain.n_regimes} regimes"
+                f"transition row {int(bad[0])} sums to {rows[bad[0]]!r}, expected 1"
+            )
+        initial = np.asarray(
+            (1.0,) + (0.0,) * (k - 1) if self.initial is None else self.initial, dtype=float
+        )
+        if initial.shape != (k,):
+            raise ConfigError(
+                f"initial distribution must have length {k}, got shape {initial.shape}"
+            )
+        if not (np.all(initial >= 0) and abs(initial.sum() - 1.0) <= _PROB_TOL):
+            raise ConfigError("initial distribution must be a probability vector")
+        if len(self.regimes) != k:
+            raise ConfigError(
+                f"got {len(self.regimes)} regime parameter sets for a chain with {k} regimes"
             )
         _check_length(self.T)
         if not math.isfinite(self.y0):
@@ -169,24 +132,16 @@ class SwitchingArSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         check_integer_fields(self, ("T", "seed"))
+        object.__setattr__(self, "regimes", tuple(tuple(map(float, r)) for r in self.regimes))
+        object.__setattr__(self, "transition", tuple(map(tuple, transition.tolist())))
+        object.__setattr__(self, "initial", tuple(initial.tolist()))
 
 
 def default_toy_spec(T: int = 3000, seed: int = 0) -> SwitchingArSpec:
-    """The stock two-regime switching AR: a slow drifter and a fast mean-reverter.
-
-    Regime 0 is (0, 0.9, 0.1), regime 1 is (2, -0.5, 0.4); the chain is
-    sticky (0.99 / 0.98 self-transition) and starts in regime 0.
-    """
-    chain = MarkovChainSpec.start_in([[0.99, 0.01], [0.02, 0.98]], regime=0)
-    return SwitchingArSpec(
-        regimes=(
-            ArRegime(intercept=0.0, coef=0.9, noise_std=0.1),
-            ArRegime(intercept=2.0, coef=-0.5, noise_std=0.4),
-        ),
-        chain=chain,
-        T=T,
-        seed=seed,
-    )
+    """The stock two-regime switching AR: regime 0 is (0, 0.9, 0.1), regime 1
+    is (2, -0.5, 0.4); the chain is sticky (0.99 / 0.98 self-transition) and
+    starts in regime 0."""
+    return SwitchingArSpec(T=T, seed=seed)
 
 
 def generate_toy(spec: SwitchingArSpec) -> tuple[TimeSeries, np.ndarray]:
@@ -196,13 +151,13 @@ def generate_toy(spec: SwitchingArSpec) -> tuple[TimeSeries, np.ndarray]:
     never see it.
     """
     regime_seed, noise_seed = np.random.SeedSequence(spec.seed).spawn(2)
-    path = sample_regimes(spec.chain, spec.T, regime_seed)
+    path = sample_regimes(spec.transition, spec.initial, spec.T, regime_seed)
     eps = np.random.default_rng(noise_seed).standard_normal(spec.T).tolist()
-    params = [(float(r.intercept), float(r.coef), float(r.noise_std)) for r in spec.regimes]
+    regimes = spec.regimes
     y_t = float(spec.y0)
     y = [y_t]
     for d, eps_t in zip(path.tolist()[1:], eps[1:]):
-        intercept, coef, noise_std = params[d]
+        intercept, coef, noise_std = regimes[d]
         y_t = intercept + coef * y_t + noise_std * eps_t
         y.append(y_t)
     return TimeSeries(values=np.array(y)), path
@@ -306,23 +261,17 @@ def write_regimes_csv(path: str | Path, regimes: np.ndarray, start_index: int = 
 
 
 def toy_spec_from_json(payload: dict) -> SwitchingArSpec:
-    """The default toy spec with the fields a spec document sets replaced."""
+    """The toy spec a document describes; a key it leaves out keeps its default."""
     check_keys(payload, _TOY_SPEC_TYPES, "toy generator spec")
     fields = {key: payload[key] for key in ("T", "seed", "y0") if key in payload}
     if "regimes" in payload:
         for i, regime in enumerate(payload["regimes"]):
             check_keys(regime, _REGIME_TYPES, f"regime {i}", required=tuple(_REGIME_TYPES))
-        fields["regimes"] = tuple(ArRegime(**regime) for regime in payload["regimes"])
+        fields["regimes"] = [tuple(map(r.get, _REGIME_TYPES)) for r in payload["regimes"]]
     if "chain" in payload:
-        chain = payload["chain"]
-        check_keys(chain, _CHAIN_TYPES, "chain spec", required=("transition",))
-        transition = np.asarray(chain["transition"], dtype=float)
-        if "initial" in chain:
-            initial = np.asarray(chain["initial"], dtype=float)
-            fields["chain"] = MarkovChainSpec(transition=transition, initial=initial)
-        else:
-            fields["chain"] = MarkovChainSpec.start_in(transition, regime=0)
-    return replace(default_toy_spec(), **fields)
+        check_keys(payload["chain"], _CHAIN_TYPES, "chain spec", required=("transition",))
+        fields.update(payload["chain"])
+    return SwitchingArSpec(**fields)
 
 
 def generator_spec_from_json(payload: dict) -> SwitchingArSpec | LorenzSpec:

@@ -224,8 +224,10 @@ def compute_metrics(columns: dict[str, np.ndarray | None]) -> dict:
     y = columns["y"]
     if len(y) == 0:
         raise ConfigError("cannot compute metrics over zero steps")
+    with np.errstate(over="ignore"):  # an overflowing error makes an infinite rmse
+        rmse = float(np.sqrt(np.mean((y - columns["y_hat"]) ** 2)))
     metrics = {
-        "rmse": float(np.sqrt(np.mean((y - columns["y_hat"]) ** 2))),
+        "rmse": rmse,
         "coverage": None, "median_width": None, "n_infinite": 0, "n_zero_width": 0,
         "n_steps": len(y),
     }
@@ -499,7 +501,7 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
 def report_payload(result: RunReport | RunFailure) -> dict:
     """The metrics object of one run (or one failed grid cell) in Python floats;
     the metrics file codec (``write_metrics_json``/``load_metrics_json``) owns
-    the string "inf" that stands for an infinite ``median_width`` in JSON."""
+    the string "inf" that stands for an infinite metric in JSON."""
     config = result.config
     payload = {
         "name": result.name,
@@ -530,11 +532,16 @@ def report_payload(result: RunReport | RunFailure) -> dict:
     return payload
 
 
+# The metrics that can be infinite: an overflowing rmse, an all-infinite run's width.
+_INFINITE_METRICS = ("rmse", "median_width")
+
+
 def write_metrics_json(path: str | Path, result: RunReport | RunFailure) -> None:
     payload = report_payload(result)
-    if payload.get("metrics", {}).get("median_width") == math.inf:
-        # an all-infinite run's width, as a string to keep the JSON strict
-        payload["metrics"]["median_width"] = "inf"
+    metrics = payload.get("metrics", {})
+    for key in _INFINITE_METRICS:  # as a string, to keep the JSON strict
+        if metrics.get(key) == math.inf:
+            metrics[key] = "inf"
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
@@ -558,8 +565,8 @@ def load_metrics_json(path: str | Path) -> dict:
     )
     if payload["status"] == "ok":
         metrics = payload.get("metrics")
-        if isinstance(metrics, dict) and metrics.get("median_width") == "inf":
-            metrics["median_width"] = math.inf
+        if isinstance(metrics, dict):
+            metrics.update({k: math.inf for k in _INFINITE_METRICS if metrics.get(k) == "inf"})
         check_keys(metrics, _METRIC_TYPES, f"{path}: 'metrics'")
     return payload
 

@@ -245,7 +245,10 @@ class CusumDetector:
     one-sided sums S+ and S- with the usual drift allowance. Crossing
     the threshold raises an alarm and resets the detector into a fresh
     warm-up, so successive alarms are always separated by a re-learned
-    reference.
+    reference. A warm-up whose values are constant within rounding, as
+    when an AR fits a plateau exactly, is discarded and collected again:
+    until the values vary there is nothing to standardize against, and
+    no alarm.
     """
 
     def __init__(self, drift: float = 0.5, threshold: float = 5.0, warmup: int = 50) -> None:
@@ -277,17 +280,13 @@ class CusumDetector:
             if len(self._samples) >= self.warmup:
                 arr = np.asarray(self._samples, dtype=float)
                 std = float(arr.std(ddof=1))
+                self._samples = []
                 # A constant sample can come out at a few ulps instead of 0; the
                 # floor is the rounding error of a sum of warmup values.
                 floor = self.warmup * np.finfo(float).eps * float(np.abs(arr).max())
-                if std <= floor:
-                    raise NumericError(
-                        f"degenerate warm-up: reference std {std:.3g} is within "
-                        f"rounding of 0 (floor {floor:.3g})"
-                    )
-                self._mean = float(arr.mean())
-                self._std = std
-                self._samples = []
+                if std > floor:
+                    self._mean = float(arr.mean())
+                    self._std = std
             return False
         z = (value - self._mean) / self._std
         self._pos = max(0.0, self._pos + z - self.drift)

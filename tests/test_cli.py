@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -54,6 +55,44 @@ def test_generate_custom_spec_file(tmp_path, capsys):
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path)]) == 0
     assert "generated small: T=120" in capsys.readouterr().out
     assert len(load_series_csv(tmp_path / "small.csv")) == 120
+
+
+# SHA-256 of the series CSV and the regimes CSV that `generate --spec` writes
+# for two custom toy documents: three regimes drawn from a mixed initial
+# distribution, and a chain given without "initial" (it starts in regime 0).
+CUSTOM_TOY_SPECS = {
+    "three": ({
+        "kind": "toy",
+        "regimes": [
+            {"intercept": 0.0, "coef": 0.9, "noise_std": 0.1},
+            {"intercept": 2.0, "coef": -0.5, "noise_std": 0.4},
+            {"intercept": -1.0, "coef": 0.3, "noise_std": 0.2},
+        ],
+        "chain": {
+            "transition": [[0.9, 0.05, 0.05], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]],
+            "initial": [0.2, 0.5, 0.3],
+        },
+        "T": 500, "seed": 11, "y0": 1.5,
+    }, "78129990bdb877802e912c8cb9a3c36fcbcfae6e5d15144939600be91f8cbb61",
+       "82fbf1411895f5f456ba54d4bdb4e0313df7c1d0ff75f3ce1fb95808b853c812"),
+    "chain": ({
+        "kind": "toy", "chain": {"transition": [[0.9, 0.1], [0.3, 0.7]]}, "T": 400, "seed": 5,
+    }, "1e6c17f17c604912b3d3f88c18d07f057336be942c8dac1798a00a5818e3e934",
+       "dfdb3b523aa4a107d86c0d48d7f2b13eb2a35f11c621c5eb32cee8c58cb16588"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_TOY_SPECS))
+def test_generate_custom_toy_spec_bytes_are_pinned(tmp_path, name):
+    document, series_sha, regimes_sha = CUSTOM_TOY_SPECS[name]
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(document))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest()
+        for suffix in (".csv", ".regimes.csv")
+    )
+    assert digests == (series_sha, regimes_sha)
 
 
 def test_generate_malformed_json_reports_offset(tmp_path, capsys):
@@ -349,6 +388,30 @@ def test_wrap_perfect_trace_gives_zero_width_full_coverage(tmp_path, series_csv,
     assert metrics["coverage"] == 1.0
     assert metrics["median_width"] == 0.0
     assert metrics["n_zero_width"] == metrics["n_steps"]
+
+
+def test_an_overflowing_rmse_is_written_as_strict_json_and_reported(tmp_path, capsys):
+    values = np.random.default_rng(0).normal(size=300)
+    values[250], values[251] = 1e200, -1e200  # their squared errors overflow
+    spiky = tmp_path / "spiky.csv"
+    write_series_csv(spiky, TimeSeries(values=values))
+    config = write_config(tmp_path, dataset=str(spiky), method="none")
+    out_dir = tmp_path / "runs"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    metrics_json = out_dir / "spiky-persistence-none.metrics.json"
+
+    def no_constants(token):
+        raise AssertionError(f"non-strict JSON token {token}")
+
+    metrics = json.loads(metrics_json.read_text(), parse_constant=no_constants)["metrics"]
+    assert metrics["rmse"] == "inf"
+    assert main(["report", "--inputs", str(metrics_json), "--out", str(tmp_path / "rep")]) == 0
+    assert "spiky" in capsys.readouterr().out
+    report_csv = (tmp_path / "rep" / "report.csv").read_text().splitlines()
+    assert report_csv[1].split(",")[4] == "inf"
 
 
 def test_report_single_and_failed_cells(tmp_path, series_csv, capsys):
@@ -654,30 +717,51 @@ def test_non_finite_forecast_exits_4_naming_the_phase_and_index(tmp_path, capsys
     )
 
 
-@pytest.mark.parametrize("head, tail, where", [
-    (50, 250, "calibration seeding: while observing series index 199"),
-    (250, 150, "test step: while observing series index 302"),
+def spike_pair(n: int, at: int) -> TimeSeries:
+    """Standard normal noise with +1e308 at index ``at`` and -1e308 after it.
+    The first jump makes segmented_ar's CUSUM alarm, so its persistence
+    fallback predicts +1e308 for the second, and that residual overflows."""
+    values = np.random.default_rng(0).normal(size=n)
+    values[at], values[at + 1] = 1e308, -1e308
+    return TimeSeries(values=values)
+
+
+@pytest.mark.parametrize("n, at, where", [
+    (300, 200, "calibration seeding: while observing series index 201"),
+    (400, 300, "test step: while observing series index 301"),
 ])
-def test_a_failed_observation_names_its_phase_and_index(tmp_path, capsys, head, tail, where):
-    # a flat tail leaves segmented_ar's CUSUM a constant warm-up
-    rng = np.random.default_rng(0)
-    flat = tmp_path / "flat-tail.csv"
-    write_series_csv(flat, TimeSeries(values=np.concatenate([rng.normal(size=head),
-                                                             np.full(tail, 3.0)])))
+def test_a_failed_observation_names_its_phase_and_index(tmp_path, capsys, n, at, where):
+    spiky = tmp_path / "spike-pair.csv"
+    write_series_csv(spiky, spike_pair(n, at))
     params = {"order": 2, "refit_every": 50}
-    config = write_config(tmp_path, "flat.json", dataset=str(flat), forecaster="segmented_ar",
+    config = write_config(tmp_path, "spike.json", dataset=str(spiky), forecaster="segmented_ar",
                           forecaster_params=params)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "one")]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {where}: degenerate warm-up: reference std ")
-    assert err.count("\n") == 1
+    assert err == f"error: {where}: detector fed a non-finite value: -inf\n"
     # in a grid the cell fails with the same message and its sibling runs
     other = write_config(tmp_path, "toy.json")
     assert main(["run", "--config", str(config), str(other), "--out", str(tmp_path / "grid")]) == 0
-    failed = json.loads((tmp_path / "grid" / "flat-tail-segmented_ar-aci.metrics.json").read_text())
+    failed = json.loads((tmp_path / "grid" / "spike-pair-segmented_ar-aci.metrics.json")
+                        .read_text())
     assert failed["status"] == "failed"
     assert failed["error"] == "NumericError: " + err[len("error: "):-1]
     assert (tmp_path / "grid" / "toy-persistence-aci.bands.csv").exists()
+
+
+@pytest.mark.parametrize("forecaster", ["ar", "segmented_ar"])
+def test_a_series_that_turns_constant_runs_to_the_end(tmp_path, capsys, forecaster):
+    # the AR fits the plateau exactly, so the CUSUM warm-up residuals are all 0
+    walk = np.cumsum(np.random.default_rng(0).normal(size=600))
+    plateau = tmp_path / "plateau.csv"
+    write_series_csv(plateau, TimeSeries(values=np.concatenate([walk, np.full(400, 2.5)])))
+    config = write_config(tmp_path, dataset=str(plateau), forecaster=forecaster)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    metrics = json.loads((tmp_path / "o" / f"plateau-{forecaster}-aci.metrics.json").read_text())
+    assert metrics["metrics"]["n_steps"] == 300
 
 
 @pytest.mark.parametrize("values", [
@@ -776,17 +860,15 @@ def test_jobs_below_1_exit_2_for_every_run(tmp_path, capsys, n_configs, jobs):
 def grid_configs(tmp_path):
     """Config files of a mixed grid, forecaster-major: two toy seeds of every
     method, a frozen-buffer cell and a key whose forecast pass fails."""
-    rng = np.random.default_rng(0)
-    flat = tmp_path / "flat-tail.csv"  # segmented_ar's CUSUM warm-up is constant
-    write_series_csv(flat, TimeSeries(values=np.concatenate([rng.normal(size=50),
-                                                             np.full(250, 3.0)])))
+    spiky = tmp_path / "spike-pair.csv"  # segmented_ar's CUSUM is fed an infinite residual
+    write_series_csv(spiky, spike_pair(300, 200))
     cells = [dict(dataset="toy", forecaster=f, method=m, seed=seed, name=f"{f}-{m}-{seed}")
              for f in ("persistence", "ar")
              for seed in (1, 2)
              for m in ("none", "split", "aci", "agaci")]
     cells.append(dict(dataset="toy", forecaster="ar", method="aci", seed=1,
                       buffer_mode="frozen", name="ar-aci-1-frozen"))
-    cells += [dict(dataset=str(flat), forecaster="segmented_ar", method=m, name=f"flat-{m}",
+    cells += [dict(dataset=str(spiky), forecaster="segmented_ar", method=m, name=f"spike-{m}",
                    forecaster_params={"order": 2, "refit_every": 50})
               for m in ("split", "aci")]
     paths = []
@@ -805,7 +887,7 @@ def test_grid_files_equal_each_config_run_alone(tmp_path, capsys, monkeypatch, j
     for path in paths:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "alone")])
         alone[path.stem] = code, capsys.readouterr().err
-    assert [p.stem for p in paths if alone[p.stem][0] != 0] == ["flat-split", "flat-aci"]
+    assert [p.stem for p in paths if alone[p.stem][0] != 0] == ["spike-split", "spike-aci"]
 
     tables, reports = [], []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -5,9 +6,7 @@ import numpy as np
 import pytest
 
 from driftband.datagen import (
-    ArRegime,
     LorenzSpec,
-    MarkovChainSpec,
     SwitchingArSpec,
     default_toy_spec,
     generate_lorenz,
@@ -23,38 +22,46 @@ from driftband.errors import ConfigError, NumericError
 
 def test_chain_validation():
     with pytest.raises(ConfigError, match="square"):
-        MarkovChainSpec(transition=[[0.5, 0.5]], initial=[1.0])
+        SwitchingArSpec(transition=[[0.5, 0.5]], initial=[1.0])
     with pytest.raises(ConfigError, match="sums to"):
-        MarkovChainSpec(transition=[[0.5, 0.4], [0.5, 0.5]], initial=[1.0, 0.0])
+        SwitchingArSpec(transition=[[0.5, 0.4], [0.5, 0.5]], initial=[1.0, 0.0])
     with pytest.raises(ConfigError, match="non-negative"):
-        MarkovChainSpec(transition=[[1.1, -0.1], [0.5, 0.5]], initial=[1.0, 0.0])
+        SwitchingArSpec(transition=[[1.1, -0.1], [0.5, 0.5]], initial=[1.0, 0.0])
     with pytest.raises(ConfigError, match="probability vector"):
-        MarkovChainSpec(transition=[[1.0, 0.0], [0.0, 1.0]], initial=[0.7, 0.7])
+        SwitchingArSpec(transition=[[1.0, 0.0], [0.0, 1.0]], initial=[0.7, 0.7])
     # NaN fails every comparison, so each check is written to reject it
     for transition in ([[math.nan, 1.0], [0.5, 0.5]], [[1.0, 0.0], [math.nan, math.nan]]):
         with pytest.raises(ConfigError, match="^transition probabilities must be non-negative$"):
-            MarkovChainSpec(transition=transition, initial=[1.0, 0.0])
+            SwitchingArSpec(transition=transition, initial=[1.0, 0.0])
     for initial in ([math.nan, 1.0], [math.nan, math.nan]):
         with pytest.raises(ConfigError, match="^initial distribution must be a probability"):
-            MarkovChainSpec(transition=[[0.5, 0.5], [0.5, 0.5]], initial=initial)
+            SwitchingArSpec(transition=[[0.5, 0.5], [0.5, 0.5]], initial=initial)
+
+
+def test_a_spec_holds_plain_float_tuples_and_compares_by_value():
+    spec = SwitchingArSpec(regimes=[[0, 0.5, 1]], transition=np.ones((1, 1)), initial=np.ones(1))
+    assert spec.regimes == ((0.0, 0.5, 1.0),) and spec.transition == ((1.0,),)
+    assert all(type(x) is float for x in (*spec.regimes[0], *spec.transition[0], *spec.initial))
+    # a missing initial distribution starts the chain in regime 0
+    assert default_toy_spec().initial == (1.0, 0.0)
+    assert default_toy_spec() == SwitchingArSpec(initial=(1.0, 0.0))
+    assert hash(default_toy_spec(seed=4)) == hash(SwitchingArSpec(seed=4))
 
 
 def test_identity_chain_is_absorbing():
-    spec = MarkovChainSpec.start_in(np.eye(3), regime=1)
-    path = sample_regimes(spec, 100, seed=0)
+    path = sample_regimes(np.eye(3), [0.0, 1.0, 0.0], 100, seed=0)
     assert np.all(path == 1)
 
 
 def test_initial_distribution_is_honored():
-    spec = MarkovChainSpec(transition=[[0.5, 0.5], [0.5, 0.5]], initial=[0.0, 1.0])
+    spec = SwitchingArSpec(transition=[[0.5, 0.5], [0.5, 0.5]], initial=[0.0, 1.0])
     for seed in range(20):
-        assert sample_regimes(spec, 5, seed=seed)[0] == 1
+        assert sample_regimes(spec.transition, spec.initial, 5, seed=seed)[0] == 1
 
 
 def test_transition_frequencies_match_matrix():
     p = np.array([[0.99, 0.01], [0.02, 0.98]])
-    spec = MarkovChainSpec.start_in(p, regime=0)
-    path = sample_regimes(spec, 100_000, seed=42)
+    path = sample_regimes(p, [1.0, 0.0], 100_000, seed=42)
     for i in range(2):
         rows = path[:-1] == i
         assert rows.sum() > 0
@@ -63,33 +70,36 @@ def test_transition_frequencies_match_matrix():
 
 
 def test_sample_regimes_deterministic_under_seed():
-    spec = default_toy_spec().chain
-    a = sample_regimes(spec, 500, seed=3)
-    b = sample_regimes(spec, 500, seed=3)
-    c = sample_regimes(spec, 500, seed=4)
+    chain = default_toy_spec().transition, default_toy_spec().initial
+    a = sample_regimes(*chain, 500, seed=3)
+    b = sample_regimes(*chain, 500, seed=3)
+    c = sample_regimes(*chain, 500, seed=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
+def one_regime(intercept, coef, noise_std):
+    return SwitchingArSpec(regimes=((intercept, coef, noise_std),), transition=((1.0,),))
+
+
 def test_regime_params_validation():
     with pytest.raises(ConfigError, match="stationarity"):
-        ArRegime(intercept=0.0, coef=1.0, noise_std=0.1)
+        one_regime(intercept=0.0, coef=1.0, noise_std=0.1)
     with pytest.raises(ConfigError, match="non-negative"):
-        ArRegime(intercept=0.0, coef=0.5, noise_std=-0.1)
+        one_regime(intercept=0.0, coef=0.5, noise_std=-0.1)
     with pytest.raises(ConfigError, match=r"^regime noise std must be non-negative, got nan$"):
-        ArRegime(intercept=0.0, coef=0.5, noise_std=math.nan)
+        one_regime(intercept=0.0, coef=0.5, noise_std=math.nan)
     # a non-finite scale can only make a non-finite series
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ConfigError, match=f"^regime intercept must be finite, got {bad}$"):
-            ArRegime(intercept=bad, coef=0.5, noise_std=0.1)
+            one_regime(intercept=bad, coef=0.5, noise_std=0.1)
     with pytest.raises(ConfigError, match="^regime noise_std must be finite, got inf$"):
-        ArRegime(intercept=0.0, coef=0.5, noise_std=math.inf)
+        one_regime(intercept=0.0, coef=0.5, noise_std=math.inf)
 
 
 def test_switching_spec_validation():
-    chain = default_toy_spec().chain
     with pytest.raises(ConfigError, match="regime parameter sets"):
-        SwitchingArSpec(regimes=(ArRegime(0.0, 0.5, 0.1),), chain=chain)
+        SwitchingArSpec(regimes=((0.0, 0.5, 0.1),))
     # lengths whose float64 output cannot be addressed, rejected before allocation
     for T in (10**20, 2**62):
         with pytest.raises(ConfigError, match=f"T = {T} is too large"):
@@ -125,10 +135,9 @@ def test_spec_takes_numpy_integers_as_ints():
 
 def test_toy_deterministic_recursion():
     # noiseless single regime: a plain geometric decay from y0
-    chain = MarkovChainSpec.start_in([[1.0]], regime=0)
     spec = SwitchingArSpec(
-        regimes=(ArRegime(intercept=0.0, coef=0.5, noise_std=0.0),),
-        chain=chain,
+        regimes=((0.0, 0.5, 0.0),),
+        transition=((1.0,),),
         T=6,
         y0=1.0,
     )
@@ -144,19 +153,14 @@ def test_toy_default_shape_and_stationary_means():
     spec = default_toy_spec()
     for regime in (0, 1):
         mean = series.values[path == regime].mean()
-        ar = spec.regimes[regime]
-        assert abs(mean - ar.intercept / (1.0 - ar.coef)) < 0.15
+        intercept, coef, _ = spec.regimes[regime]
+        assert abs(mean - intercept / (1.0 - coef)) < 0.15
 
 
 def test_toy_regime_path_invariant_to_noise_scale():
     base = default_toy_spec(seed=11)
-    louder = SwitchingArSpec(
-        regimes=tuple(
-            ArRegime(r.intercept, r.coef, r.noise_std * 7.0) for r in base.regimes
-        ),
-        chain=base.chain,
-        T=base.T,
-        seed=base.seed,
+    louder = dataclasses.replace(
+        base, regimes=tuple((c, phi, sigma * 7.0) for c, phi, sigma in base.regimes)
     )
     _, path_a = generate_toy(base)
     _, path_b = generate_toy(louder)
@@ -166,10 +170,9 @@ def test_toy_regime_path_invariant_to_noise_scale():
 def test_toy_identity_chain_equals_manual_ar1():
     # with a degenerate chain the generator must reduce to a plain AR(1)
     # recursion over the noise substream
-    chain = MarkovChainSpec.start_in([[1.0]], regime=0)
     spec = SwitchingArSpec(
-        regimes=(ArRegime(intercept=0.3, coef=0.8, noise_std=0.2),),
-        chain=chain,
+        regimes=((0.3, 0.8, 0.2),),
+        transition=((1.0,),),
         T=200,
         seed=9,
         y0=1.5,
@@ -324,8 +327,8 @@ def test_spec_json_full_toy_document():
         }
     )
     assert spec.T == 500 and spec.y0 == 2.0
-    assert spec.chain.transition[0, 1] == 0.05
-    assert spec.regimes[1].coef == -0.4
+    assert spec.transition[0][1] == 0.05 and spec.initial == (0.5, 0.5)
+    assert spec.regimes[1] == (1.0, -0.4, 0.3)
 
 
 def test_spec_json_rejects_unknown_keys_and_kinds():

@@ -677,12 +677,12 @@ def test_a_grid_of_one_forecast_key_runs_in_process(tmp_path, monkeypatch):
             assert one.read_bytes() == two.read_bytes()
 
 
-def degenerate_csv(tmp_path):
-    """A series whose flat tail leaves segmented_ar's CUSUM a constant warm-up,
-    so its forecast pass fails after the scaler fit."""
-    rng = np.random.default_rng(0)
-    values = np.concatenate([rng.normal(size=50), np.full(250, 3.0)])
-    path = tmp_path / "flat-tail.csv"
+def spike_pair_csv(tmp_path):
+    """A series whose jump to +1e308 and back to -1e308 feeds segmented_ar's
+    CUSUM an infinite residual, so its forecast pass fails after the scaler fit."""
+    values = np.random.default_rng(0).normal(size=300)
+    values[200], values[201] = 1e308, -1e308
+    path = tmp_path / "spike-pair.csv"
     write_series_csv(path, TimeSeries(values=values))
     return str(path)
 
@@ -700,8 +700,8 @@ def mixed_grid(tmp_path):
                              buffer_mode="frozen", name="ar-aci-1-frozen"))
     params = {"order": 2, "refit_every": 50}
     configs += [
-        RunConfig(dataset=degenerate_csv(tmp_path), forecaster="segmented_ar", method=m,
-                  forecaster_params=params, name=f"flat-{m}")
+        RunConfig(dataset=spike_pair_csv(tmp_path), forecaster="segmented_ar", method=m,
+                  forecaster_params=params, name=f"spike-{m}")
         for m in ("split", "aci")
     ]
     return configs
@@ -713,7 +713,7 @@ def test_grid_cells_equal_their_single_runs_byte_for_byte(tmp_path, jobs):
     results = grid_run(configs, jobs=jobs)
     assert [r.name for r in results] == [c.run_name for c in configs]
     failed = [r for r in results if isinstance(r, RunFailure)]
-    assert [r.name for r in failed] == ["flat-split", "flat-aci"]
+    assert [r.name for r in failed] == ["spike-split", "spike-aci"]
     for config, result in zip(configs, results):
         if isinstance(result, RunFailure):
             with pytest.raises(Exception) as alone:

@@ -463,10 +463,16 @@ def test_cusum_validation():
 
 
 def test_cusum_degenerate_warmup():
+    # a constant warm-up (an exact fit of a plateau) is collected again, as
+    # often as it comes, and never alarms
     det = CusumDetector(warmup=30)
-    with pytest.raises(NumericError, match="degenerate warm-up"):
-        for _ in range(30):
-            det.update(1.0)
+    assert not any(det.update(1.0) for _ in range(95))
+    # the next varying warm-up becomes the reference, and a jump alarms
+    rng = np.random.default_rng(3)
+    assert not any(det.update(v) for v in rng.standard_normal(25))
+    assert det.update(100.0)
+    with pytest.raises(NumericError, match="^detector fed a non-finite value: inf$"):
+        det.update(math.inf)
 
 
 def test_cusum_rejects_a_warmup_constant_up_to_rounding():
@@ -475,11 +481,11 @@ def test_cusum_rejects_a_warmup_constant_up_to_rounding():
     value = 0.2786290624167984
     assert 0 < np.full(50, value).std(ddof=1) < 1e-15
     det = CusumDetector(warmup=50)
-    alarms = []
-    with pytest.raises(NumericError, match="degenerate warm-up"):
-        for v in [value] * 50 + [0.0]:
-            alarms.append(det.update(v))
-    assert alarms == [False] * 49
+    fresh = np.random.default_rng(4).standard_normal(49).tolist()
+    alarms = [det.update(v) for v in [value] * 50 + [0.0] + fresh]
+    assert alarms == [False] * 100
+    # the reference is the fresh warm-up of 0.0 and 49 normal draws
+    assert not det.update(0.5) and det.update(100.0)
 
 
 def test_cusum_stays_quiet_in_control():

@@ -1,11 +1,12 @@
 import dataclasses
 import glob
+import json
 import re
 import shlex
 from pathlib import Path
 
 import driftband
-from driftband import cli, evaluate
+from driftband import cli, datagen, evaluate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -64,3 +65,13 @@ def test_the_python_api_sketch_runs_as_written():
     exec(compile(sketch, "README.md", "exec"), namespace)
     assert isinstance(namespace["report"], driftband.RunReport)
     assert namespace["report"].config.dataset == "walk"
+
+
+def test_the_generator_spec_blocks_are_the_defaults():
+    """README says every field of the two "Generator spec reference" blocks
+    defaults to the value shown, so each parses to its family's default spec."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Generator spec reference", 1)[1].split("\n## ", 1)[0]
+    toy, lorenz = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert datagen.generator_spec_from_json(json.loads(toy)) == datagen.default_toy_spec()
+    assert datagen.generator_spec_from_json(json.loads(lorenz)) == datagen.LorenzSpec()
