@@ -30,12 +30,6 @@ from .evaluate import (
     RunReport,
     run_rolling,
 )
-from .forecasters import (
-    ArForecaster,
-    Forecaster,
-    PersistenceForecaster,
-    SegmentedArForecaster,
-)
 
 __version__ = "0.1.0"
 
@@ -43,16 +37,12 @@ __all__ = [
     "AciState",
     "AgAciState",
     "AlignmentError",
-    "ArForecaster",
     "ConfigError",
-    "Forecaster",
     "LorenzSpec",
     "NumericError",
-    "PersistenceForecaster",
     "RunConfig",
     "RunReport",
     "ScoreBuffer",
-    "SegmentedArForecaster",
     "aci_step",
     "aci_update",
     "agaci_step",

@@ -136,10 +136,7 @@ def cmd_wrap(args) -> int:
         start = series_.start_index + split.train_end
         end = series_.start_index + split.test_end
         trace.validate_against(series_, start, end)
-        # A trace value far beyond the scaler's range overflows to inf, which
-        # run_rolling reports as a non-finite forecast; numpy need not warn too.
-        with np.errstate(over="ignore"):
-            return scaler.transform(trace.y_hat[start - trace.start : end - trace.start])
+        return scaler.transform(trace.y_hat[start - trace.start : end - trace.start])
 
     report = evaluate.run_rolling(config, series=series, forecast=forecast)
     _write_run_outputs(out_dir, report)

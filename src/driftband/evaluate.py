@@ -232,13 +232,15 @@ def compute_metrics(columns: dict[str, np.ndarray | None]) -> dict:
         "n_steps": len(y),
     }
     if columns["lower"] is not None:
-        with np.errstate(over="ignore"):  # overflow to inf, as on Python floats
+        # Overflow to inf, as on Python floats; a band whose ends both overflow
+        # to the same inf has a NaN width and is infinite too.
+        with np.errstate(over="ignore", invalid="ignore"):
             widths = columns["upper"] - columns["lower"]
         finite = np.sort(widths[np.isfinite(widths)])
         metrics.update(
             coverage=int(np.count_nonzero(columns["covered"])) / len(widths),
             median_width=float(finite[(finite.size - 1) // 2]) if finite.size else math.inf,
-            n_infinite=int(np.count_nonzero(np.isinf(widths))),
+            n_infinite=len(widths) - finite.size,
             n_zero_width=int(np.count_nonzero(widths == 0.0)),
         )
     return metrics
@@ -250,21 +252,26 @@ Forecast = Callable[[TimeSeries, SplitSpec, StandardScaler, np.ndarray], np.ndar
 def _native_forecast(config: RunConfig) -> Forecast:
     """The forecast pass of the configured native forecaster.
 
-    The returned function fits the forecaster on the training window of
-    the standardized series ``z``, then predicts and observes each index
-    of [train_end, test_end) in turn. It returns the predictions, cut
-    after the first non-finite one (``run_rolling`` names it). A numeric
-    failure while observing is re-raised naming its phase and series index.
+    Persistence is the standardized series ``z`` shifted by one step. An AR
+    is fit on the training window of ``z``, then predicts and observes each
+    index of [train_end, test_end) in turn on views of ``z``; its column is
+    cut after the first non-finite prediction (``run_rolling`` names it). A
+    numeric failure while observing is re-raised naming its phase and
+    series index.
     """
 
+    # An AR fed huge values overflows to inf, and inf - inf is NaN: the observe
+    # guard or the column check names either, so numpy need not warn too.
+    @np.errstate(over="ignore", invalid="ignore")
     def forecast(series: TimeSeries, split: SplitSpec, scaler: StandardScaler, z) -> np.ndarray:
         if config.forecaster == "replay":
             raise ConfigError(
                 "forecaster 'replay' only runs through the wrap command with a trace file"
             )
+        if config.forecaster == "persistence":
+            return z[split.train_end - 1 : split.test_end - 1]
         params = dict(config.forecaster_params)
-        if config.forecaster in ("ar", "segmented_ar") and "order" not in params:
-            params["order"] = max(1, min(config.lag, split.train_end // 4))
+        params.setdefault("order", max(1, min(config.lag, split.train_end // 4)))
         forecaster = make_forecaster(config.forecaster, **params)
         try:
             forecaster.fit(z[: split.train_end])
@@ -273,13 +280,13 @@ def _native_forecast(config: RunConfig) -> Forecast:
                 f"while fitting the forecaster on the training window: {exc}"
             ) from None
         predictions = []
-        for t, y in enumerate(z[split.train_end : split.test_end].tolist(), split.train_end):
+        for t in range(split.train_end, split.test_end):
             y_hat = forecaster.predict_one(z[:t])
             predictions.append(y_hat)
             if not math.isfinite(y_hat):
                 break
             try:
-                forecaster.observe(y)
+                forecaster.observe(z[: t + 1])
             except NumericError as exc:
                 phase = "calibration seeding" if t < split.cal_end else "test step"
                 raise NumericError(
@@ -392,11 +399,11 @@ def _calibrate_key(
         outcome = walked.get(i)
         if isinstance(outcome, tuple):
             half_widths, alphas, _ = outcome
-            lower, upper = y_hat_test - half_widths, y_hat_test + half_widths
             with np.errstate(over="ignore"):  # overflow to inf, as on Python floats
-                columns.update(
-                    lower=scaler.inverse_transform(lower), upper=scaler.inverse_transform(upper)
-                )
+                lower, upper = y_hat_test - half_widths, y_hat_test + half_widths
+            columns.update(
+                lower=scaler.inverse_transform(lower), upper=scaler.inverse_transform(upper)
+            )
             # PredictionInterval.covers on the scaled values
             columns.update(alpha_t=np.array(alphas), covered=(lower <= z_test) & (z_test <= upper))
         yield outcome if isinstance(outcome, Exception) else RunReport(

@@ -1,10 +1,15 @@
-"""One-step-ahead forecasters behind a single small contract.
+"""One-step-ahead forecasters: the autoregression, its change-point
+detector, and external forecast traces.
 
-A forecaster is fit once on a training window, asked for a point
-prediction of the next value given the full observed history so far,
-and then told what actually happened. The calibration layer never looks
-inside: predictions made elsewhere reach it through the ``forecast``
-argument of ``evaluate.run_rolling`` or a trace CSV given to ``wrap``.
+The forecast pass in ``evaluate`` holds the run's standardized series
+``z``. Persistence is the column ``z[train_end - 1 : test_end - 1]`` and
+needs no class. The autoregression is fit once on the training window,
+asked for a point prediction of the next value given the observed history
+so far, and then handed that history with the realized value appended;
+both are views of ``z``, so it keeps no copy of the series. The
+calibration layer never looks inside: predictions made elsewhere reach it
+through the ``forecast`` argument of ``evaluate.run_rolling`` or a trace
+CSV given to ``wrap``.
 
 All forecasters operate in standardized units; rescaling to the
 original data units happens in the evaluation layer.
@@ -27,12 +32,10 @@ TRACE_CSV_HEADER = ("index", "y_true", "y_hat")
 
 
 class Forecaster(ABC):
-    """Contract between a point forecaster and the calibration loop.
+    """Contract between a per-step point forecaster and the forecast pass.
 
     ``predict_one`` receives the entire history prefix observed so far
-    (training window included), oldest first. Implementations may keep
-    their own internal window; the passed history is authoritative for
-    the prediction itself.
+    (training window included), oldest first.
     """
 
     @abstractmethod
@@ -43,21 +46,9 @@ class Forecaster(ABC):
     def predict_one(self, history) -> float:
         """Point prediction for the value following ``history``."""
 
-    def observe(self, y: float) -> None:
-        """Ingest the realized value for the most recent prediction."""
-
-
-class PersistenceForecaster(Forecaster):
-    """Predicts the most recent observation. The no-skill baseline."""
-
-    def fit(self, window) -> None:
-        if len(window) < 1:
-            raise NumericError("persistence needs at least one observation to fit")
-
-    def predict_one(self, history) -> float:
-        if len(history) < 1:
-            raise NumericError("persistence needs a non-empty history")
-        return float(history[-1])
+    def observe(self, history) -> None:
+        """Ingest ``history``, the prefix given to the last ``predict_one``
+        plus the value realized after it; a forecaster may keep views of it."""
 
 
 @dataclass(frozen=True)
@@ -122,11 +113,16 @@ def ar_fit(window, order: int) -> ArModel:
             f"window of length {window.size} cannot fit an order-{order} autoregression"
         )
     # Clamped into [min, max]: a constant window centers to exact zeros even if
-    # its sum overflows.
-    shift = min(max(window.mean(), window.min()), window.max())
-    c = window - shift
+    # its sum overflows. A non-finite value, or values of both signs near the
+    # float limit, center to a non-finite one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = min(max(window.mean(), window.min()), window.max())
+        c = window - shift
+    peak = np.abs(c).max()
+    if not math.isfinite(peak):
+        raise NumericError(f"window of length {window.size} spans more than the float range")
     # An exact power-of-two scale keeps the Gram from overflowing or underflowing.
-    scale = np.ldexp(1.0, np.frexp(np.abs(c).max())[1] - 1)
+    scale = np.ldexp(1.0, np.frexp(peak)[1] - 1)
     c /= scale
     # G is the Gram of the m lag rows c[k : k + q]. Row i of ``skew`` holds
     # G[i, i:], so the first q * q values of its flat buffer are G in row-major
@@ -157,21 +153,20 @@ def ar_fit(window, order: int) -> ArModel:
 
 
 class ArForecaster(Forecaster):
-    """Autoregression refit periodically on a rolling window.
+    """Autoregression refit periodically on a rolling window of the history.
 
     The window length is pinned to the training window length at fit
-    time; the model is refit every ``refit_every`` observations. Every value
-    goes twice into a ring of twice that length, so refits read a view.
+    time; the model is refit every ``refit_every`` observations on a view
+    of the last min(window, segment) values of the history ``observe`` gets.
 
-    A ``detector`` (None here; see ``SegmentedArForecaster``) watches the
-    one-step residuals. An alarm truncates the fit window to the
-    observation that raised it, on the view that older data came from a
-    different regime. Until the new segment has ``order + 2`` points the
-    forecaster falls back to persistence, then refits eagerly. Without a
-    detector the segment never shrinks, so every refit reads the whole ring.
+    A ``detector`` (``make_forecaster("segmented_ar", ...)`` attaches a
+    ``CusumDetector``) watches the one-step residuals. An alarm truncates
+    the fit window to the observation that raised it, on the view that
+    older data came from a different regime. Until the new segment has
+    ``order + 2`` points the forecaster falls back to persistence, then
+    refits eagerly. Without a detector the segment never shrinks, so every
+    refit reads the whole window.
     """
-
-    detector: CusumDetector | None = None
 
     def __init__(self, order: int, refit_every: int = 25) -> None:
         if order < 1:
@@ -180,25 +175,23 @@ class ArForecaster(Forecaster):
             raise ConfigError(f"refit interval must be >= 1, got {refit_every}")
         self.order = int(order)
         self.refit_every = int(refit_every)
-        self._ring: np.ndarray | None = None
-        self._head = 0  # ring slot of the oldest value; the next observation overwrites it
+        self.detector: CusumDetector | None = None
+        self._window = 0  # the fit window length; 0 until fitted
         self._model: ArModel | None = None  # None while a segment regrows
         self._since_refit = 0
         self._segment_len = 0  # the fit window and later values, or those since an alarm
         self._last_pred: float | None = None
 
     def fit(self, window) -> None:
-        arr = np.asarray(window, dtype=float)
-        self._model = ar_fit(arr, self.order)
-        self._ring, self._head = np.concatenate([arr, arr]), 0
+        self._model = ar_fit(window, self.order)
+        self._window = self._segment_len = len(window)
         self._since_refit = 0
-        self._segment_len = arr.size
         self._last_pred = None
         if self.detector is not None:
             self.detector.reset()
 
     def predict_one(self, history) -> float:
-        if self._ring is None:
+        if not self._window:
             raise NumericError("forecaster is not fitted")
         if self._model is None:
             if len(history) < 1:
@@ -209,18 +202,14 @@ class ArForecaster(Forecaster):
         self._last_pred = pred
         return pred
 
-    def observe(self, y: float) -> None:
-        if self._ring is None:
+    def observe(self, history) -> None:
+        if not self._window:
             raise NumericError("forecaster is not fitted")
-        y = float(y)
         pred, self._last_pred = self._last_pred, None
-        alarm = self.detector is not None and pred is not None and self.detector.update(y - pred)
-        size = self._ring.size // 2
-        self._ring[self._head] = self._ring[self._head + size] = y
-        self._head = (self._head + 1) % size
-        if alarm:
-            self._segment_len, self._model, self._since_refit = 1, None, 0
-            return
+        if self.detector is not None and pred is not None:
+            if self.detector.update(float(history[-1]) - pred):
+                self._segment_len, self._model, self._since_refit = 1, None, 0
+                return
         self._segment_len += 1
         self._since_refit += 1
         if self._model is None:
@@ -228,13 +217,8 @@ class ArForecaster(Forecaster):
         else:
             due = self._since_refit >= self.refit_every
         if due:
-            self._model = ar_fit(self._fit_window(), self.order)
+            self._model = ar_fit(history[-min(self._segment_len, self._window) :], self.order)
             self._since_refit = 0
-
-    def _fit_window(self) -> np.ndarray:
-        """The last min(window, segment) values, oldest first, as a view of the ring."""
-        size = self._ring.size // 2
-        return self._ring[self._head + size - min(self._segment_len, size) : self._head + size]
 
 
 class CusumDetector:
@@ -246,9 +230,9 @@ class CusumDetector:
     the threshold raises an alarm and resets the detector into a fresh
     warm-up, so successive alarms are always separated by a re-learned
     reference. A warm-up whose values are constant within rounding, as
-    when an AR fits a plateau exactly, is discarded and collected again:
-    until the values vary there is nothing to standardize against, and
-    no alarm.
+    when an AR fits a plateau exactly, or whose mean or std overflows is
+    discarded and collected again: until the values give a finite, nonzero
+    spread there is nothing to standardize against, and no alarm.
     """
 
     def __init__(self, drift: float = 0.5, threshold: float = 5.0, warmup: int = 50) -> None:
@@ -279,14 +263,14 @@ class CusumDetector:
             self._samples.append(value)
             if len(self._samples) >= self.warmup:
                 arr = np.asarray(self._samples, dtype=float)
-                std = float(arr.std(ddof=1))
                 self._samples = []
+                with np.errstate(over="ignore", invalid="ignore"):  # discarded below
+                    mean, std = float(arr.mean()), float(arr.std(ddof=1))
                 # A constant sample can come out at a few ulps instead of 0; the
                 # floor is the rounding error of a sum of warmup values.
                 floor = self.warmup * np.finfo(float).eps * float(np.abs(arr).max())
-                if std > floor:
-                    self._mean = float(arr.mean())
-                    self._std = std
+                if floor < std < math.inf and math.isfinite(mean):
+                    self._mean, self._std = mean, std
             return False
         z = (value - self._mean) / self._std
         self._pos = max(0.0, self._pos + z - self.drift)
@@ -295,25 +279,6 @@ class CusumDetector:
             self.reset()
             return True
         return False
-
-
-class SegmentedArForecaster(ArForecaster):
-    """The rolling autoregression plus a CUSUM detector on its one-step
-    residuals: an alarm restarts the fit window (see ``ArForecaster``).
-    With an infinite threshold this is exactly the plain rolling
-    autoregression.
-    """
-
-    def __init__(
-        self,
-        order: int,
-        refit_every: int = 25,
-        drift: float = 0.5,
-        threshold: float = 5.0,
-        warmup: int = 50,
-    ) -> None:
-        super().__init__(order, refit_every)
-        self.detector = CusumDetector(drift=drift, threshold=threshold, warmup=warmup)
 
 
 @dataclass(frozen=True)
@@ -418,13 +383,17 @@ class ReplayForecaster(Forecaster):
         return float(self._scaler.transform(self.trace.y_hat_at(t)))
 
 
-def make_forecaster(name: str, **params) -> Forecaster:
-    """Build a native forecaster by name ("persistence", "ar", "segmented_ar");
-    ``params`` go to its constructor unchanged."""
-    if name == "persistence":
-        return PersistenceForecaster(**params)
+def make_forecaster(name: str, **params) -> ArForecaster:
+    """Build a native AR forecaster by name: "ar", or "segmented_ar", which
+    takes the ``CusumDetector`` params ``drift``, ``threshold`` and ``warmup``
+    too and attaches that detector. The other ``params`` go to ``ArForecaster``."""
     if name not in ("ar", "segmented_ar"):
         raise ConfigError(f"unknown forecaster {name!r}")
     if "order" not in params:
         raise ConfigError(f"forecaster {name!r} requires an order")
-    return (ArForecaster if name == "ar" else SegmentedArForecaster)(**params)
+    if name == "ar":
+        return ArForecaster(**params)
+    cusum = {k: params.pop(k) for k in ("drift", "threshold", "warmup") if k in params}
+    forecaster = ArForecaster(**params)
+    forecaster.detector = CusumDetector(**cusum)
+    return forecaster

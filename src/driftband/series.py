@@ -76,7 +76,12 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class StandardScaler:
-    """Affine standardization ``z = (x - mean) / std`` with ``std > 0``."""
+    """Affine standardization ``z = (x - mean) / std`` with ``std > 0``.
+
+    Both directions overflow to inf without a numpy warning, as Python floats
+    do: a run names a non-finite forecast, and writes a band or forecast
+    beyond the float range in the data's units as inf.
+    """
 
     mean: float
     std: float
@@ -88,10 +93,12 @@ class StandardScaler:
             raise NumericError(f"scaler std must be positive, got {self.std}")
 
     def transform(self, x):
-        return (x - self.mean) / self.std
+        with np.errstate(over="ignore"):
+            return (x - self.mean) / self.std
 
     def inverse_transform(self, z):
-        return z * self.std + self.mean
+        with np.errstate(over="ignore"):
+            return z * self.std + self.mean
 
 
 def fit_scaler(values, start: int | None = None, end: int | None = None) -> StandardScaler:

@@ -784,6 +784,65 @@ def test_a_scaler_that_overflows_exits_4_with_one_line(tmp_path, capsys, values)
     )
 
 
+def test_an_overflowing_cusum_warm_up_is_collected_again(tmp_path, capsys):
+    # two standardized values near 1e308 make the warm-up's mean and std, and
+    # the mean of an AR refit window, overflow; the run still ends quietly
+    values = np.random.default_rng(0).normal(size=300)
+    values[160] = values[161] = 1e308
+    spiky = tmp_path / "spikes.csv"
+    write_series_csv(spiky, TimeSeries(values=values))
+    config = write_config(tmp_path, dataset=str(spiky), forecaster="segmented_ar",
+                          forecaster_params={"order": 2, "refit_every": 50})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
+def test_a_band_beyond_the_float_range_is_written_as_inf(tmp_path, capsys):
+    # five points of 8e307 make the AR predict near 8e307 and the band's
+    # upper end, forecast plus half-width, overflow
+    values = np.random.default_rng(0).normal(size=300)
+    values[215:220] = 8e307
+    burst = tmp_path / "burst.csv"
+    write_series_csv(burst, TimeSeries(values=values))
+    config = write_config(tmp_path, dataset=str(burst), forecaster="segmented_ar",
+                          method="agaci", forecaster_params={"order": 2})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    bands = (tmp_path / "o" / "burst-segmented_ar-agaci.bands.csv").read_text()
+    rows = [row.split(",") for row in bands.splitlines()[1:]]
+    assert any(math.isfinite(float(y_hat)) and upper == "inf"
+               for _, _, y_hat, _, upper, _, _ in rows)
+
+
+@pytest.mark.parametrize("forecaster, error", [
+    ("persistence", "calibration seeding: the forecast for series index 201 is inf"),
+    ("ar", "calibration seeding: the forecast for series index 201 is -inf"),
+    ("segmented_ar", "calibration seeding: while observing series index 200: "
+                     "detector fed a non-finite value: inf"),
+])
+def test_a_value_that_overflows_when_standardized_exits_4_with_one_line(
+    tmp_path, capsys, forecaster, error
+):
+    # the scaler fits a training window of values near 1e-150; 1e160 then
+    # standardizes to inf, which the column check or the observe guard names
+    values = np.random.default_rng(0).standard_normal(300) * 1e-150
+    values[200] = 1e160
+    big = tmp_path / "big.csv"
+    write_series_csv(big, TimeSeries(values=values))
+    config = write_config(tmp_path, dataset=str(big), forecaster=forecaster)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_duplicate_run_names_exit_2_before_any_load(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     a = write_config(tmp_path, "a.json", dataset=missing, seed=1)

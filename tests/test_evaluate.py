@@ -202,6 +202,12 @@ def test_compute_metrics_oracles():
 
     assert compute_metrics(banded([math.inf, math.inf]))["median_width"] == math.inf
 
+    # both ends beyond the float range in the data's units: an infinite band
+    beyond = {**banded([1.0, 2.0]), "lower": np.array([math.inf, -1.0]),
+              "upper": np.array([math.inf, 1.0])}
+    m = compute_metrics(beyond)
+    assert m["n_infinite"] == 1 and m["median_width"] == 2.0
+
     assert compute_metrics(banded([1.0, 1.0], covered=[True, False]))["coverage"] == 0.5
 
     with pytest.raises(ConfigError):
@@ -757,9 +763,10 @@ def test_grid_runs_one_load_and_one_forecast_pass_per_group(tmp_path, monkeypatc
     results = grid_run(configs, jobs=jobs)
     assert all(isinstance(r, RunReport) for r in results)
     # one series per seed, shared by its three forecasters; two seeds x three
-    # forecasters make six passes, which methods and buffer modes share, and
-    # each cell calibrates on its key's split, scaler and column
-    assert calls() == {"make_forecaster": 6, "generate_toy": 2, "load_series_csv": 0,
+    # forecasters make six passes (one scaler fit each, the four AR ones build
+    # a forecaster), which methods and buffer modes share, and each cell
+    # calibrates on its key's split, scaler and column
+    assert calls() == {"make_forecaster": 4, "generate_toy": 2, "load_series_csv": 0,
                        "fit_scaler": 6}
 
     failing = [c for c in mixed_grid(tmp_path) if c.dataset != "toy"]

@@ -6,20 +6,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from driftband import forecasters
 from driftband.datagen import LorenzSpec, default_toy_spec, generate_lorenz, generate_toy
 from driftband.errors import AlignmentError, ConfigError, NumericError
+from driftband.evaluate import RunConfig, _native_forecast, load_dataset, run_rolling
 from driftband.forecasters import (
     ArForecaster,
     ArModel,
     CusumDetector,
     ExternalForecastTrace,
-    PersistenceForecaster,
     ReplayForecaster,
-    SegmentedArForecaster,
     ar_fit,
     make_forecaster,
 )
-from driftband.series import StandardScaler, TimeSeries, fit_scaler
+from driftband.series import SplitSpec, StandardScaler, TimeSeries, fit_scaler
 
 
 def ar1_path(rng, n, intercept, coef, noise_std, y0=0.0):
@@ -31,12 +31,19 @@ def ar1_path(rng, n, intercept, coef, noise_std, y0=0.0):
 
 
 def test_persistence_predicts_last_value():
-    f = PersistenceForecaster()
-    f.fit([1.0, 2.0, 3.0])
-    assert f.predict_one([1.0, 2.0, 7.5]) == 7.5
-    f.observe(9.0)  # contract no-op
-    with pytest.raises(NumericError):
-        f.predict_one([])
+    """A persistence run's forecast column is the standardized series shifted
+    by one step, a view of it, and its y_hat column is that shift mapped back."""
+    config = RunConfig(dataset="toy", forecaster="persistence", method="none", seed=5)
+    series = load_dataset(config)
+    split = SplitSpec.from_fractions(len(series), config.split)
+    scaler = fit_scaler(series.values, 0, split.train_end)
+    z = scaler.transform(series.values)
+    column = _native_forecast(config)(series, split, scaler, z)
+    assert np.shares_memory(column, z)
+    assert column.tolist() == z[split.train_end - 1 : split.test_end - 1].tolist()
+    y_hat = run_rolling(config, series).columns["y_hat"]
+    shifted = scaler.inverse_transform(z[split.cal_end - 1 : split.test_end - 1])
+    assert y_hat.tobytes() == shifted.tobytes()
 
 
 def test_ar_fit_matches_closed_form_ols():
@@ -162,6 +169,13 @@ def test_ar_fit_is_scale_free(scale):
     assert scaled.intercept / scale == pytest.approx(unit.intercept, rel=1e-12)
 
 
+@pytest.mark.parametrize("values", [[0.0, math.inf], [1.5e308, -1.5e308, 1.5e308]])
+def test_ar_fit_rejects_a_window_that_spans_more_than_the_float_range(values):
+    window = np.tile(values, 10)
+    with pytest.raises(NumericError, match=f"^window of length {window.size} spans more than"):
+        ar_fit(window, 2)
+
+
 def test_ar_fit_validation():
     with pytest.raises(ConfigError):
         ar_fit([1.0, 2.0, 3.0], order=0)
@@ -184,18 +198,19 @@ def test_ar_forecaster_requires_fit():
     with pytest.raises(NumericError):
         f.predict_one([1.0, 2.0])
     with pytest.raises(NumericError):
-        f.observe(1.0)
+        f.observe(np.array([1.0, 2.0, 3.0]))
 
 
 def test_ar_forecaster_refits_on_rolling_window():
     rng = np.random.default_rng(1)
     f = ArForecaster(order=1, refit_every=25)
-    f.fit(ar1_path(rng, 100, 0.0, 0.8, 0.3))
+    z = np.concatenate([ar1_path(rng, 100, 0.0, 0.8, 0.3), np.full(150, 5.0)])
+    f.fit(z[:100])
     # feed a long constant stream; once the window is saturated and a
     # refit has happened the model must predict the constant exactly
-    for _ in range(150):
-        f.observe(5.0)
-    assert f.predict_one([5.0] * 10) == pytest.approx(5.0, abs=1e-9)
+    for t in range(100, z.size):
+        f.observe(z[: t + 1])
+    assert f.predict_one(z) == pytest.approx(5.0, abs=1e-9)
 
 
 @settings(max_examples=120, deadline=None)
@@ -215,69 +230,70 @@ def test_fit_window_is_a_view_of_the_last_observed_values(
     segmented, train, stream, order, refit_every
 ):
     """After any observe sequence, including CUSUM truncations, a refit
-    reads the last min(window, segment) observed values, as a view."""
+    reads the last min(window, segment) values of the history, as a view of it."""
+    name, params = "ar", {}
     if segmented:
-        f = SegmentedArForecaster(order, refit_every, drift=0.0, threshold=2.0, warmup=30)
-    else:
-        f = ArForecaster(order, refit_every)
-    f.fit(np.asarray(train))
-    alarms = []
+        name, params = "segmented_ar", dict(drift=0.0, threshold=2.0, warmup=30)
+    f = make_forecaster(name, order=order, refit_every=refit_every, **params)
+    z = np.asarray(train + stream)
+    f.fit(z[: len(train)])
+    alarms, windows = [], []
     if segmented:
         update = f.detector.update
         f.detector.update = lambda value: alarms.append(update(value)) or alarms[-1]
-    history = list(train)
     segment_start = 0
-    for y in stream:
-        f.predict_one(np.asarray(history))
-        f.observe(y)
-        history.append(y)
-        if alarms and alarms[-1]:
-            segment_start = len(history) - 1
-        window = f._fit_window()
-        take = min(len(train), len(history) - segment_start)
-        assert window.tolist() == history[len(history) - take :]
-        assert window.base is f._ring
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forecasters, "ar_fit", lambda w, p: windows.append(w) or ar_fit(w, p))
+        for t in range(len(train), z.size):
+            f.predict_one(z[:t])
+            model = f._model
+            f.observe(z[: t + 1])
+            if alarms and alarms[-1]:
+                segment_start = t
+            if f._model is not model and f._model is not None:
+                window = windows.pop()
+                take = min(len(train), t + 1 - segment_start)
+                assert window.tolist() == z[t + 1 - take : t + 1].tolist()
+                assert window.base is z
+            assert not windows
 
 
 def test_segmented_ar_with_infinite_threshold_matches_plain_ar():
     rng = np.random.default_rng(2)
     train = ar1_path(rng, 120, 0.2, 0.6, 0.4)
-    stream = ar1_path(rng, 300, 0.2, 0.6, 0.4, y0=train[-1])
-    plain = ArForecaster(order=3, refit_every=25)
-    seg = SegmentedArForecaster(order=3, refit_every=25, threshold=math.inf)
+    z = np.concatenate([train, ar1_path(rng, 300, 0.2, 0.6, 0.4, y0=train[-1])])
+    plain = make_forecaster("ar", order=3, refit_every=25)
+    seg = make_forecaster("segmented_ar", order=3, refit_every=25, threshold=math.inf)
     plain.fit(train)
     seg.fit(train)
-    history = list(train)
-    for y in stream:
-        assert seg.predict_one(history) == plain.predict_one(history)
-        plain.observe(y)
-        seg.observe(y)
-        history.append(y)
+    for t in range(train.size, z.size):
+        assert seg.predict_one(z[:t]) == plain.predict_one(z[:t])
+        plain.observe(z[: t + 1])
+        seg.observe(z[: t + 1])
 
 
 def test_segmented_ar_falls_back_to_persistence_after_alarm():
     rng = np.random.default_rng(3)
     train = ar1_path(rng, 200, 0.0, 0.5, 0.2)
-    seg = SegmentedArForecaster(order=4, refit_every=25, warmup=50)
-    plain = ArForecaster(order=4, refit_every=25)
+    seg = make_forecaster("segmented_ar", order=4, refit_every=25, warmup=50)
+    plain = make_forecaster("ar", order=4, refit_every=25)
     seg.fit(train)
     plain.fit(train)
-    history = list(train)
     # drive the residual detector past its threshold with a huge level shift
     stream = list(ar1_path(rng, 80, 0.0, 0.5, 0.2, y0=train[-1]))
     stream += [40.0 + 0.1 * rng.standard_normal() for _ in range(40)]
+    z = np.concatenate([train, stream])
     fell_back = False
-    for y in stream:
-        p_seg = seg.predict_one(history)
-        p_plain = plain.predict_one(history)
-        if p_seg == history[-1] and p_seg != p_plain:
+    for t in range(train.size, z.size):
+        p_seg = seg.predict_one(z[:t])
+        p_plain = plain.predict_one(z[:t])
+        if p_seg == z[t - 1] and p_seg != p_plain:
             fell_back = True
-        seg.observe(y)
-        plain.observe(y)
-        history.append(y)
+        seg.observe(z[: t + 1])
+        plain.observe(z[: t + 1])
     assert fell_back, "detector never truncated the fit window"
     # after re-warming the segmented model is an AR fit on post-break data
-    assert seg.predict_one(history) == pytest.approx(40.0, abs=1.0)
+    assert seg.predict_one(z) == pytest.approx(40.0, abs=1.0)
 
 
 class _ReferenceAr:
@@ -378,6 +394,10 @@ def _outcome(call, *args):
     return "ok", None if value is None else float.hex(value)
 
 
+def _model_bits(model):
+    return model and (model.coef.tobytes(), float.hex(model.intercept), model.order)
+
+
 _QUIET = [0.1 * (i % 7) - 0.3 for i in range(40)]
 
 
@@ -404,44 +424,45 @@ _QUIET = [0.1 * (i % 7) - 0.3 for i in range(40)]
     + [(True, y) for y in _QUIET],
     refit_at=None,
 )
-@example(  # a plain AR whose refits must read the whole ring
+@example(  # a plain AR whose refits must read the whole window
     segmented=False, order=3, refit_every=4, threshold=math.inf, drift=0.5,
     train=[float(i % 5) for i in range(30)], warm=_QUIET, steps=[], refit_at=None,
 )
 def test_ar_forecasters_match_the_separate_reference_state_machines(
     segmented, order, refit_every, threshold, drift, train, warm, steps, refit_at
 ):
-    """The plain and the segmented AR share one state machine; driven
-    through the same fit/predict/observe calls (predictions sometimes
-    skipped, a second fit sometimes made), both match reference copies
-    that write it out once per class: bit-equal predictions, equal fit
-    windows and equal refit counts at every step."""
+    """The AR, with or without a detector, is driven through fit, predict_one
+    and observe on views of one history array (predictions sometimes skipped,
+    a second fit sometimes made), and the reference copies of the two former
+    classes, which keep a ring and observe one value, through the same calls:
+    bit-equal predictions, bit-equal models and equal refit counts at every step."""
     if segmented:
         params = dict(drift=drift, threshold=threshold, warmup=30)
-        pair = (SegmentedArForecaster(order, refit_every, **params),
-                _ReferenceSegmentedAr(order, refit_every, **params))
+        f = make_forecaster("segmented_ar", order=order, refit_every=refit_every, **params)
+        ref = _ReferenceSegmentedAr(order, refit_every, **params)
     else:
-        pair = (ArForecaster(order, refit_every), _ReferenceAr(order, refit_every))
-    history = list(train)
+        f = make_forecaster("ar", order=order, refit_every=refit_every)
+        ref = _ReferenceAr(order, refit_every)
+    calls = [(True, y) for y in warm] + steps
+    z = np.asarray(train + [y for _, y in calls])
     refits = [0, 0]
-    for f in pair:
-        f.fit(np.asarray(train))
-    for i, (predict, y) in enumerate([(True, y) for y in warm] + steps):
-        if i == refit_at:
-            assert len({_outcome(f.fit, np.asarray(history[-len(train):])) for f in pair}) == 1
+    f.fit(z[: len(train)])
+    ref.fit(np.asarray(train))
+    for t, (predict, y) in enumerate(calls, len(train)):
+        if t - len(train) == refit_at:
+            window = z[t - len(train) : t]
+            assert _outcome(f.fit, window) == _outcome(ref.fit, window.copy())
         if predict:
-            outcomes = {_outcome(f.predict_one, np.asarray(history)) for f in pair}
-            assert len(outcomes) == 1, outcomes
-        models = [f._model for f in pair]
-        outcomes = {_outcome(f.observe, y) for f in pair}
-        assert len(outcomes) == 1, outcomes
-        if outcomes.pop()[0] != "ok":
+            assert _outcome(f.predict_one, z[:t]) == _outcome(ref.predict_one, z[:t].copy())
+        models = [f._model, ref._model]
+        outcome = _outcome(f.observe, z[: t + 1])
+        assert outcome == _outcome(ref.observe, y)
+        if outcome[0] != "ok":
             return
-        history.append(y)
-        for k, f in enumerate(pair):
-            refits[k] += f._model is not models[k] and f._model is not None
+        for k, g in enumerate((f, ref)):
+            refits[k] += g._model is not models[k] and g._model is not None
         assert refits[0] == refits[1]
-        assert pair[0]._fit_window().tolist() == pair[1]._fit_window().tolist()
+        assert _model_bits(f._model) == _model_bits(ref._model)
 
 
 def test_cusum_validation():
@@ -473,6 +494,19 @@ def test_cusum_degenerate_warmup():
     assert det.update(100.0)
     with pytest.raises(NumericError, match="^detector fed a non-finite value: inf$"):
         det.update(math.inf)
+
+
+def test_cusum_discards_a_warmup_whose_statistics_overflow():
+    # the mean of two 1e308 values overflows, and so does the std of +-1e308;
+    # neither can standardize a residual, so each warm-up is collected again
+    det = CusumDetector(warmup=30)
+    with np.errstate(all="raise"):
+        assert not any(det.update(v) for v in [1e308, 1e308] + [0.0] * 28)
+        assert not any(det.update(v) for v in [1e308, -1e308] * 15)
+    # the next finite warm-up becomes the reference, and a jump alarms
+    rng = np.random.default_rng(3)
+    assert not any(det.update(v) for v in rng.standard_normal(30))
+    assert not det.update(0.5) and det.update(100.0)
 
 
 def test_cusum_rejects_a_warmup_constant_up_to_rounding():
@@ -602,12 +636,21 @@ def test_replay_forecaster_serves_scaled_trace_values():
 
 
 def test_make_forecaster_dispatch():
-    assert isinstance(make_forecaster("persistence"), PersistenceForecaster)
-    assert isinstance(make_forecaster("ar", order=3), ArForecaster)
+    plain = make_forecaster("ar", order=3)
+    assert type(plain) is ArForecaster and plain.detector is None
     seg = make_forecaster("segmented_ar", order=3, threshold=4.0)
-    assert isinstance(seg, SegmentedArForecaster)
-    assert seg.detector.threshold == 4.0
+    assert type(seg) is ArForecaster and seg.detector.threshold == 4.0
     with pytest.raises(ConfigError):
         make_forecaster("ar")
-    with pytest.raises(ConfigError):
-        make_forecaster("gru")
+    # persistence is a shifted column of the forecast pass, not a forecaster
+    for name in ("gru", "persistence"):
+        with pytest.raises(ConfigError, match=f"^unknown forecaster '{name}'$"):
+            make_forecaster(name, order=3)
+    # the AR's own checks come before the detector's
+    for params, message in (
+        (dict(order=0, refit_every=0), "autoregression order must be >= 1, got 0"),
+        (dict(order=1, refit_every=0), "refit interval must be >= 1, got 0"),
+        (dict(order=1, refit_every=1), "drift allowance must be non-negative, got -1.0"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            make_forecaster("segmented_ar", drift=-1.0, **params)
