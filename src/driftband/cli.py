@@ -55,11 +55,11 @@ def _print_run_line(result, prefix: str = "") -> None:
     if isinstance(result, evaluate.RunFailure):
         print(f"{prefix}failed: {result.kind}: {result.error}")
         return
+    fmt = evaluate.format_number
     parts = []
     if result.coverage is not None:
-        parts.append(f"coverage={result.coverage:.3f}")
-        parts.append(f"width={result.median_width:.3f}")
-    parts.append(f"rmse={result.rmse:.3f}")
+        parts += [f"coverage={fmt(result.coverage)}", f"width={fmt(result.median_width)}"]
+    parts.append(f"rmse={fmt(result.rmse)}")
     print(prefix + " ".join(parts))
 
 

@@ -43,11 +43,9 @@ _LORENZ_SPEC_TYPES = {
 
 
 def sample_regimes(transition, initial, T: int, seed) -> np.ndarray:
-    """Sample a regime path of length T from a checked chain: ``transition[i][j]``
-    is the chance of moving from regime i to j, ``initial`` the distribution of
-    the first regime. ``seed`` is anything default_rng accepts."""
-    if T < 1:
-        raise ConfigError(f"regime path length must be >= 1, got {T}")
+    """Sample a regime path of a checked length T from a checked chain:
+    ``transition[i][j]`` is the chance of moving from regime i to j, ``initial``
+    the distribution of the first regime. ``seed`` is anything default_rng accepts."""
     u = np.random.default_rng(seed).random(T).tolist()
     cum_rows = np.cumsum(transition, axis=1).tolist()
     last = len(cum_rows) - 1

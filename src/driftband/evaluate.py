@@ -22,7 +22,7 @@ import numpy as np
 from . import conformal, datagen, forecasters
 from .errors import ConfigError, NumericError
 from .fileio import atomic_write_text, check_integer_fields, check_keys, format_csv, read_json
-from .forecasters import make_forecaster
+from .forecasters import make_forecaster  # perfbench/tracing.py patches this name
 from .series import (
     SplitSpec,
     StandardScaler,
@@ -215,15 +215,13 @@ class RunReport:
 
 
 def compute_metrics(columns: dict[str, np.ndarray | None]) -> dict:
-    """Metric fields over a run's column table.
+    """Metric fields over a run's column table of at least one step.
 
     The width statistic is the lower median of the finite widths;
     infinite bands are counted separately so one of them cannot poison
     the number. Runs without bands get None for coverage and width.
     """
     y = columns["y"]
-    if len(y) == 0:
-        raise ConfigError("cannot compute metrics over zero steps")
     with np.errstate(over="ignore"):  # an overflowing error makes an infinite rmse
         rmse = float(np.sqrt(np.mean((y - columns["y_hat"]) ** 2)))
     metrics = {
@@ -306,7 +304,7 @@ def _forecast_pass(
     ``index``, ``y`` and ``y_hat`` report columns of the test window."""
     split = SplitSpec.from_fractions(len(series), config.split)
     try:
-        scaler = fit_scaler(series.values, 0, split.train_end)
+        scaler = fit_scaler(series.values[: split.train_end])
     except NumericError as exc:
         raise NumericError(f"while fitting the scaler on the training window: {exc}") from None
     if split.cal_end == split.train_end:
@@ -392,6 +390,12 @@ def _calibrate_key(
                 banks, conformal.ScoreBuffer(n_seed, seed_scores), z_run[n_seed:],
                 y_hat_run[n_seed:], mode == "rolling",
             )))
+        except NumericError:  # the walk's only one: ScoreBuffer took a score of inf
+            i = next(i for i, (y, f) in enumerate(zip(z_run, y_hat_run)) if abs(y - f) == math.inf)
+            walked.update(dict.fromkeys(cells, NumericError(
+                f"{'calibration seeding' if i < n_seed else 'test step'}: the score at series "
+                f"index {int(test_columns['index'][0]) - n_seed + i} is inf"
+            )))
         except Exception as exc:  # noqa: BLE001 - the result of every cell of the buffer
             walked.update(dict.fromkeys(cells, exc))
     for i, config in enumerate(configs):
@@ -453,6 +457,7 @@ def _run_key(
 
 def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | RunFailure]:
     """Run many configs independently; failures become RunFailure cells.
+    ``cmd_run`` checks that there is at least one config and ``jobs >= 1``.
 
     Each distinct series is loaded once, before any cell runs. Cells are
     grouped by forecast key (dataset, seed, forecaster, its params, lag and
@@ -464,10 +469,6 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     key, the keys run in a process pool of min(jobs, keys) workers; a dead
     worker fails every cell of each key not returned yet as ``BrokenProcessPool``.
     """
-    if not configs:
-        raise ConfigError("grid needs at least one config")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(_forecast_key(config), []).append(i)
@@ -620,15 +621,17 @@ def comparison_rows(payloads: Sequence[dict]) -> list[dict]:
     return [by_key[k] for k in sorted(by_key)]
 
 
+def format_number(value: float) -> str:
+    """A metric as the run line and the report table print it: with three
+    decimals below 1e16 in magnitude, else in exponent form (``inf`` stays)."""
+    return f"{value:.3f}" if abs(value) < 1e16 else f"{value:.3e}"
+
+
 def _fmt_cell(row: dict | None, field_name: str) -> str:
     if row is None or row.get("status") != "ok":
         return "—"
     value = row.get(field_name)
-    if value is None:
-        return "—"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return f"{value:.3f}"
+    return "—" if value is None else format_number(value)
 
 
 def render_comparison_table(rows: Sequence[dict]) -> str:

@@ -31,7 +31,7 @@ from .series import TimeSeries
 TRACE_CSV_HEADER = ("index", "y_true", "y_hat")
 
 
-class Forecaster(ABC):
+class Forecaster(ABC):  # perfbench/tracing.py subclasses it
     """Contract between a per-step point forecaster and the forecast pass.
 
     ``predict_one`` receives the entire history prefix observed so far
@@ -57,26 +57,15 @@ class ArModel:
 
     ``coef[j]`` multiplies the j-th oldest of the p lags, so prediction
     takes the last p history values in natural (oldest first) order.
+    ``ar_fit`` builds it, and every history it predicts from is longer than
+    the window it was fit on.
     """
 
     coef: np.ndarray
     intercept: float
     order: int
 
-    def __post_init__(self) -> None:
-        coef = np.asarray(self.coef, dtype=float)
-        if coef.shape != (self.order,):
-            raise ConfigError(f"expected {self.order} coefficients, got shape {coef.shape}")
-        coef.setflags(write=False)
-        object.__setattr__(self, "coef", coef)
-
     def predict(self, history) -> float:
-        history = np.asarray(history, dtype=float)
-        if history.size < self.order:
-            raise NumericError(
-                f"history of length {history.size} is shorter than the model order "
-                f"{self.order}"
-            )
         return float(self.intercept + self.coef @ history[-self.order :])
 
 
@@ -105,8 +94,6 @@ def ar_fit(window, order: int) -> ArModel:
     order + 2 to order + 6 points of the Lorenz and toy series at order 24.
     The ``order**2`` term covers them about five times over.
     """
-    if order < 1:
-        raise ConfigError(f"autoregression order must be >= 1, got {order}")
     window = np.asarray(window, dtype=float)
     if window.size < order + 1:
         raise NumericError(
@@ -176,7 +163,7 @@ class ArForecaster(Forecaster):
         self.order = int(order)
         self.refit_every = int(refit_every)
         self.detector: CusumDetector | None = None
-        self._window = 0  # the fit window length; 0 until fitted
+        self._window = 0  # the fit window length
         self._model: ArModel | None = None  # None while a segment regrows
         self._since_refit = 0
         self._segment_len = 0  # the fit window and later values, or those since an alarm
@@ -191,20 +178,11 @@ class ArForecaster(Forecaster):
             self.detector.reset()
 
     def predict_one(self, history) -> float:
-        if not self._window:
-            raise NumericError("forecaster is not fitted")
-        if self._model is None:
-            if len(history) < 1:
-                raise NumericError("persistence fallback needs a non-empty history")
-            pred = float(history[-1])
-        else:
-            pred = self._model.predict(history)
+        pred = float(history[-1]) if self._model is None else self._model.predict(history)
         self._last_pred = pred
         return pred
 
     def observe(self, history) -> None:
-        if not self._window:
-            raise NumericError("forecaster is not fitted")
         pred, self._last_pred = self._last_pred, None
         if self.detector is not None and pred is not None:
             if self.detector.update(float(history[-1]) - pred):
@@ -283,42 +261,22 @@ class CusumDetector:
 
 @dataclass(frozen=True)
 class ExternalForecastTrace:
-    """Predictions produced outside this package, aligned by series index.
-
-    Rows must cover a contiguous index range. ``y_true`` is carried so a
-    wrap run can prove the trace really belongs to the series it is
-    being calibrated against.
+    """Predictions produced outside this package, aligned by series index:
+    row i holds index ``start + i``. ``y_true`` is carried so a wrap run can
+    prove the trace really belongs to the series it is being calibrated
+    against. ``read_indexed_csv`` checks the rows of ``from_csv``, the one
+    constructor runs use: at least one, consecutive indices, finite values.
     """
 
-    indices: np.ndarray
+    start: int
     y_true: np.ndarray
     y_hat: np.ndarray
 
-    def __post_init__(self) -> None:
-        indices = np.asarray(self.indices, dtype=int)
-        y_true = np.asarray(self.y_true, dtype=float)
-        y_hat = np.asarray(self.y_hat, dtype=float)
-        if not (indices.size == y_true.size == y_hat.size):
-            raise ConfigError("trace columns must have equal length")
-        if indices.size < 1:
-            raise ConfigError("trace must contain at least one row")
-        if indices.size > 1 and not np.all(np.diff(indices) == 1):
-            raise ConfigError("trace indices must be consecutive and increasing")
-        if not (np.all(np.isfinite(y_true)) and np.all(np.isfinite(y_hat))):
-            raise ConfigError("trace values must be finite")
-        for name, arr in (("indices", indices), ("y_true", y_true), ("y_hat", y_hat)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def start(self) -> int:
-        return int(self.indices[0])
-
     @property
     def end(self) -> int:
-        return int(self.indices[-1]) + 1
+        return self.start + self.y_hat.size
 
-    def y_hat_at(self, t: int) -> float:
+    def y_hat_at(self, t: int) -> float:  # ReplayForecaster's, for perfbench/tracing.py
         if not self.start <= t < self.end:
             raise AlignmentError(
                 f"trace covers indices [{self.start}, {self.end}) and has no row for {t}"
@@ -326,7 +284,8 @@ class ExternalForecastTrace:
         return float(self.y_hat[t - self.start])
 
     def validate_against(self, series: TimeSeries, start: int, end: int) -> None:
-        """Check the trace can serve predictions for indices [start, end).
+        """Check the trace can serve predictions for indices [start, end) of
+        ``series``, a range within it.
 
         The trace's recorded truths must match the series values there to
         within 1e-9; a mismatch means the trace was made from different
@@ -337,14 +296,7 @@ class ExternalForecastTrace:
                 f"trace covers indices [{self.start}, {self.end}) but the run needs "
                 f"[{start}, {end})"
             )
-        lo = start - series.start_index
-        hi = end - series.start_index
-        if lo < 0 or hi > len(series):
-            raise AlignmentError(
-                f"series covers indices [{series.start_index}, "
-                f"{series.start_index + len(series)}) but the run needs [{start}, {end})"
-            )
-        expected = series.values[lo:hi]
+        expected = series.values[start - series.start_index : end - series.start_index]
         recorded = self.y_true[start - self.start : end - self.start]
         mismatch = np.flatnonzero(np.abs(recorded - expected) > 1e-9)
         if mismatch.size:
@@ -358,10 +310,10 @@ class ExternalForecastTrace:
     def from_csv(cls, path: str | Path) -> "ExternalForecastTrace":
         """Read a strict ``index,y_true,y_hat`` CSV (rules in ``read_indexed_csv``)."""
         start, (y_true, y_hat) = read_indexed_csv(path, TRACE_CSV_HEADER)
-        return cls(indices=np.arange(start, start + y_true.size), y_true=y_true, y_hat=y_hat)
+        return cls(start=start, y_true=y_true, y_hat=y_hat)
 
 
-class ReplayForecaster(Forecaster):
+class ReplayForecaster(Forecaster):  # perfbench/tracing.py patches cli's name for it
     """Serves an external trace through the forecaster contract.
 
     Predictions are looked up by series index (the length of the history
@@ -386,11 +338,8 @@ class ReplayForecaster(Forecaster):
 def make_forecaster(name: str, **params) -> ArForecaster:
     """Build a native AR forecaster by name: "ar", or "segmented_ar", which
     takes the ``CusumDetector`` params ``drift``, ``threshold`` and ``warmup``
-    too and attaches that detector. The other ``params`` go to ``ArForecaster``."""
-    if name not in ("ar", "segmented_ar"):
-        raise ConfigError(f"unknown forecaster {name!r}")
-    if "order" not in params:
-        raise ConfigError(f"forecaster {name!r} requires an order")
+    too and attaches that detector. The other ``params``, ``order`` among them,
+    go to ``ArForecaster``."""
     if name == "ar":
         return ArForecaster(**params)
     cusum = {k: params.pop(k) for k in ("drift", "threshold", "warmup") if k in params}

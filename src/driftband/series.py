@@ -101,21 +101,14 @@ class StandardScaler:
             return z * self.std + self.mean
 
 
-def fit_scaler(values, start: int | None = None, end: int | None = None) -> StandardScaler:
+def fit_scaler(window) -> StandardScaler:
     """Sample mean and standard deviation (n-1 denominator) of a window.
 
     Constant or sub-length-2 windows are rejected outright rather than
     floored: a silently tiny std would corrupt every interval width
     downstream.
     """
-    if isinstance(values, TimeSeries):
-        values = values.values
-    arr = np.asarray(values, dtype=float)
-    lo = 0 if start is None else int(start)
-    hi = arr.size if end is None else int(end)
-    if lo < 0 or hi > arr.size or lo >= hi:
-        raise ConfigError(f"window [{lo}, {hi}) out of bounds for length {arr.size}")
-    window = arr[lo:hi]
+    window = np.asarray(window, dtype=float)
     if window.size < 2:
         raise NumericError(f"degenerate window: need at least 2 points, got {window.size}")
     if window.min() == window.max():

@@ -820,6 +820,44 @@ def test_a_band_beyond_the_float_range_is_written_as_inf(tmp_path, capsys):
                for _, _, y_hat, _, upper, _, _ in rows)
 
 
+def test_a_width_near_the_float_limit_prints_in_exponent_form(tmp_path, capsys):
+    # the series of the test above: a median width of 1.6e308 in the data's units
+    values = np.random.default_rng(0).normal(size=300)
+    values[215:220] = 8e307
+    burst = tmp_path / "burst.csv"
+    write_series_csv(burst, TimeSeries(values=values))
+    config = write_config(tmp_path, dataset=str(burst), forecaster="segmented_ar",
+                          method="agaci", forecaster_params={"order": 2})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out == "coverage=0.889 width=1.600e+308 rmse=inf\n"
+    metrics = tmp_path / "o" / "burst-segmented_ar-agaci.metrics.json"
+    assert main(["report", "--inputs", str(metrics), "--out", str(tmp_path / "r")]) == 0
+    table = (tmp_path / "r" / "report.txt").read_text()
+    assert capsys.readouterr().out == table
+    assert table.splitlines()[-1].split() == ["burst", "segmented_ar", "0.889", "1.600e+308"]
+    assert max(map(len, table.splitlines())) < 60
+
+
+@pytest.mark.parametrize("start, error", [
+    (150, "calibration seeding: the score at series index 151 is inf"),
+    (230, "test step: the score at series index 231 is inf"),
+])
+def test_a_score_beyond_the_float_range_exits_4_naming_its_index(tmp_path, capsys, start, error):
+    # values near 1e-150 fit the scaler, so +-1.5e158 standardize to about +-1.5e308
+    # and a sign change between two of them makes a persistence score of inf
+    values = np.random.default_rng(0).standard_normal(300) * 1e-150
+    values[start:] = 1.5e158
+    values[start::7] *= -1
+    path = tmp_path / "huge.csv"
+    write_series_csv(path, TimeSeries(values=values))
+    config = write_config(tmp_path, dataset=str(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("forecaster, error", [
     ("persistence", "calibration seeding: the forecast for series index 201 is inf"),
     ("ar", "calibration seeding: the forecast for series index 201 is -inf"),

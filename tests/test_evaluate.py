@@ -210,9 +210,6 @@ def test_compute_metrics_oracles():
 
     assert compute_metrics(banded([1.0, 1.0], covered=[True, False]))["coverage"] == 0.5
 
-    with pytest.raises(ConfigError):
-        compute_metrics(unbanded([], []))
-
 
 def test_rmse_oracle():
     assert compute_metrics(unbanded([3.0, 0.0], [1.0, 2.0]))["rmse"] == pytest.approx(2.0)
@@ -298,7 +295,7 @@ def test_agaci_effective_alpha_recorded():
     config = RunConfig(dataset="iid", method="agaci", split=THIRDS, buffer_mode="frozen")
     report = run_rolling(config, series=series, forecast=zero_forecast)
     split = SplitSpec.from_fractions(len(series), THIRDS)
-    scaler = fit_scaler(series.values, 0, split.train_end)
+    scaler = fit_scaler(series.values[: split.train_end])
     z = scaler.transform(series.values)
     buffer = ScoreBuffer(split.cal_end - split.train_end, np.abs(z[split.train_end:split.cal_end]))
     bank = AgAciState.from_gammas(config.alpha, config.gamma_grid)
@@ -400,7 +397,7 @@ def test_a_score_that_overflows_fails_the_rolling_cells_of_its_key_alone(tmp_pat
     # units stay finite, and large enough that the scaler's squares do not underflow.
     values = np.random.default_rng(0).normal(size=300) * 3e-155
     split = SplitSpec.from_fractions(values.size, (0.5, 0.2, 0.3))
-    big = 0.9 * np.finfo(float).max * fit_scaler(values, 0, split.train_end).std
+    big = 0.9 * np.finfo(float).max * fit_scaler(values[: split.train_end]).std
     values[split.cal_end + 40 : split.cal_end + 42] = big, -big
     path = tmp_path / "overflow.csv"
     write_series_csv(path, TimeSeries(values=values))
@@ -413,12 +410,37 @@ def test_a_score_that_overflows_fails_the_rolling_cells_of_its_key_alone(tmp_pat
     for config, result in zip(configs[:3], results):
         with pytest.raises(NumericError) as alone:
             run_rolling(config)
-        assert str(alone.value) == "scores must be finite and non-negative, got inf"
+        # big - (-big) is the first score beyond the float range
+        assert str(alone.value) == (
+            f"test step: the score at series index {split.cal_end + 41} is inf"
+        )
         assert (result.kind, result.error) == ("NumericError", str(alone.value))
     for config, result in zip(configs[3:], results[3:]):
         single = run_rolling(config)
         assert report_payload(result) == report_payload(single)
         assert same_columns(result.columns, single.columns)
+
+
+def test_a_seeded_score_that_overflows_fails_every_banded_cell_of_its_key(tmp_path):
+    """A calibration score that overflows fails the seeding of both buffer
+    modes, with the error each banded cell raises alone; the unbanded cell reports."""
+    values = np.random.default_rng(0).normal(size=300) * 3e-155
+    split = SplitSpec.from_fractions(values.size, (0.5, 0.2, 0.3))
+    big = 0.9 * np.finfo(float).max * fit_scaler(values[: split.train_end]).std
+    values[split.train_end + 5 : split.train_end + 7] = big, -big
+    path = tmp_path / "overflow.csv"
+    write_series_csv(path, TimeSeries(values=values))
+    cells = [("split", "rolling"), ("agaci", "rolling"), ("aci", "frozen"), ("none", "rolling")]
+    configs = [RunConfig(dataset=str(path), forecaster="persistence", method=m, buffer_mode=b,
+                         name=f"{m}-{b}") for m, b in cells]
+    results = grid_run(configs, jobs=1)
+    assert [type(r) for r in results] == [RunFailure] * 3 + [RunReport]
+    error = f"calibration seeding: the score at series index {split.train_end + 6} is inf"
+    for config, result in zip(configs[:3], results):
+        with pytest.raises(NumericError, match=f"^{error}$"):
+            run_rolling(config)
+        assert (result.kind, result.error) == ("NumericError", error)
+    assert report_payload(results[3]) == report_payload(run_rolling(configs[3]))
 
 
 def test_split_cp_iid_control_hits_nominal_coverage():
@@ -775,13 +797,6 @@ def test_grid_runs_one_load_and_one_forecast_pass_per_group(tmp_path, monkeypatc
     # for every cell of the key
     assert calls() == {"make_forecaster": 1, "generate_toy": 0, "load_series_csv": 1,
                        "fit_scaler": 1}
-
-
-def test_grid_rejects_empty_and_bad_jobs():
-    with pytest.raises(ConfigError):
-        grid_run([])
-    with pytest.raises(ConfigError):
-        grid_run([RunConfig(dataset="toy")], jobs=0)
 
 
 def test_metrics_json_round_trip(tmp_path):

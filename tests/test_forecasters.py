@@ -36,7 +36,7 @@ def test_persistence_predicts_last_value():
     config = RunConfig(dataset="toy", forecaster="persistence", method="none", seed=5)
     series = load_dataset(config)
     split = SplitSpec.from_fractions(len(series), config.split)
-    scaler = fit_scaler(series.values, 0, split.train_end)
+    scaler = fit_scaler(series.values[: split.train_end])
     z = scaler.transform(series.values)
     column = _native_forecast(config)(series, split, scaler, z)
     assert np.shares_memory(column, z)
@@ -114,7 +114,7 @@ def test_ar_fit_matches_the_lstsq_oracle_on_random_windows(order):
 
 def test_ar_fit_matches_the_lstsq_oracle_on_lorenz_windows():
     series = generate_lorenz(LorenzSpec(seed=3)).values
-    z = fit_scaler(series, 0, 5000).transform(series)
+    z = fit_scaler(series[:5000]).transform(series)
     assert_same_predictions(ar_fit(z[:5000], 24), lstsq_reference(z[:5000], 24), z[:6000])
     # 51 points, the segment a segmented AR refits on 25 steps after an alarm:
     # design conditions near 1e4, where normal equations without the
@@ -135,7 +135,7 @@ def test_ar_fit_matches_the_lstsq_oracle_on_post_alarm_windows(dataset, seed):
         series = generate_lorenz(LorenzSpec(seed=seed)).values
     else:
         series = generate_toy(default_toy_spec(seed=seed))[0].values
-    z = fit_scaler(series, 0, series.size // 2).transform(series)
+    z = fit_scaler(series[: series.size // 2]).transform(series)
     for length in range(26, 31):
         for start in range(0, z.size - length - 24, 5):
             window = z[start : start + length]
@@ -177,8 +177,6 @@ def test_ar_fit_rejects_a_window_that_spans_more_than_the_float_range(values):
 
 
 def test_ar_fit_validation():
-    with pytest.raises(ConfigError):
-        ar_fit([1.0, 2.0, 3.0], order=0)
     with pytest.raises(NumericError):
         ar_fit([1.0, 2.0], order=2)
 
@@ -189,16 +187,6 @@ def test_ar_model_coefficient_orientation():
     assert newest_only.predict([5.0, 7.0]) == 7.0
     oldest_only = ArModel(coef=np.array([1.0, 0.0]), intercept=0.0, order=2)
     assert oldest_only.predict([5.0, 7.0]) == 5.0
-    with pytest.raises(NumericError):
-        newest_only.predict([1.0])
-
-
-def test_ar_forecaster_requires_fit():
-    f = ArForecaster(order=2)
-    with pytest.raises(NumericError):
-        f.predict_one([1.0, 2.0])
-    with pytest.raises(NumericError):
-        f.observe(np.array([1.0, 2.0, 3.0]))
 
 
 def test_ar_forecaster_refits_on_rolling_window():
@@ -560,36 +548,21 @@ def test_cusum_detects_downward_shifts_too():
 def test_trace_round_trip_and_validation(tmp_path):
     rng = np.random.default_rng(7)
     y = rng.normal(size=40)
-    trace = ExternalForecastTrace(
-        indices=np.arange(10, 50), y_true=y, y_hat=y + 0.1
-    )
+    trace = ExternalForecastTrace(start=10, y_true=y, y_hat=y + 0.1)
     path = tmp_path / "trace.csv"
     rows = [f"{i},{float(a)!r},{float(b)!r}" for i, a, b in zip(range(10, 50), y, y + 0.1)]
     path.write_text("\n".join(["index,y_true,y_hat", *rows]) + "\n")
     loaded = ExternalForecastTrace.from_csv(path)
-    assert np.array_equal(loaded.indices, trace.indices)
+    assert loaded.start == trace.start
     assert np.array_equal(loaded.y_true, trace.y_true)
     assert np.array_equal(loaded.y_hat, trace.y_hat)
     assert loaded.start == 10 and loaded.end == 50
 
 
-def test_trace_rejects_gaps_and_bad_shapes():
-    with pytest.raises(ConfigError, match="consecutive"):
-        ExternalForecastTrace(
-            indices=np.array([0, 2]), y_true=np.zeros(2), y_hat=np.zeros(2)
-        )
-    with pytest.raises(ConfigError, match="equal length"):
-        ExternalForecastTrace(
-            indices=np.array([0, 1]), y_true=np.zeros(2), y_hat=np.zeros(3)
-        )
-
-
 def test_trace_lookup_and_alignment_errors():
     series = TimeSeries(values=np.arange(20.0), start_index=0)
     trace = ExternalForecastTrace(
-        indices=np.arange(5, 15),
-        y_true=np.arange(5.0, 15.0),
-        y_hat=np.arange(5.0, 15.0) + 1.0,
+        start=5, y_true=np.arange(5.0, 15.0), y_hat=np.arange(5.0, 15.0) + 1.0
     )
     assert trace.y_hat_at(5) == 6.0
     with pytest.raises(AlignmentError, match="no row for 15"):
@@ -603,9 +576,7 @@ def test_trace_truth_mismatch_names_first_bad_index():
     series = TimeSeries(values=np.arange(20.0), start_index=0)
     y_true = np.arange(5.0, 15.0)
     y_true[3] += 1e-6  # index 8 disagrees beyond tolerance
-    trace = ExternalForecastTrace(
-        indices=np.arange(5, 15), y_true=y_true, y_hat=np.zeros(10)
-    )
+    trace = ExternalForecastTrace(start=5, y_true=y_true, y_hat=np.zeros(10))
     with pytest.raises(AlignmentError, match="index 8"):
         trace.validate_against(series, 5, 15)
 
@@ -613,16 +584,14 @@ def test_trace_truth_mismatch_names_first_bad_index():
 def test_trace_tolerates_tiny_truth_noise():
     series = TimeSeries(values=np.arange(20.0), start_index=0)
     y_true = np.arange(5.0, 15.0) + 1e-12
-    trace = ExternalForecastTrace(
-        indices=np.arange(5, 15), y_true=y_true, y_hat=np.zeros(10)
-    )
+    trace = ExternalForecastTrace(start=5, y_true=y_true, y_hat=np.zeros(10))
     trace.validate_against(series, 5, 15)
 
 
 def test_replay_forecaster_serves_scaled_trace_values():
     scaler = StandardScaler(mean=2.0, std=4.0)
     trace = ExternalForecastTrace(
-        indices=np.arange(3, 8),
+        start=3,
         y_true=np.zeros(5),
         y_hat=np.array([10.0, 11.0, 12.0, 13.0, 14.0]),
     )
@@ -640,12 +609,6 @@ def test_make_forecaster_dispatch():
     assert type(plain) is ArForecaster and plain.detector is None
     seg = make_forecaster("segmented_ar", order=3, threshold=4.0)
     assert type(seg) is ArForecaster and seg.detector.threshold == 4.0
-    with pytest.raises(ConfigError):
-        make_forecaster("ar")
-    # persistence is a shifted column of the forecast pass, not a forecaster
-    for name in ("gru", "persistence"):
-        with pytest.raises(ConfigError, match=f"^unknown forecaster '{name}'$"):
-            make_forecaster(name, order=3)
     # the AR's own checks come before the detector's
     for params, message in (
         (dict(order=0, refit_every=0), "autoregression order must be >= 1, got 0"),

@@ -71,8 +71,8 @@ def test_split_rejects_bad_fractions(fractions):
 def test_fit_scaler_matches_numpy():
     rng = np.random.default_rng(0)
     values = rng.normal(3.0, 2.0, size=200)
-    scaler = fit_scaler(values, 10, 150)
     window = values[10:150]
+    scaler = fit_scaler(window)
     assert scaler.mean == pytest.approx(window.mean(), abs=1e-15)
     assert scaler.std == pytest.approx(window.std(ddof=1), abs=1e-15)
 
@@ -82,13 +82,6 @@ def test_fit_scaler_rejects_degenerate_windows():
         fit_scaler([5.0, 5.0, 5.0])
     with pytest.raises(NumericError, match="degenerate"):
         fit_scaler([5.0])
-
-
-def test_fit_scaler_rejects_bad_window_bounds():
-    with pytest.raises(ConfigError):
-        fit_scaler([1.0, 2.0, 3.0], 2, 2)
-    with pytest.raises(ConfigError):
-        fit_scaler([1.0, 2.0, 3.0], 0, 4)
 
 
 def test_scaler_rejects_nonpositive_std():

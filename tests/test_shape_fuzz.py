@@ -1,5 +1,6 @@
 """Fuzz the run path over series shapes: every forecaster and method either
-runs to the end or names its failure in one line, with no numpy warning."""
+runs to the end or names its failure in one line, with no numpy warning; a
+numeric failure (exit 4) names a series index or the training window."""
 
 import contextlib
 import io
@@ -80,6 +81,8 @@ METHODS = st.sampled_from(["none", "split", "aci", "agaci"])
          forecaster=("ar", {}), method="none")
 @example(shape="spikes", n=400, seed=13993, magnitude=1e150,  # so do both ends of a band
          forecaster=("segmented_ar", {}), method="split")
+@example(shape="huge-tail", n=400, seed=0, magnitude=1e-150,  # a score that overflows
+         forecaster=("persistence", {}), method="aci")
 def test_every_series_shape_runs_or_fails_in_one_line(
     tmp_path_factory, shape, n, seed, magnitude, forecaster, method
 ):
@@ -102,3 +105,5 @@ def test_every_series_shape_runs_or_fails_in_one_line(
     else:
         assert code in (2, 4), (code, err)
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        # a numeric failure names where it happened
+        assert code == 2 or "series index" in err or "training window" in err, err
