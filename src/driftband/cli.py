@@ -44,29 +44,23 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-def _parse_run_config(path: Path, seed_override: int | None) -> evaluate.RunConfig:
-    config = _parse_json_file(path, evaluate.run_config_from_dict)
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
-    return config
-
-
-def _print_run_line(result, prefix: str = "") -> None:
-    if isinstance(result, evaluate.RunFailure):
-        print(f"{prefix}failed: {result.kind}: {result.error}")
-        return
+def _write_runs(out_dir: Path, results) -> None:
+    """Write each result's metrics JSON and bands CSV, then print its run line,
+    after ``<run name>: `` for the runs of a grid."""
+    # the cells of a forecast key share arrays; format each of them once
+    shared = shared_cells(r.columns.values() for r in results if isinstance(r, evaluate.RunReport))
     fmt = evaluate.format_number
-    parts = []
-    if result.coverage is not None:
-        parts += [f"coverage={fmt(result.coverage)}", f"width={fmt(result.median_width)}"]
-    parts.append(f"rmse={fmt(result.rmse)}")
-    print(prefix + " ".join(parts))
-
-
-def _write_run_outputs(out_dir: Path, result, shared: dict | None = None) -> None:
-    evaluate.write_metrics_json(out_dir / f"{result.name}.metrics.json", result)
-    if isinstance(result, evaluate.RunReport):
-        evaluate.write_bands_csv(out_dir / f"{result.name}.bands.csv", result.columns, shared)
+    for result in results:
+        name = result.config.run_name
+        line = f"{name}: " if len(results) > 1 else ""
+        evaluate.write_metrics_json(out_dir / f"{name}.metrics.json", result)
+        if isinstance(result, evaluate.RunFailure):
+            print(f"{line}failed: {result.kind}: {result.error}")
+            continue
+        evaluate.write_bands_csv(out_dir / f"{name}.bands.csv", result.columns, shared)
+        if result.coverage is not None:
+            line += f"coverage={fmt(result.coverage)} width={fmt(result.median_width)} "
+        print(f"{line}rmse={fmt(result.rmse)}")
 
 
 def _generate(payload):
@@ -97,7 +91,7 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    configs = [_parse_run_config(Path(p), args.seed) for p in args.config]
+    configs = [_parse_json_file(Path(p), evaluate.run_config_from_dict) for p in args.config]
     # Runs write <run name>.{metrics.json,bands.csv}, so two of one name would overwrite.
     first_with: dict[str, str] = {}
     for path, config in zip(args.config, configs):
@@ -108,22 +102,16 @@ def cmd_run(args) -> int:
             )
         first_with[config.run_name] = path
     out_dir = _out_dir(args)
-    if len(configs) == 1:
-        report = evaluate.run_rolling(configs[0])
-        _write_run_outputs(out_dir, report)
-        _print_run_line(report)
-        return EXIT_OK
-    results = evaluate.grid_run(configs, jobs=args.jobs)
-    # the cells of a forecast key share arrays; format each of them once
-    shared = shared_cells(r.columns.values() for r in results if isinstance(r, evaluate.RunReport))
-    for result in results:
-        _write_run_outputs(out_dir, result, shared)
-        _print_run_line(result, prefix=f"{result.name}: ")
+    if len(configs) == 1:  # raises what a grid records as a failed cell: exit 2 or 4
+        results = [evaluate.run_rolling(configs[0])]
+    else:
+        results = evaluate.grid_run(configs, jobs=args.jobs)
+    _write_runs(out_dir, results)
     return EXIT_OK
 
 
 def cmd_wrap(args) -> int:
-    config = _parse_run_config(Path(args.config), args.seed)
+    config = _parse_json_file(Path(args.config), evaluate.run_config_from_dict)
     out_dir = _out_dir(args)
     series = load_series_csv(Path(args.series))
     trace = ExternalForecastTrace.from_csv(Path(args.trace))
@@ -138,9 +126,7 @@ def cmd_wrap(args) -> int:
         trace.validate_against(series_, start, end)
         return scaler.transform(trace.y_hat[start - trace.start : end - trace.start])
 
-    report = evaluate.run_rolling(config, series=series, forecast=forecast)
-    _write_run_outputs(out_dir, report)
-    _print_run_line(report)
+    _write_runs(out_dir, [evaluate.run_rolling(config, series=series, forecast=forecast)])
     return EXIT_OK
 
 
@@ -172,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, nargs="+",
                        help="run config JSON file(s); several files form a grid")
     p_run.add_argument("--out", default=".", help="output directory (default: .)")
-    p_run.add_argument("--seed", type=int, default=None, help="override every config's seed")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel workers for grids")
     p_run.set_defaults(func=cmd_run)
 
@@ -181,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wrap.add_argument("--series", required=True, help="series CSV the trace was made from")
     p_wrap.add_argument("--config", required=True, help="run config JSON file")
     p_wrap.add_argument("--out", default=".", help="output directory (default: .)")
-    p_wrap.add_argument("--seed", type=int, default=None, help="override the config's seed")
     p_wrap.set_defaults(func=cmd_wrap)
 
     p_rep = sub.add_parser("report", help="combine metrics JSONs into a comparison table")

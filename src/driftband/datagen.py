@@ -251,11 +251,11 @@ def generate_lorenz(spec: LorenzSpec) -> TimeSeries:
     return TimeSeries(values=out)
 
 
-def write_regimes_csv(path: str | Path, regimes: np.ndarray, start_index: int = 0) -> None:
-    """Sidecar ground-truth regime file: ``index,regime``, 0-based regimes."""
+def write_regimes_csv(path: str | Path, regimes: np.ndarray) -> None:
+    """Sidecar ground-truth regime file: ``index,regime`` from index 0, as a
+    generated series starts; 0-based regimes."""
     regimes = np.asarray(regimes, dtype=int)
-    index = range(start_index, start_index + len(regimes))
-    atomic_write_text(path, format_csv(REGIME_CSV_HEADER, [index, regimes]))
+    atomic_write_text(path, format_csv(REGIME_CSV_HEADER, [range(len(regimes)), regimes]))
 
 
 def toy_spec_from_json(payload: dict) -> SwitchingArSpec:

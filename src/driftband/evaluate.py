@@ -34,10 +34,12 @@ from .series import (
 METHODS = ("none", "split", "aci", "agaci")
 FORECASTERS = ("persistence", "ar", "segmented_ar", "replay")
 BANDS_CSV_HEADER = ("index", "y", "y_hat", "lower", "upper", "alpha_t", "covered")
-COMPARISON_CSV_HEADER = (
-    "dataset", "forecaster", "method", "status", "rmse", "coverage",
-    "median_width", "n_infinite", "n_zero_width", "n_steps",
-)
+# The JSON type of each metric, in the order of the metrics JSON and the comparison CSV.
+_METRIC_TYPES = {
+    "rmse": "a number", "coverage": "a number or null", "median_width": "a number or null",
+    "n_infinite": "an integer", "n_zero_width": "an integer", "n_steps": "an integer",
+}
+COMPARISON_CSV_HEADER = ("dataset", "forecaster", "method", "status", *_METRIC_TYPES)
 
 DEFAULT_GAMMA_GRID = (1e-4, 1e-3, 1e-2)
 
@@ -209,10 +211,6 @@ class RunReport:
         self.__dict__.update(state)
         self.__post_init__()  # an unpickled array is writable again
 
-    @property
-    def name(self) -> str:
-        return self.config.run_name
-
 
 def compute_metrics(columns: dict[str, np.ndarray | None]) -> dict:
     """Metric fields over a run's column table of at least one step.
@@ -307,16 +305,6 @@ def _forecast_pass(
         scaler = fit_scaler(series.values[: split.train_end])
     except NumericError as exc:
         raise NumericError(f"while fitting the scaler on the training window: {exc}") from None
-    if split.cal_end == split.train_end:
-        raise ConfigError(
-            f"calibration window [{split.train_end}, {split.cal_end}) is empty; "
-            "widen the calibration fraction"
-        )
-    if split.test_end == split.cal_end:
-        raise ConfigError(
-            f"test window [{split.cal_end}, {split.test_end}) is empty; "
-            "widen the test fraction"
-        )
     z = scaler.transform(series.values)
     y_hat = np.asarray(forecast(series, split, scaler, z), float)
     n_seed, n_run = split.cal_end - split.train_end, split.test_end - split.train_end
@@ -424,10 +412,6 @@ class RunFailure:
     kind: str
     error: str
 
-    @property
-    def name(self) -> str:
-        return self.config.run_name
-
 
 def _failure(config: RunConfig, exc: BaseException) -> RunFailure:
     return RunFailure(config=config, kind=type(exc).__name__, error=str(exc))
@@ -512,7 +496,7 @@ def report_payload(result: RunReport | RunFailure) -> dict:
     the string "inf" that stands for an infinite metric in JSON."""
     config = result.config
     payload = {
-        "name": result.name,
+        "name": config.run_name,
         "dataset": dataset_label(config.dataset),
         "forecaster": config.forecaster,
         "method": config.method,
@@ -529,14 +513,7 @@ def report_payload(result: RunReport | RunFailure) -> dict:
         return payload
     payload["status"] = "ok"
     payload["alpha_final"] = result.alpha_final
-    payload["metrics"] = {
-        "rmse": result.rmse,
-        "coverage": result.coverage,
-        "median_width": result.median_width,
-        "n_infinite": result.n_infinite,
-        "n_zero_width": result.n_zero_width,
-        "n_steps": result.n_steps,
-    }
+    payload["metrics"] = {key: getattr(result, key) for key in _METRIC_TYPES}
     return payload
 
 
@@ -553,15 +530,10 @@ def write_metrics_json(path: str | Path, result: RunReport | RunFailure) -> None
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-# The JSON type of each key of a metrics file (run config fields, then the
-# outcome) and of its 'metrics' object.
+# The JSON type of each key of a metrics file: run config fields, then the outcome.
 _METRICS_FILE_TYPES = {
     **_RUN_CONFIG_TYPES, "status": '"ok" or "failed"', "error": "a string",
     "alpha_final": "a number or null", "metrics": "an object",
-}
-_METRIC_TYPES = {
-    "rmse": "a number", "coverage": "a number or null", "median_width": "a number or null",
-    "n_infinite": "an integer", "n_zero_width": "an integer", "n_steps": "an integer",
 }
 
 

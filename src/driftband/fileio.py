@@ -37,10 +37,20 @@ def _read_text(path: Path) -> str:
 
 
 def read_json(path: str | Path):
-    """Parse a UTF-8 JSON file; bad bytes or bad syntax name the file."""
+    """Parse a UTF-8 JSON file; bad bytes, bad syntax or a key that an object
+    repeats (``json`` would keep its last value) name the file."""
     path = Path(path)
+
+    def unique_keys(pairs: list) -> dict:
+        payload = dict(pairs)
+        if len(payload) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise ConfigError(f"{path}: duplicate key {repeated!r}")
+        return payload
+
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at byte offset {exc.pos}: {exc}") from None
     except RecursionError:

@@ -63,10 +63,9 @@ class ArModel:
 
     coef: np.ndarray
     intercept: float
-    order: int
 
     def predict(self, history) -> float:
-        return float(self.intercept + self.coef @ history[-self.order :])
+        return float(self.intercept + self.coef @ history[-self.coef.size :])
 
 
 def ar_fit(window, order: int) -> ArModel:
@@ -136,7 +135,7 @@ def ar_fit(window, order: int) -> ArModel:
     resid = c[order:] - np.correlate(c[:-1], coef, "valid")
     coef += basis @ (inverse * (basis.T @ np.correlate(c[:-1], resid - resid.mean(), "valid")))
     intercept = float(shift + scale * mean[order] - (shift + scale * mean[:order]) @ coef)
-    return ArModel(coef=coef, intercept=intercept, order=order)
+    return ArModel(coef=coef, intercept=intercept)
 
 
 class ArForecaster(Forecaster):

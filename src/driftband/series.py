@@ -48,7 +48,8 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Exclusive end indices of the train / calibration / test windows.
+    """Exclusive end indices of the train / calibration / test windows,
+    none of them empty.
 
     The calibration window ``[train_end, cal_end)`` always precedes every
     test point, which is what makes its residuals usable for calibration.
@@ -63,6 +64,15 @@ class SplitSpec:
             raise ConfigError(
                 f"split boundaries must satisfy 0 < train_end <= cal_end <= test_end, "
                 f"got ({self.train_end}, {self.cal_end}, {self.test_end})"
+            )
+        if self.cal_end == self.train_end:
+            raise ConfigError(
+                f"calibration window [{self.train_end}, {self.cal_end}) is empty; "
+                "widen the calibration fraction"
+            )
+        if self.test_end == self.cal_end:
+            raise ConfigError(
+                f"test window [{self.cal_end}, {self.test_end}) is empty; widen the test fraction"
             )
 
     @classmethod

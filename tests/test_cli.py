@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -224,6 +226,17 @@ def test_run_gapped_series_exits_2(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
 
 
+def test_a_series_too_short_to_split_exits_2_naming_the_empty_window(tmp_path, capsys):
+    # the split is checked before the scaler fits its 1-point training window
+    short = tmp_path / "short.csv"
+    short.write_text("index,value\n0,1.0\n1,2.0\n")
+    config = write_config(tmp_path, dataset=str(short))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: calibration window [1, 1) is empty; widen the calibration fraction\n"
+    )
+
+
 def test_run_grid_survives_failures(tmp_path, series_csv, capsys):
     ok = write_config(tmp_path, "ok.json", dataset=str(series_csv))
     bad = write_config(tmp_path, "bad.json", dataset=str(tmp_path / "missing.csv"))
@@ -237,12 +250,13 @@ def test_run_grid_survives_failures(tmp_path, series_csv, capsys):
     assert failed["status"] == "failed"
 
 
-def test_run_seed_override_changes_builtin_data(tmp_path, capsys):
-    config = write_config(tmp_path, dataset="toy", method="split")
+def test_the_config_seed_changes_builtin_data(tmp_path, capsys):
+    config_a = write_config(tmp_path, "a.json", dataset="toy", method="split", seed=1)
+    config_b = write_config(tmp_path, "b.json", dataset="toy", method="split", seed=99)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert main(["run", "--config", str(config), "--out", str(out_a)]) == 0
-    assert main(["run", "--config", str(config), "--out", str(out_b), "--seed", "99"]) == 0
+    assert main(["run", "--config", str(config_a), "--out", str(out_a)]) == 0
+    assert main(["run", "--config", str(config_b), "--out", str(out_b)]) == 0
     a = json.loads((out_a / "toy-persistence-split.metrics.json").read_text())
     b = json.loads((out_b / "toy-persistence-split.metrics.json").read_text())
     assert a["seed"] == 1 and b["seed"] == 99
@@ -436,10 +450,11 @@ def test_report_single_and_failed_cells(tmp_path, series_csv, capsys):
 def test_report_conflicting_duplicates_exit_2(tmp_path, capsys):
     # same (dataset, forecaster, method) key, different seeds on generated
     # data -> different metrics under one key must be refused
-    config = write_config(tmp_path, dataset="toy", method="split")
+    config_a = write_config(tmp_path, "a.json", dataset="toy", method="split")
+    config_b = write_config(tmp_path, "b.json", dataset="toy", method="split", seed=77)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    main(["run", "--config", str(config), "--out", str(out_a)])
-    main(["run", "--config", str(config), "--out", str(out_b), "--seed", "77"])
+    main(["run", "--config", str(config_a), "--out", str(out_a)])
+    main(["run", "--config", str(config_b), "--out", str(out_b)])
     capsys.readouterr()
     code = main([
         "report",
@@ -536,8 +551,8 @@ def test_blas_kernel_moves_only_ar_outputs_and_only_in_the_last_digits(tmp_path)
 
 # Each malformed input with the fragment its error must carry; {path} is the
 # malformed file. "spec" inputs go to generate, "config" inputs to run,
-# "series" inputs are a run's dataset, "metrics" inputs go to report,
-# "trace" inputs to wrap, and "seed flag" runs a valid config with --seed -1.
+# "series" inputs are a run's dataset, "metrics" inputs go to report
+# and "trace" inputs to wrap.
 MALFORMED_INPUTS = [
     ("spec", {"kind": "toy", "T": "abc"}, "{path}: toy generator spec key 'T'"),
     ("spec", {"kind": "toy", "T": 1.5}, "{path}: toy generator spec key 'T'"),
@@ -563,7 +578,8 @@ MALFORMED_INPUTS = [
      "{path}: unknown keys in persistence forecaster_params: order"),
     ("config", {"dataset": "toy", "forecaster": "ar", "forecaster_params": {"warmup": 60}},
      "{path}: unknown keys in ar forecaster_params: warmup"),
-    ("seed flag", {"dataset": "toy"}, "seed must be non-negative, got -1"),
+    ("config", b'{"dataset": "toy", "forecaster": "persistence", "alpha": 0.1, "alpha": 0.5}',
+     "{path}: duplicate key 'alpha'"),
     ("config", b"[" * 100000, "{path}: JSON nested too deeply"),
     ("config", {"dataset": "toy", "gamma_grid": [10**400]}, "{path}: run config key 'gamma_grid'"),
     ("spec", {"kind": "lorenz", "sigma": 10**400}, "{path}: lorenz generator spec key 'sigma'"),
@@ -572,6 +588,8 @@ MALFORMED_INPUTS = [
     ("spec", {"kind": "toy", "T": 2**62}, "{path}: series length T = 4611686018427387904"),
     ("metrics", {"dataset": "toy", "forecaster": "ar", "method": "aci", "status": "weird"},
      """{path}: metrics file key 'status' must be "ok" or "failed", got 'weird'"""),
+    ("config", b'{"dataset": "toy", "forecaster_params": {"order": 3, "order": 4}}',
+     "{path}: duplicate key 'order'"),
 ]
 
 
@@ -592,7 +610,6 @@ def test_malformed_input_exits_2_naming_the_file_and_key_or_line(
         "metrics": ["report", "--inputs", str(path)],
         "trace": ["wrap", "--trace", str(path), "--series", str(series_csv),
                   "--config", str(write_config(tmp_path))],
-        "seed flag": ["run", "--config", str(path), "--seed", "-1"],
     }[kind]
     assert main(argv + out) == 2
     assert fragment.format(path=path) in capsys.readouterr().err
@@ -889,8 +906,6 @@ def test_duplicate_run_names_exit_2_before_any_load(tmp_path, capsys):
     for argv, paths in (
         (["--config", str(a), str(b)], (a, b)),
         (["--config", str(a), str(a)], (a, a)),
-        # distinct names made equal by the seed override would also collide
-        (["--config", str(a), str(b), "--seed", "3"], (a, b)),
     ):
         assert main(["run", *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -926,6 +941,15 @@ def test_removed_config_keys_exit_2_before_any_load(tmp_path, capsys, monkeypatc
     assert main(argv[command]) == 2
     assert capsys.readouterr().err == f"error: {config}: unknown keys in run config: {key}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_no_cli_flag_spells_a_run_config_field():
+    """A run setting has one spelling, its config key: no option of any
+    subcommand sets a RunConfig field too."""
+    [commands] = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for sub in commands.choices.values() for a in sub._actions}
+    assert dests & {f.name for f in dataclasses.fields(evaluate.RunConfig)} == set()
 
 
 def test_a_grid_without_out_writes_every_run_into_the_current_directory(tmp_path, monkeypatch):

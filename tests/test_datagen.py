@@ -344,8 +344,8 @@ def test_spec_json_rejects_unknown_keys_and_kinds():
 
 def test_write_regimes_csv(tmp_path):
     path = tmp_path / "regimes.csv"
-    write_regimes_csv(path, np.array([0, 0, 1, 1, 0]), start_index=3)
+    write_regimes_csv(path, np.array([0, 0, 1, 1, 0]))
     lines = path.read_text().splitlines()
     assert lines[0] == "index,regime"
-    assert lines[1] == "3,0"
-    assert lines[3] == "5,1"
+    assert lines[1] == "0,0"
+    assert lines[3] == "2,1"

@@ -681,7 +681,7 @@ def test_a_dead_worker_fails_every_cell_of_its_forecast_key(tmp_path, monkeypatc
     # the key is one task, so its split and aci cells die with its agaci cell
     assert [type(r) for r in results] == [RunFailure, RunFailure, RunFailure, RunReport]
     assert [r.kind for r in results[:3]] == ["BrokenProcessPool"] * 3
-    assert [r.name for r in results] == [c.run_name for c in configs]
+    assert [r.config.run_name for r in results] == [c.run_name for c in configs]
     assert same_columns(results[3].columns, run_rolling(configs[3]).columns)
 
 
@@ -697,8 +697,8 @@ def test_a_grid_of_one_forecast_key_runs_in_process(tmp_path, monkeypatch):
     pooled = grid_run(configs, jobs=2)
     for tag, results in (("jobs1", alone), ("jobs2", pooled)):
         for report in results:
-            write_metrics_json(tmp_path / f"{tag}-{report.name}.json", report)
-            write_bands_csv(tmp_path / f"{tag}-{report.name}.csv", report.columns)
+            write_metrics_json(tmp_path / f"{tag}-{report.config.run_name}.json", report)
+            write_bands_csv(tmp_path / f"{tag}-{report.config.run_name}.csv", report.columns)
     for config in configs:
         for ext in ("json", "csv"):
             one, two = (tmp_path / f"{tag}-{config.name}.{ext}" for tag in ("jobs1", "jobs2"))
@@ -739,9 +739,9 @@ def mixed_grid(tmp_path):
 def test_grid_cells_equal_their_single_runs_byte_for_byte(tmp_path, jobs):
     configs = mixed_grid(tmp_path)
     results = grid_run(configs, jobs=jobs)
-    assert [r.name for r in results] == [c.run_name for c in configs]
+    assert [r.config.run_name for r in results] == [c.run_name for c in configs]
     failed = [r for r in results if isinstance(r, RunFailure)]
-    assert [r.name for r in failed] == ["spike-split", "spike-aci"]
+    assert [r.config.run_name for r in failed] == ["spike-split", "spike-aci"]
     for config, result in zip(configs, results):
         if isinstance(result, RunFailure):
             with pytest.raises(Exception) as alone:

@@ -91,12 +91,12 @@ def lstsq_reference(window, order):
     targets = window[order:]
     x_mean, y_mean = features.mean(axis=0), targets.mean()
     coef, *_ = np.linalg.lstsq(features - x_mean, targets - y_mean, rcond=None)
-    return ArModel(coef=coef, intercept=float(y_mean - x_mean @ coef), order=order)
+    return ArModel(coef=coef, intercept=float(y_mean - x_mean @ coef))
 
 
 def assert_same_predictions(model, reference, series):
     """One-step predictions over every history of ``series`` agree to 1e-9."""
-    lags = sliding_window_view(np.asarray(series, dtype=float), model.order)
+    lags = sliding_window_view(np.asarray(series, dtype=float), model.coef.size)
     got = lags @ model.coef + model.intercept
     want = lags @ reference.coef + reference.intercept
     assert np.max(np.abs(got - want)) <= 1e-9
@@ -183,9 +183,9 @@ def test_ar_fit_validation():
 
 def test_ar_model_coefficient_orientation():
     # coef[j] pairs with the j-th oldest lag: last coefficient sees the newest value
-    newest_only = ArModel(coef=np.array([0.0, 1.0]), intercept=0.0, order=2)
+    newest_only = ArModel(coef=np.array([0.0, 1.0]), intercept=0.0)
     assert newest_only.predict([5.0, 7.0]) == 7.0
-    oldest_only = ArModel(coef=np.array([1.0, 0.0]), intercept=0.0, order=2)
+    oldest_only = ArModel(coef=np.array([1.0, 0.0]), intercept=0.0)
     assert oldest_only.predict([5.0, 7.0]) == 5.0
 
 
@@ -383,7 +383,7 @@ def _outcome(call, *args):
 
 
 def _model_bits(model):
-    return model and (model.coef.tobytes(), float.hex(model.intercept), model.order)
+    return model and (model.coef.tobytes(), float.hex(model.intercept), model.coef.size)
 
 
 _QUIET = [0.1 * (i % 7) - 0.3 for i in range(40)]

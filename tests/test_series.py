@@ -59,6 +59,16 @@ def test_split_rejects_bad_boundaries(bounds):
         SplitSpec(*bounds)
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ((5, 5, 10), "calibration window [5, 5) is empty; widen the calibration fraction"),
+    ((5, 7, 7), "test window [7, 7) is empty; widen the test fraction"),
+])
+def test_split_rejects_an_empty_window(bounds, message):
+    with pytest.raises(ConfigError) as info:
+        SplitSpec(*bounds)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "fractions", [(0.5, 0.5), (0.5, 0.5, 0.5), (0.6, 0.4, 0.0), (0.5, -0.1, 0.6)]
 )

@@ -51,7 +51,7 @@ SHAPES = st.sampled_from([
     "rounded", "near-constant",
 ])
 # 4 points is the shortest series whose three windows are all non-empty
-LENGTHS = st.integers(3, 12) | st.sampled_from([40, 120, 400])
+LENGTHS = st.integers(1, 12) | st.sampled_from([40, 120, 400])
 MAGNITUDES = st.sampled_from([1.0, 1e-150, 1e-145, 1e145, 1e150])
 FORECASTERS = st.one_of(
     st.just(("persistence", {})),
