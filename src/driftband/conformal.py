@@ -5,10 +5,10 @@ predictions; this module turns a rolling buffer of past absolute
 residuals into prediction intervals, and (for the adaptive variants)
 steers the miscoverage level from observed hits and misses. Split
 conformal is an adaptive track with gamma = 0, and an adaptive track is
-a bank of one expert, so every banded method runs as an ``AgAciState``.
-``agaci_step`` and ``agaci_update`` are the one-step API; ``calibrate``
-walks a whole test window with the same arithmetic, on plain lists, for
-every bank that reads one score buffer.
+a bank of one expert, so every banded method runs as an ``AgAciState``:
+its experts' ACI walks plus an aggregation. ``agaci_step`` and
+``agaci_update`` are the one-step API; ``calibrate`` walks a test window
+with the same arithmetic for every bank that reads one score buffer.
 
 States are immutable; every update returns a fresh state. That keeps
 replay and parallel evaluation trivially safe.
@@ -157,12 +157,17 @@ class AciState:
             raise ConfigError("working level alpha_t must not be NaN")
 
 
+def _next_level(alpha: float, a: float, g: float, hw: float, y: float, center: float) -> float:
+    """The ACI rule: the next level of an expert at level ``a``, step size
+    ``g``, whose band center +- hw met ``y`` (a hit exactly when it covers y)."""
+    return a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0))
+
+
 def aci_step(state: AciState, buffer: ScoreBuffer, y_hat: float) -> PredictionInterval:
-    """Form the band at the current working level (no state change): the
-    band of a one-expert bank, as ``aci_update`` is that bank's update."""
-    # a lone expert's band is never capped: infinite, it is the aggregate
-    half_width, _ = _aggregate((1.0,), (state.alpha_t,), buffer, 1.0)
-    return PredictionInterval(float(y_hat), half_width, 1.0 - state.alpha_t)
+    """Form the band at the current working level (no state change). A lone
+    expert's band is never capped: infinite, it is the aggregate."""
+    level = 1.0 - state.alpha_t
+    return PredictionInterval(float(y_hat), empirical_quantile(buffer, level), level)
 
 
 def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciState:
@@ -172,10 +177,8 @@ def aci_update(state: AciState, y: float, interval: PredictionInterval) -> AciSt
     is 1 on a miss and 0 on a hit. Summed over a run this telescopes:
     (alpha_T - alpha_0) / gamma equals the accumulated coverage surplus.
     """
-    (alpha_t,), _ = _step_experts(
-        (state.alpha_t,), (state.gamma,), (1.0,), (interval.half_width,), state.alpha_nominal,
-        float(y), float(interval.y_hat), 0.0, None,
-    )
+    alpha_t = _next_level(state.alpha_nominal, state.alpha_t, state.gamma,
+                          interval.half_width, float(y), float(interval.y_hat))
     return AciState(state.alpha_nominal, state.gamma, alpha_t)
 
 
@@ -259,23 +262,21 @@ def _effective_alpha(weights: Sequence[float], alphas: Sequence[float]) -> float
 
 
 def _aggregate(
-    weights: Sequence[float], alphas: Sequence[float], buffer: ScoreBuffer, cap_factor: float
-) -> tuple[float, list[float]]:
-    """The bank's half-width at expert levels ``alphas``, and the experts'
-    own half-widths in expert order (see ``agaci_step``)."""
-    widths = [empirical_quantile(buffer, 1.0 - a) for a in alphas]
+    weights: Sequence[float], widths: Sequence[float], peak: float, cap_factor: float
+) -> float:
+    """The bank's half-width from its experts' ``widths``, an infinite one
+    capped at ``peak`` (the buffer's largest score) * ``cap_factor``."""
     if min(widths) == math.inf:
-        return math.inf, widths
-    capped = widths
+        return math.inf
     if math.inf in widths:
-        cap = buffer.max() * cap_factor
-        capped = [min(hw, cap) for hw in widths]
+        cap = peak * cap_factor
+        widths = [min(hw, cap) for hw in widths]
     # a zero weight leaves its expert out, as 0 * inf would be NaN
-    return math.fsum([w * hw for w, hw in zip(weights, capped) if w]), widths
+    return math.fsum([w * hw for w, hw in zip(weights, widths) if w])
 
 
 def _ewa(bank: AgAciState) -> tuple | None:
-    """The bank's reweighing constants for ``_step_experts``, or None when its
+    """The bank's reweighing constants for ``_reweigh``, or None when its
     weights stay fixed: ``eta``, the pinball level ``tau``, the mix ``1 -
     floor`` and ``floor / K``, and the mixed uniform fallback. A lone
     expert's weight is a fixed point of the mix ((1 - floor) + floor rounds
@@ -287,33 +288,24 @@ def _ewa(bank: AgAciState) -> tuple | None:
     return bank.eta, 1.0 - bank.alpha_nominal, keep, share, [keep * (1.0 / k) + share] * k
 
 
-def _step_experts(
-    alphas: Sequence[float], gammas: Sequence[float], weights: Sequence[float],
-    widths: Sequence[float], alpha: float, y: float, center: float, score: float,
-    ewa: tuple | None,
-) -> tuple[list[float], Sequence[float]]:
-    """One pass over the experts: each one's next level against its band
-    center +- widths[k] (err_k is 0 exactly when PredictionInterval.covers(y)
-    holds for that band) and, with ``ewa`` (see ``_ewa``), its raw factor
-    w * exp(-eta * pinball loss at ``tau`` of its width against ``score``,
-    which is |y - center|), 0 for an infinite width. The next weights are the
-    normalized factors mixed with uniform at the floor rate, or the uniform
-    fallback when every factor is 0; without ``ewa`` they are ``weights``."""
-    levels, raw = [], []
+def _reweigh(
+    weights: Sequence[float], widths: Sequence[float], score: float, ewa: tuple | None
+) -> Sequence[float]:
+    """The bank's next weights (see ``agaci_update``): ``weights`` without
+    ``ewa`` (see ``_ewa``); with it, each expert's raw factor w * exp(-eta *
+    pinball loss at ``tau`` of its half-width against ``score``), 0 for an
+    infinite width, normalized and mixed with uniform at the floor rate, or
+    the uniform fallback when every factor is 0."""
     if ewa is None:
-        for a, g, hw in zip(alphas, gammas, widths):
-            levels.append(a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0)))
-        return levels, weights
+        return weights
     eta, tau, keep, share, uniform = ewa
-    for a, g, w, hw in zip(alphas, gammas, weights, widths):
-        levels.append(a + g * (alpha - (0.0 if center - hw <= y <= center + hw else 1.0)))
-        if hw == math.inf:
-            raw.append(0.0)
-            continue
+    raw = []
+    for w, hw in zip(weights, widths):
         diff = score - hw
-        raw.append(w * math.exp(-eta * (tau * diff if diff >= 0 else (tau - 1.0) * diff)))
+        loss = tau * diff if diff >= 0 else (tau - 1.0) * diff
+        raw.append(0.0 if hw == math.inf else w * math.exp(-eta * loss))
     total = math.fsum(raw)
-    return levels, [keep * (r / total) + share for r in raw] if total > 0 else uniform
+    return [keep * (r / total) + share for r in raw] if total > 0 else uniform
 
 
 def _bank_with(
@@ -343,7 +335,8 @@ def agaci_step(
     read of the sorted buffer.
     """
     weights, alphas = state.weights, state.alphas
-    half_width, widths = _aggregate(weights, alphas, buffer, state.infinite_cap_factor)
+    widths = [empirical_quantile(buffer, 1.0 - a) for a in alphas]
+    half_width = _aggregate(weights, widths, buffer.max(), state.infinite_cap_factor)
     level = math.fsum([w * (1.0 - a) for w, a in zip(weights, alphas)])
     return PredictionInterval(float(y_hat), half_width, level), widths
 
@@ -362,54 +355,62 @@ def agaci_update(
     lone expert's weight comes out of that as exactly 1.0 ((1 - floor) +
     floor rounds to 1), so a one-expert bank skips the reweighing.
     """
-    k = len(half_widths)
-    if k != len(state.experts):
-        raise ConfigError(f"got {k} half-widths for {len(state.experts)} experts")
-    y, center = float(y), float(y_hat)
-    alphas, weights = _step_experts(
-        state.alphas, state.gammas, state.weights, half_widths, state.alpha_nominal, y, center,
-        abs(y - center), _ewa(state),
-    )
+    if len(half_widths) != len(state.experts):
+        raise ConfigError(f"got {len(half_widths)} half-widths for {len(state.experts)} experts")
+    y, center, alpha = float(y), float(y_hat), state.alpha_nominal
+    alphas = [_next_level(alpha, e.alpha_t, e.gamma, hw, y, center)
+              for e, hw in zip(state.experts, half_widths)]
+    weights = _reweigh(state.weights, half_widths, abs(y - center), _ewa(state))
     return _bank_with(state, alphas, weights)
+
+
+_BLOCK = 512  # steps per aggregation, so that the experts' columns stay short on any window
 
 
 def calibrate(
     banks: Sequence[AgAciState], buffer: ScoreBuffer, z_run: Sequence[float],
     y_hat_run: Sequence[float], rolling: bool,
 ) -> list[tuple[list[float], list[float], AgAciState]]:
-    """Walk a test window with banks that share one score buffer: per step,
-    each bank's ``agaci_step`` and ``agaci_update``, with the same arithmetic
-    on plain lists, then, if ``rolling``, one ``buffer.append`` of the step's
-    score. ``z_run`` and ``y_hat_run`` hold the observations and forecasts as
-    Python floats. Returns, per bank, the aggregate half-width and effective
-    level ``alpha_t`` of each step's band, and the bank after the last step."""
-    quantile, append = empirical_quantile, buffer.append
-    # a lone expert's walk holds its level, weight and step size as floats
-    walks = [
-        [b.alphas[0], b.weights[0], b.gammas[0], b.alpha_nominal, [], []] if len(b.experts) == 1
-        else [list(b.alphas), list(b.weights), b.gammas, b.alpha_nominal, [], [],
-              b.infinite_cap_factor, _ewa(b)]
-        for b in banks
-    ]
-    solo, multi = [w for w in walks if len(w) == 6], [w for w in walks if len(w) == 8]
-    for y, f in zip(z_run, y_hat_run):
-        score = abs(y - f)
-        for walk in solo:
-            a, w, g, alpha, half_widths, levels = walk
-            # the fsum of one term is that term, with -0.0 read as 0.0: w * x + 0.0
-            levels.append(w * a + 0.0)
-            hw = quantile(buffer, 1.0 - a)
-            half_widths.append(w * hw + 0.0)
-            walk[0] = a + g * (alpha - (0.0 if f - hw <= y <= f + hw else 1.0))
-        for walk in multi:
-            alphas, weights, gammas, alpha, half_widths, levels, cap_factor, ewa = walk
-            levels.append(_effective_alpha(weights, alphas))
-            half_width, widths = _aggregate(weights, alphas, buffer, cap_factor)
-            half_widths.append(half_width)
-            walk[:2] = _step_experts(alphas, gammas, weights, widths, alpha, y, f, score, ewa)
-        if rolling:
-            append(score)
-    for walk in solo:
-        walk[:2] = [walk[0]], [walk[1]]
-    return [(hws, levels, _bank_with(b, alphas, weights))
-            for b, (alphas, weights, _, _, hws, levels, *_) in zip(banks, walks)]
+    """Walk a test window, given as Python floats, with banks that share one
+    score buffer. A bank is its experts' ACI walks plus an aggregation: per
+    step every expert of every bank reads its band and takes its next level
+    (``aci_step``, ``aci_update``), then a ``rolling`` buffer appends the
+    step's score; each bank then aggregates its experts' columns (``agaci_step``,
+    ``agaci_update``). Returns, per bank, each step's aggregate half-width and
+    effective level ``alpha_t``, and the bank after the last step."""
+    quantile, append, peak = empirical_quantile, buffer.append, buffer.max
+    # per expert: level, step size, nominal level, and the block's level and width columns
+    walks = [[[e.alpha_t, e.gamma, e.alpha_nominal] for e in b.experts] for b in banks]
+    experts = [walk for bank in walks for walk in bank]
+    out = [([], [], b.weights) for b in banks]  # per bank: half-widths, levels, weights
+    for start in range(0, len(z_run), _BLOCK):
+        ys, fs, peaks = z_run[start : start + _BLOCK], y_hat_run[start : start + _BLOCK], []
+        for walk in experts:
+            walk[3:] = [], []
+        for y, f in zip(ys, fs):
+            for walk in experts:
+                a, g, alpha, levels, widths = walk
+                hw = quantile(buffer, 1.0 - a)
+                levels.append(a)
+                widths.append(hw)
+                walk[0] = _next_level(alpha, a, g, hw, y, f)
+            peaks.append(peak())  # the buffer's largest score, for the caps
+            if rolling:
+                append(abs(y - f))
+        for i, (b, bank) in enumerate(zip(banks, walks)):
+            half_widths, levels, weights = out[i]
+            if len(bank) == 1:
+                [(*_, column, widths)], [w] = bank, weights
+                # the fsum of one term is that term, with -0.0 read as 0.0: w * x + 0.0
+                half_widths += [w * hw + 0.0 for hw in widths]
+                levels += [w * a + 0.0 for a in column]
+                continue
+            ewa, cap_factor = _ewa(b), b.infinite_cap_factor
+            columns = zip(*[walk[3] for walk in bank]), zip(*[walk[4] for walk in bank])
+            for y, f, top, step_alphas, step_widths in zip(ys, fs, peaks, *columns):
+                levels.append(_effective_alpha(weights, step_alphas))
+                half_widths.append(_aggregate(weights, step_widths, top, cap_factor))
+                weights = _reweigh(weights, step_widths, abs(y - f), ewa)
+            out[i] = half_widths, levels, weights
+    return [(half_widths, levels, _bank_with(b, [walk[0] for walk in bank], weights))
+            for b, bank, (half_widths, levels, weights) in zip(banks, walks, out)]

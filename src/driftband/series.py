@@ -60,20 +60,17 @@ class SplitSpec:
     test_end: int
 
     def __post_init__(self) -> None:
-        if not (0 < self.train_end <= self.cal_end <= self.test_end):
+        if not (0 <= self.train_end <= self.cal_end <= self.test_end):
             raise ConfigError(
-                f"split boundaries must satisfy 0 < train_end <= cal_end <= test_end, "
+                f"split boundaries must satisfy 0 <= train_end <= cal_end <= test_end, "
                 f"got ({self.train_end}, {self.cal_end}, {self.test_end})"
             )
-        if self.cal_end == self.train_end:
-            raise ConfigError(
-                f"calibration window [{self.train_end}, {self.cal_end}) is empty; "
-                "widen the calibration fraction"
-            )
-        if self.test_end == self.cal_end:
-            raise ConfigError(
-                f"test window [{self.cal_end}, {self.test_end}) is empty; widen the test fraction"
-            )
+        bounds = (0, self.train_end, self.cal_end, self.test_end)
+        for name, start, end in zip(("training", "calibration", "test"), bounds, bounds[1:]):
+            if start == end:
+                raise ConfigError(
+                    f"{name} window [{start}, {end}) is empty; widen the {name} fraction"
+                )
 
     @classmethod
     def from_fractions(cls, n: int, fractions: tuple[float, float, float]) -> "SplitSpec":

@@ -227,14 +227,16 @@ def test_run_gapped_series_exits_2(tmp_path):
 
 
 def test_a_series_too_short_to_split_exits_2_naming_the_empty_window(tmp_path, capsys):
-    # the split is checked before the scaler fits its 1-point training window
-    short = tmp_path / "short.csv"
-    short.write_text("index,value\n0,1.0\n1,2.0\n")
-    config = write_config(tmp_path, dataset=str(short))
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == (
-        "error: calibration window [1, 1) is empty; widen the calibration fraction\n"
-    )
+    # the split is checked before the scaler fits its 0- or 1-point training window
+    for rows, window in [
+        ("0,1.0\n", "training window [0, 0) is empty; widen the training fraction"),
+        ("0,1.0\n1,2.0\n", "calibration window [1, 1) is empty; widen the calibration fraction"),
+    ]:
+        short = tmp_path / "short.csv"
+        short.write_text("index,value\n" + rows)
+        config = write_config(tmp_path, dataset=str(short))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {window}\n"
 
 
 def test_run_grid_survives_failures(tmp_path, series_csv, capsys):
@@ -590,6 +592,11 @@ MALFORMED_INPUTS = [
      """{path}: metrics file key 'status' must be "ok" or "failed", got 'weird'"""),
     ("config", b'{"dataset": "toy", "forecaster_params": {"order": 3, "order": 4}}',
      "{path}: duplicate key 'order'"),
+    ("spec", {"kind": "toy", "chain": {"transition": [[0.9, 0.1], [0.1, 0.9]], "initial": [1.0]}},
+     "{path}: initial distribution must have length 2, got shape (1,)"),
+    ("spec", {"kind": "toy", "y0": math.inf}, "{path}: starting value must be finite, got inf"),
+    ("series", b"index" * 40000 + b",value\n0,1.0\n",
+     "{path}: line 1: field larger than field limit"),
 ]
 
 

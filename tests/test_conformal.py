@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from driftband import conformal
 from driftband.conformal import (
     AciState,
     AgAciState,
@@ -220,6 +221,11 @@ def test_flat_kernel_matches_the_object_oracle_bit_for_bit(
     eta=5.0, floor=0.0, cap=math.inf, seed_scores=[1.0, 2.5, 0.25], capacity=3,
     rolling=True, steps=[(0.0, 0.0), (2.0, 0.0), (-1.0, 0.5), (0.0, 3.0)] * 3,
 )
+@example(  # two experts with one step size and level, given unequal weights
+    experts=[(0.05, 0.3), (0.05, 0.3)], raw_weights=[1.0, 3.0, 1.0, 1.0, 1.0, 1.0], eta=5.0,
+    floor=1e-6, cap=2.0, seed_scores=[0.25, 1.0, 2.5], capacity=3, rolling=True,
+    steps=[(0.0, 0.0), (2.0, 0.0), (-1.0, 0.5), (0.0, 3.0)] * 3,
+)
 def test_calibrate_matches_the_step_loop_and_the_object_oracle_bit_for_bit(
     experts, raw_weights, eta, floor, cap, seed_scores, capacity, rolling, steps
 ):
@@ -298,7 +304,8 @@ def test_banks_in_lockstep_on_one_buffer_match_each_bank_alone_bit_for_bit(
     """Banks of mixed expert counts walking one shared buffer each give the
     widths, levels and final bank of that bank calibrated alone on its own
     copy of the buffer, and of the agaci_step/agaci_update loop; the shared
-    buffer ends with the scores of each copy."""
+    buffer ends with the scores of each copy. Experts do not interact: each
+    ends at the level it reaches as a one-expert bank calibrated alone."""
     ys, y_hats = [float(y) for y, _ in steps], [float(f) for _, f in steps]
     shared = ScoreBuffer(capacity, seed_scores)
     together = calibrate(banks, shared, ys, y_hats, rolling)
@@ -320,7 +327,39 @@ def test_banks_in_lockstep_on_one_buffer_match_each_bank_alone_bit_for_bit(
         for got in (alone_final, state):
             assert bits(*final.alphas, *final.weights) == bits(*got.alphas, *got.weights)
         assert final == alone_final == state
+        for expert, level in zip(bank.experts, final.alphas):
+            solo = AgAciState(bank.alpha_nominal, [expert], [1.0])
+            solo_buf = ScoreBuffer(capacity, seed_scores)
+            [(*_, solo_final)] = calibrate([solo], solo_buf, ys, y_hats, rolling)
+            assert bits(level) == bits(*solo_final.alphas)
         assert bits(*scores_of(shared)) == bits(*scores_of(own)) == bits(*scores_of(step_buf))
+
+
+@pytest.mark.parametrize("rolling", [True, False])
+@pytest.mark.parametrize("block", [1, 7, 512])
+def test_calibrate_gives_the_same_bits_for_any_block_of_steps(monkeypatch, block, rolling):
+    """The banks aggregate their experts' columns one block of steps at a
+    time; over a window of several blocks, every block size gives the bits of
+    the agaci_step/agaci_update loop."""
+    rng = np.random.default_rng(8)
+    ys, y_hats = rng.normal(size=1100).tolist(), rng.normal(scale=0.5, size=1100).tolist()
+    seed_scores = np.abs(rng.normal(size=40)).tolist()
+    banks = [AgAciState.from_gammas(0.1, [0.01]), AgAciState.from_gammas(0.1, [0.0, 0.05, 0.3]),
+             AgAciState.from_gammas(0.2, [1e-3, 1e-2], eta=5.0)]
+    monkeypatch.setattr(conformal, "_BLOCK", block)
+    together = calibrate(banks, ScoreBuffer(40, seed_scores), ys, y_hats, rolling)
+    for bank, (widths, levels, final) in zip(banks, together):
+        buf, step_widths, step_levels = ScoreBuffer(40, seed_scores), [], []
+        for y, y_hat in zip(ys, y_hats):
+            step_levels.append(bank.alpha_t)
+            interval, per_expert = agaci_step(bank, buf, y_hat)
+            step_widths.append(interval.half_width)
+            bank = agaci_update(bank, y, y_hat, per_expert)
+            if rolling:
+                buf.append(residual_score(y, y_hat))
+        assert bits(*widths) == bits(*step_widths)
+        assert bits(*levels) == bits(*step_levels)
+        assert final == bank
 
 
 @pytest.mark.parametrize("weight", [1.0, 1 - 1e-10])

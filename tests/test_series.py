@@ -52,7 +52,7 @@ def test_split_from_fractions_default():
 
 
 @pytest.mark.parametrize(
-    "bounds", [(0, 5, 10), (5, 4, 10), (5, 11, 10), (-1, 5, 10)]
+    "bounds", [(5, 4, 10), (5, 11, 10), (-1, 5, 10)]
 )
 def test_split_rejects_bad_boundaries(bounds):
     with pytest.raises(ConfigError):
@@ -62,6 +62,8 @@ def test_split_rejects_bad_boundaries(bounds):
 @pytest.mark.parametrize("bounds, message", [
     ((5, 5, 10), "calibration window [5, 5) is empty; widen the calibration fraction"),
     ((5, 7, 7), "test window [7, 7) is empty; widen the test fraction"),
+    ((0, 0, 1), "training window [0, 0) is empty; widen the training fraction"),
+    ((0, 5, 10), "training window [0, 0) is empty; widen the training fraction"),
 ])
 def test_split_rejects_an_empty_window(bounds, message):
     with pytest.raises(ConfigError) as info:
