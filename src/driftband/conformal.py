@@ -190,7 +190,7 @@ class AgAciState:
     half-widths with exponential weights driven by the pinball loss at
     the nominal coverage level. ``eta == 0`` freezes the weights, turning
     the bank into a static mixture.
-    ``alphas`` and ``gammas`` read the experts' levels and step sizes.
+    ``alphas`` reads the experts' levels.
     """
 
     alpha_nominal: float
@@ -226,10 +226,6 @@ class AgAciState:
     @property
     def alphas(self) -> tuple[float, ...]:
         return tuple(e.alpha_t for e in self.experts)
-
-    @property
-    def gammas(self) -> tuple[float, ...]:
-        return tuple(e.gamma for e in self.experts)
 
     @property
     def alpha_t(self) -> float:

@@ -100,8 +100,6 @@ class SwitchingArSpec:
         if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
             raise ConfigError(f"transition matrix must be square, got shape {transition.shape}")
         k = transition.shape[0]
-        if k < 1:
-            raise ConfigError("chain needs at least one regime")
         # each comparison is written so that NaN fails it
         if not np.all(transition >= 0):
             raise ConfigError("transition probabilities must be non-negative")

@@ -163,8 +163,6 @@ def run_config_from_dict(payload: dict) -> RunConfig:
 
 
 def dataset_label(dataset: str) -> str:
-    if dataset in ("toy", "lorenz"):
-        return dataset
     return Path(dataset).stem
 
 
@@ -609,8 +607,6 @@ def _fmt_cell(row: dict | None, field_name: str) -> str:
 def render_comparison_table(rows: Sequence[dict]) -> str:
     """Aligned text table: datasets down, methods across, one column group
     per metric (Coverage@90% and median width)."""
-    if not rows:
-        raise ConfigError("no rows to render")
     methods = sorted({r["method"] for r in rows})
     groups = sorted({(r["dataset"], r["forecaster"]) for r in rows})
     cells = {(r["dataset"], r["forecaster"], r["method"]): r for r in rows}

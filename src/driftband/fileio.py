@@ -8,6 +8,7 @@ place, so an interrupted run never leaves a truncated file that looks complete.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -171,7 +172,6 @@ def _column_cells(column, rows: int) -> Iterable[str]:
             return map(str, column.tolist())
         if kind == "b":
             return map("01".__getitem__, column.tolist())  # False, True index "0", "1"
-        column = column.tolist()
     return map(_csv_field, column)
 
 
@@ -284,18 +284,23 @@ def check_integer_fields(obj, names: Sequence[str]) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Replace ``path``'s content with ``text`` through a temporary sibling.
+    An ``OSError`` from the temporary file or the rename names ``path``, not
+    the temporary file, which is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp_name = None
     try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp_name is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise

@@ -275,13 +275,6 @@ class ExternalForecastTrace:
     def end(self) -> int:
         return self.start + self.y_hat.size
 
-    def y_hat_at(self, t: int) -> float:  # ReplayForecaster's, for perfbench/tracing.py
-        if not self.start <= t < self.end:
-            raise AlignmentError(
-                f"trace covers indices [{self.start}, {self.end}) and has no row for {t}"
-            )
-        return float(self.y_hat[t - self.start])
-
     def validate_against(self, series: TimeSeries, start: int, end: int) -> None:
         """Check the trace can serve predictions for indices [start, end) of
         ``series``, a range within it.
@@ -310,28 +303,6 @@ class ExternalForecastTrace:
         """Read a strict ``index,y_true,y_hat`` CSV (rules in ``read_indexed_csv``)."""
         start, (y_true, y_hat) = read_indexed_csv(path, TRACE_CSV_HEADER)
         return cls(start=start, y_true=y_true, y_hat=y_hat)
-
-
-class ReplayForecaster(Forecaster):  # perfbench/tracing.py patches cli's name for it
-    """Serves an external trace through the forecaster contract.
-
-    Predictions are looked up by series index (the length of the history
-    prefix fixes the index) and mapped into standardized units with the
-    run's scaler, so calibration sees them exactly as it would a native
-    forecaster's output.
-    """
-
-    def __init__(self, trace: ExternalForecastTrace, scaler, series_start: int = 0) -> None:
-        self.trace = trace
-        self._scaler = scaler
-        self._series_start = int(series_start)
-
-    def fit(self, window) -> None:
-        pass
-
-    def predict_one(self, history) -> float:
-        t = self._series_start + len(history)
-        return float(self._scaler.transform(self.trace.y_hat_at(t)))
 
 
 def make_forecaster(name: str, **params) -> ArForecaster:

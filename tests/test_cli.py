@@ -492,6 +492,46 @@ def test_report_missing_input_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 3
 
 
+def test_a_failed_output_write_names_its_target_and_leaves_no_temporary_file(tmp_path, capsys):
+    out = tmp_path / "o"
+    target = out / "toy-persistence-aci.metrics.json"
+    target.mkdir(parents=True)
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+    assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("dataset", ["toy", "lorenz"])
+def test_a_builtin_dataset_runs_as_its_generated_csv(tmp_path, capsys, dataset):
+    """``run`` on a builtin name writes the bytes that ``generate`` and a run
+    of the CSV it wrote give, at the generator's default seed 0."""
+    assert main(["generate", "--spec", dataset, "--out", str(tmp_path / "gen")]) == 0
+    stdout = []
+    for source in (dataset, str(tmp_path / "gen" / f"{dataset}.csv")):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dataset": source, "forecaster": "ar", "method": "aci",
+                                      "seed": 0}))
+        capsys.readouterr()
+        out = tmp_path / str(len(stdout))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+    for name in (f"{dataset}-ar-aci.bands.csv", f"{dataset}-ar-aci.metrics.json"):
+        assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+def test_report_over_two_alphas_titles_its_coverage_group_without_a_level(tmp_path, capsys):
+    configs = [write_config(tmp_path, "a.json", forecaster="ar", alpha=0.1),
+               write_config(tmp_path, "b.json", method="split", alpha=0.2)]
+    assert main(["run", "--config", *map(str, configs), "--out", str(tmp_path / "runs")]) == 0
+    inputs = sorted(str(p) for p in (tmp_path / "runs").glob("*.metrics.json"))
+    capsys.readouterr()
+    assert main(["report", "--inputs", *inputs, "--out", str(tmp_path / "rep")]) == 0
+    table = capsys.readouterr().out
+    assert table.splitlines()[0].split() == ["Coverage", "Median", "width"]
+    assert "Coverage@" not in table
+
+
 def test_console_script_entry_point(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

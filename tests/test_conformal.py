@@ -637,19 +637,21 @@ def test_from_gammas_is_the_constructor_with_uniform_weights(gammas):
     assert bank.experts == experts and bank.alphas == (0.2,) * k
 
 
-@pytest.mark.parametrize("alpha, gammas, message", [
-    (0.1, [], "expert bank must contain at least one expert"),
-    (0.1, [0.01, -0.01], "step sizes must be distinct and non-negative, got (0.01, -0.01)"),
-    (0.1, [0.01, 0.01], "step sizes must be distinct and non-negative, got (0.01, 0.01)"),
-    (0.1, [0.01, math.inf], "step sizes must be finite, got (0.01, inf)"),
-    (0.1, [math.nan], "step sizes must be finite, got (nan,)"),
-    (0.0, [0.01], "nominal alpha must lie in (0, 1), got 0.0"),
-    (1.0, [0.01, 0.02], "nominal alpha must lie in (0, 1), got 1.0"),
-    (math.nan, [0.01], "nominal alpha must lie in (0, 1), got nan"),
-], ids=["empty", "negative", "repeated", "inf", "nan", "alpha-0", "alpha-1", "alpha-nan"])
-def test_from_gammas_messages(alpha, gammas, message):
+@pytest.mark.parametrize("alpha, gammas, options, message", [
+    (0.1, [], {}, "expert bank must contain at least one expert"),
+    (0.1, [0.01, -0.01], {}, "step sizes must be distinct and non-negative, got (0.01, -0.01)"),
+    (0.1, [0.01, 0.01], {}, "step sizes must be distinct and non-negative, got (0.01, 0.01)"),
+    (0.1, [0.01, math.inf], {}, "step sizes must be finite, got (0.01, inf)"),
+    (0.1, [math.nan], {}, "step sizes must be finite, got (nan,)"),
+    (0.0, [0.01], {}, "nominal alpha must lie in (0, 1), got 0.0"),
+    (1.0, [0.01, 0.02], {}, "nominal alpha must lie in (0, 1), got 1.0"),
+    (math.nan, [0.01], {}, "nominal alpha must lie in (0, 1), got nan"),
+    (0.1, [0.01, 0.1], {"weight_floor": 1.0}, "weight floor must lie in [0, 1), got 1.0"),
+], ids=["empty", "negative", "repeated", "inf", "nan", "alpha-0", "alpha-1", "alpha-nan",
+        "floor-1"])
+def test_from_gammas_messages(alpha, gammas, options, message):
     with pytest.raises(ConfigError) as raised:
-        AgAciState.from_gammas(alpha, gammas)
+        AgAciState.from_gammas(alpha, gammas, **options)
     assert str(raised.value) == message
 
 

@@ -1,3 +1,6 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,3 +158,27 @@ def test_written_files_are_parsed_by_numpy_and_a_python_spelling_row_by_row(
     python_only.write_text("index,value\n0,1_0\n1,2\n")
     assert load_series_csv(python_only).values.tolist() == [10.0, 2.0]
     assert calls == [python_only]
+
+
+@pytest.mark.parametrize("fault, raised", [
+    (OSError(errno.ENOSPC, "No space left on device"), OSError),
+    (KeyboardInterrupt(), KeyboardInterrupt),
+], ids=["oserror", "interrupt"])
+def test_an_interrupted_atomic_write_keeps_the_old_file_and_no_temporary_one(
+    tmp_path, monkeypatch, fault, raised
+):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+
+    def fsync(fd):
+        raise fault
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(raised) as caught:
+        fileio.atomic_write_text(path, "new")
+    if raised is OSError:  # names the target, not the temporary file
+        assert str(caught.value) == f"[Errno {errno.ENOSPC}] No space left on device: '{path}'"
+    else:
+        assert caught.value is fault
+    assert path.read_text() == "old"
+    assert sorted(tmp_path.iterdir()) == [path]

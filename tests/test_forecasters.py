@@ -15,11 +15,10 @@ from driftband.forecasters import (
     ArModel,
     CusumDetector,
     ExternalForecastTrace,
-    ReplayForecaster,
     ar_fit,
     make_forecaster,
 )
-from driftband.series import SplitSpec, StandardScaler, TimeSeries, fit_scaler
+from driftband.series import SplitSpec, TimeSeries, fit_scaler
 
 
 def ar1_path(rng, n, intercept, coef, noise_std, y0=0.0):
@@ -564,9 +563,6 @@ def test_trace_lookup_and_alignment_errors():
     trace = ExternalForecastTrace(
         start=5, y_true=np.arange(5.0, 15.0), y_hat=np.arange(5.0, 15.0) + 1.0
     )
-    assert trace.y_hat_at(5) == 6.0
-    with pytest.raises(AlignmentError, match="no row for 15"):
-        trace.y_hat_at(15)
     trace.validate_against(series, 6, 15)
     with pytest.raises(AlignmentError, match=r"\[5, 15\).*\[5, 18\)"):
         trace.validate_against(series, 5, 18)
@@ -586,22 +582,6 @@ def test_trace_tolerates_tiny_truth_noise():
     y_true = np.arange(5.0, 15.0) + 1e-12
     trace = ExternalForecastTrace(start=5, y_true=y_true, y_hat=np.zeros(10))
     trace.validate_against(series, 5, 15)
-
-
-def test_replay_forecaster_serves_scaled_trace_values():
-    scaler = StandardScaler(mean=2.0, std=4.0)
-    trace = ExternalForecastTrace(
-        start=3,
-        y_true=np.zeros(5),
-        y_hat=np.array([10.0, 11.0, 12.0, 13.0, 14.0]),
-    )
-    f = ReplayForecaster(trace, scaler, series_start=0)
-    f.fit([])  # no-op by contract
-    # history of length 3 -> next index is 3 -> first trace row
-    assert f.predict_one([0.0, 0.0, 0.0]) == pytest.approx((10.0 - 2.0) / 4.0)
-    assert f.predict_one([0.0] * 7) == pytest.approx((14.0 - 2.0) / 4.0)
-    with pytest.raises(AlignmentError):
-        f.predict_one([0.0] * 8)
 
 
 def test_make_forecaster_dispatch():
