@@ -97,8 +97,10 @@ class SwitchingArSpec:
                 if not math.isfinite(value):
                     raise ConfigError(f"regime {name} must be finite, got {value}")
         transition = np.asarray(self.transition, dtype=float)
-        if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
-            raise ConfigError(f"transition matrix must be square, got shape {transition.shape}")
+        if transition.ndim != 2 or not 0 < transition.shape[0] == transition.shape[1]:
+            raise ConfigError(
+                f"transition matrix must be square and non-empty, got shape {transition.shape}"
+            )
         k = transition.shape[0]
         # each comparison is written so that NaN fails it
         if not np.all(transition >= 0):

@@ -1,9 +1,9 @@
 """Line audit: run the tier-1 suite in this process under ``sys.settrace`` and
 list every executable line of ``src/driftband`` that no test ran.
 
-    python tests/line_audit.py [pytest arguments]
+    python tests/line_audit.py
 
-Run it from any directory; extra arguments go to pytest. Each line that never
+Run it from any directory. Each line that never
 ran is printed as ``file:line: source``, followed by its reason when
 ``ALLOWED`` lists it. The audit exits 1 if a test fails, if a line that never
 ran is not on ``ALLOWED``, or if an ``ALLOWED`` entry ran or no longer exists;
@@ -51,7 +51,7 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     prefix = str(PACKAGE) + os.sep
     hits: set[tuple[str, int]] = set()
 
@@ -67,7 +67,7 @@ def main(argv: list[str]) -> int:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "--continue-on-collection-errors", *argv])
+        status = pytest.main(["-q", "--continue-on-collection-errors"])
         replaced = sys.gettrace() is not tracer
     finally:
         sys.settrace(None)
@@ -94,4 +94,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

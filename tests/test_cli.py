@@ -520,18 +520,6 @@ def test_a_builtin_dataset_runs_as_its_generated_csv(tmp_path, capsys, dataset):
         assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
-def test_report_over_two_alphas_titles_its_coverage_group_without_a_level(tmp_path, capsys):
-    configs = [write_config(tmp_path, "a.json", forecaster="ar", alpha=0.1),
-               write_config(tmp_path, "b.json", method="split", alpha=0.2)]
-    assert main(["run", "--config", *map(str, configs), "--out", str(tmp_path / "runs")]) == 0
-    inputs = sorted(str(p) for p in (tmp_path / "runs").glob("*.metrics.json"))
-    capsys.readouterr()
-    assert main(["report", "--inputs", *inputs, "--out", str(tmp_path / "rep")]) == 0
-    table = capsys.readouterr().out
-    assert table.splitlines()[0].split() == ["Coverage", "Median", "width"]
-    assert "Coverage@" not in table
-
-
 def test_console_script_entry_point(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

@@ -504,6 +504,12 @@ def test_degenerate_training_window_is_a_numeric_error():
     series = TimeSeries(values=np.ones(100))
     with pytest.raises(NumericError, match="scaler.*training"):
         run_rolling(RunConfig(dataset="flat", method="split"), series=series)
+    # a training window shorter than the AR order is named as the fit's failure
+    config = RunConfig(dataset="short", forecaster="ar", forecaster_params={"order": 3},
+                       method="split")
+    with pytest.raises(NumericError, match="^while fitting the forecaster on the training "
+                                          "window: window of length 2 cannot fit an order-3 "):
+        run_rolling(config, series=TimeSeries(values=np.arange(5.0)))
 
 
 def test_too_short_series_is_a_config_error():
@@ -878,3 +884,8 @@ def test_comparison_table_rendering():
     csv_text = comparison_csv(rows)
     assert csv_text.splitlines()[0].startswith("dataset,forecaster,method,status")
     assert any(line.startswith("toy,ar,agaci,failed") for line in csv_text.splitlines())
+    # rows of several alphas title their coverage group without a level
+    payloads.append({**payloads[0], "method": "split", "forecaster": "persistence", "alpha": 0.2})
+    table = render_comparison_table(comparison_rows(payloads))
+    assert table.splitlines()[0].split() == ["Coverage", "Median", "width"]
+    assert "Coverage@" not in table
