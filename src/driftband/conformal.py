@@ -260,15 +260,17 @@ def _effective_alpha(weights: Sequence[float], alphas: Sequence[float]) -> float
 def _aggregate(
     weights: Sequence[float], widths: Sequence[float], peak: float, cap_factor: float
 ) -> float:
-    """The bank's half-width from its experts' ``widths``, an infinite one
-    capped at ``peak`` (the buffer's largest score) * ``cap_factor``."""
+    """The bank's half-width from its experts' ``widths``, an infinite one capped
+    at ``peak`` (the buffer's largest score) * ``cap_factor``; inf past the float range."""
     if min(widths) == math.inf:
         return math.inf
     if math.inf in widths:
         cap = peak * cap_factor
         widths = [min(hw, cap) for hw in widths]
-    # a zero weight leaves its expert out, as 0 * inf would be NaN
-    return math.fsum([w * hw for w, hw in zip(weights, widths) if w])
+    try:  # a zero weight leaves its expert out, as 0 * inf would be NaN
+        return math.fsum([w * hw for w, hw in zip(weights, widths) if w])
+    except OverflowError:  # the terms are non-negative, so the exact sum is past the largest float
+        return math.inf
 
 
 def _ewa(bank: AgAciState) -> tuple | None:

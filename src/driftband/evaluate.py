@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -354,52 +354,47 @@ def run_rolling(
 def _calibrate_key(
     configs: Sequence[RunConfig], split: SplitSpec, scaler: StandardScaler, z: np.ndarray,
     y_hat: np.ndarray, test_columns: dict[str, np.ndarray],
-) -> Iterator[RunReport | Exception]:
+) -> list[RunReport | NumericError]:
     """The calibration pass of a key's cells on its forecast pass, whose ``test_columns``
     arrays the reports hold. A score does not depend on the method, so the banded cells
-    of one buffer mode walk one score buffer in lockstep and share what the walk raises."""
+    of one buffer mode walk one score buffer in lockstep. A score beyond the float range
+    fails, before any walk, every banded cell whose buffer would take it: all of them
+    for a seeding score, the rolling ones for a test score."""
     n_seed = split.cal_end - split.train_end
     y_hat_test, z_test = y_hat[n_seed:], z[split.cal_end : split.test_end]
     # y and f are Python floats, so abs(y - f) is conformal.residual_score
     z_run, y_hat_run = z[split.train_end : split.test_end].tolist(), y_hat.tolist()
-    seed_scores = [abs(y - f) for y, f in zip(z_run[:n_seed], y_hat_run)]
-    walked: dict[int, tuple | Exception] = {}
+    scores = [abs(y - f) for y, f in zip(z_run, y_hat_run)]
+    overflow = scores.index(math.inf) if math.inf in scores else len(scores)
+    band_free = {**test_columns, "lower": None, "upper": None, "alpha_t": None, "covered": None}
+    results: dict[int, RunReport | NumericError] = {}
     for mode in dict.fromkeys(c.buffer_mode for c in configs if c.method != "none"):
         cells = [i for i, c in enumerate(configs) if c.method != "none" and c.buffer_mode == mode]
+        if overflow < (len(scores) if mode == "rolling" else n_seed):  # its buffer takes it
+            results.update(dict.fromkeys(cells, NumericError(
+                f"{'calibration seeding' if overflow < n_seed else 'test step'}: the score at "
+                f"series index {int(test_columns['index'][0]) - n_seed + overflow} is inf"
+            )))
+            continue
         # Split conformal is ACI with gamma = 0, and ACI is a bank of one expert.
         banks = [conformal.AgAciState.from_gammas(
             c.alpha, {"split": (0.0,), "aci": (c.gamma,)}.get(c.method, c.gamma_grid),
             eta=c.eta, weight_floor=c.weight_floor, infinite_cap_factor=c.cap_factor,
         ) for c in map(configs.__getitem__, cells)]
-        try:
-            walked.update(zip(cells, conformal.calibrate(
-                banks, conformal.ScoreBuffer(n_seed, seed_scores), z_run[n_seed:],
-                y_hat_run[n_seed:], mode == "rolling",
-            )))
-        except NumericError:  # the walk's only one: ScoreBuffer took a score of inf
-            i = next(i for i, (y, f) in enumerate(zip(z_run, y_hat_run)) if abs(y - f) == math.inf)
-            walked.update(dict.fromkeys(cells, NumericError(
-                f"{'calibration seeding' if i < n_seed else 'test step'}: the score at series "
-                f"index {int(test_columns['index'][0]) - n_seed + i} is inf"
-            )))
-        except Exception as exc:  # noqa: BLE001 - the result of every cell of the buffer
-            walked.update(dict.fromkeys(cells, exc))
-    for i, config in enumerate(configs):
-        columns = {**test_columns, "lower": None, "upper": None, "alpha_t": None, "covered": None}
-        outcome = walked.get(i)
-        if isinstance(outcome, tuple):
-            half_widths, alphas, _ = outcome
+        walks = conformal.calibrate(
+            banks, conformal.ScoreBuffer(n_seed, scores[:n_seed]), z_run[n_seed:],
+            y_hat_run[n_seed:], mode == "rolling",
+        )
+        for i, (half_widths, alphas, bank) in zip(cells, walks):
             with np.errstate(over="ignore"):  # overflow to inf, as on Python floats
                 lower, upper = y_hat_test - half_widths, y_hat_test + half_widths
-            columns.update(
-                lower=scaler.inverse_transform(lower), upper=scaler.inverse_transform(upper)
-            )
-            # PredictionInterval.covers on the scaled values
-            columns.update(alpha_t=np.array(alphas), covered=(lower <= z_test) & (z_test <= upper))
-        yield outcome if isinstance(outcome, Exception) else RunReport(
-            config=config, **compute_metrics(columns),
-            alpha_final=outcome and outcome[2].alpha_t, columns=columns,
-        )
+            columns = {**band_free, "lower": scaler.inverse_transform(lower),
+                       "upper": scaler.inverse_transform(upper), "alpha_t": np.array(alphas),
+                       "covered": (lower <= z_test) & (z_test <= upper)}  # as covers() does
+            results[i] = RunReport(config=configs[i], **compute_metrics(columns),
+                                   alpha_final=bank.alpha_t, columns=columns)
+    return [results.get(i) or RunReport(config=c, **compute_metrics(band_free), alpha_final=None,
+                                         columns=dict(band_free)) for i, c in enumerate(configs)]
 
 
 @dataclass(frozen=True)
@@ -416,9 +411,12 @@ def _failure(config: RunConfig, exc: BaseException) -> RunFailure:
 
 
 def _forecast_key(config: RunConfig) -> tuple:
-    """The fields a forecast pass depends on; cells that share them share it."""
+    """The fields a forecast pass depends on; cells that share them share it. The
+    first is the load source, the fields ``load_dataset`` reads: the dataset, and
+    the seed only for the builtin generators."""
+    source = config.dataset, config.seed if config.dataset in ("toy", "lorenz") else None
     params = tuple(sorted(config.forecaster_params.items()))
-    return (config.dataset, config.seed, config.forecaster, params, config.lag, config.split)
+    return (source, config.forecaster, params, config.lag, config.split)
 
 
 def _run_key(
@@ -441,9 +439,9 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     """Run many configs independently; failures become RunFailure cells.
     ``cmd_run`` checks that there is at least one config and ``jobs >= 1``.
 
-    Each distinct series is loaded once, before any cell runs. Cells are
-    grouped by forecast key (dataset, seed, forecaster, its params, lag and
-    split), and each key is one task under every ``jobs``: it runs one
+    Cells are grouped by forecast key (the load source, forecaster, its
+    params, lag and split), and each distinct source is loaded once, before
+    any cell runs. Each key is one task under every ``jobs``: it runs one
     forecast pass on its series, its banded cells of one buffer mode walk one
     score buffer in lockstep, and its reports share one ``index``, ``y`` and
     ``y_hat`` array each. A load or pass that fails runs once, and its failure
@@ -457,9 +455,7 @@ def grid_run(configs: Sequence[RunConfig], jobs: int = 1) -> list[RunReport | Ru
     keys = [[configs[i] for i in idx] for idx in groups.values()]
     loaded: dict[tuple, TimeSeries | Exception] = {}
     tasks = []
-    for key in keys:
-        # the fields load_dataset reads: only the builtin generators take the seed
-        source = key[0].dataset, key[0].seed if key[0].dataset in ("toy", "lorenz") else None
+    for (source, *_), key in zip(groups, keys):
         if source not in loaded:
             try:
                 loaded[source] = load_dataset(key[0])

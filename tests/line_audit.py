@@ -32,12 +32,6 @@ ALLOWED = {
     ("__main__.py", "from .cli import main"): _CHILD_ONLY,
     ("__main__.py", "sys.exit(main())"): _CHILD_ONLY,
     ("cli.py", "sys.exit(main())"): "runs only when cli.py is the main module of a process",
-    ("evaluate.py",
-     "except Exception as exc:  # noqa: BLE001 - the result of every cell of the buffer"):
-        "no input reaches it; it keeps one grid cell's failure from aborting the cells that "
-        "share its buffer, the contract _run_key keeps for a forecast key",
-    ("evaluate.py", "walked.update(dict.fromkeys(cells, exc))"):
-        "the body of the `except Exception` above",
 }
 
 

@@ -910,6 +910,31 @@ def test_a_score_beyond_the_float_range_exits_4_naming_its_index(tmp_path, capsy
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+def test_an_agaci_half_width_past_the_float_range_is_an_infinite_band(tmp_path, capsys):
+    # values near 1e-150 fit the scaler, so +-v standardize to +-8.988e307 and
+    # every test score is the largest double; AgACI weights whose products
+    # with it round up then sum past the float range
+    v = 9.163922459267195e157
+    values = np.random.default_rng(0).standard_normal(300) * 1e-150
+    path = tmp_path / "top.csv"
+    write_series_csv(path, TimeSeries(values=np.concatenate([values, np.tile([-v, v], 150)])))
+    agaci = write_config(tmp_path, "agaci.json", dataset=str(path), method="agaci",
+                         gamma_grid=[0.1, 0.01, 0.001, 1e-4, 1e-5], eta=0.5)
+    aci = write_config(tmp_path, "aci.json", dataset=str(path))
+    for out, configs in (("agaci", [agaci]), ("aci", [aci]), ("grid", [agaci, aci])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", *map(str, configs), "--out", str(tmp_path / out)])
+        assert (code, capsys.readouterr().err, caught) == (0, "", [])
+    metrics = json.loads((tmp_path / "agaci" / "top-persistence-agaci.metrics.json").read_text())
+    assert (metrics["status"], metrics["metrics"]["n_infinite"]) == ("ok", 180)
+    for alone in ("agaci", "aci"):
+        for ext in ("metrics.json", "bands.csv"):
+            name = f"top-persistence-{alone}.{ext}"
+            grid, single = (tmp_path / out / name for out in ("grid", alone))
+            assert grid.read_bytes() == single.read_bytes()
+
+
 @pytest.mark.parametrize("forecaster, error", [
     ("persistence", "calibration seeding: the forecast for series index 201 is inf"),
     ("ar", "calibration seeding: the forecast for series index 201 is -inf"),

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -410,6 +411,17 @@ def test_per_expert_half_widths_come_in_expert_order():
     bank = AgAciState(0.1, (AciState(0.1, 0.0, 0.3), AciState(0.1, 0.01, 0.5)), (0.5, 0.5))
     _, per_expert = agaci_step(bank, buf, 0.5)
     assert per_expert == [4.0, 3.0]
+
+
+def test_a_weighted_half_width_beyond_the_float_range_is_infinite():
+    # each weight times the largest double rounds up, so the exact sum of the
+    # terms is past the float range, where math.fsum raises
+    weights = (0.061490027007658155, 0.7373329172412018, 0.2011770557511402)
+    top = sys.float_info.max
+    assert conformal._aggregate(weights, [top] * 3, top, 2.0) == math.inf
+    bank = AgAciState(0.1, [AciState(0.1, g) for g in (0.1, 0.01, 0.001)], weights)
+    interval, per_expert = agaci_step(bank, ScoreBuffer(20, [top] * 20), 0.0)
+    assert (interval.half_width, per_expert) == (math.inf, [top] * 3)
 
 
 def test_residual_score():

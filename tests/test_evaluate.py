@@ -804,6 +804,19 @@ def test_grid_runs_one_load_and_one_forecast_pass_per_group(tmp_path, monkeypatc
     assert calls() == {"make_forecaster": 1, "generate_toy": 0, "load_series_csv": 1,
                        "fit_scaler": 1}
 
+    csv = make_csv(tmp_path, "seeded", 0)
+    seeded = [RunConfig(dataset=csv, forecaster="ar", method=m, seed=seed, name=f"{m}-{seed}")
+              for seed in (1, 2) for m in ("aci", "agaci")]
+    results = grid_run(seeded, jobs=jobs)
+    # a CSV load does not read the seed, so cells that differ only in it share
+    # one forecast key: one load and one forecast pass
+    assert calls() == {"make_forecaster": 1, "generate_toy": 0, "load_series_csv": 1,
+                       "fit_scaler": 1}
+    for config, result in zip(seeded, results):
+        single = run_rolling(config)
+        assert report_payload(result) == report_payload(single)
+        assert same_columns(result.columns, single.columns)
+
 
 def test_metrics_json_round_trip(tmp_path):
     config = RunConfig(dataset="toy", forecaster="persistence", method="split",

@@ -12,7 +12,23 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from driftband.cli import main
-from driftband.series import TimeSeries, write_series_csv
+from driftband.series import StandardScaler, TimeSeries, fit_scaler, write_series_csv
+
+
+def widest_swing(scaler: StandardScaler) -> float:
+    """The largest finite v whose standardized swing z(v) - z(-v) is finite: a
+    persistence score of the largest double, where the scaler's std allows one."""
+    def swing(v):
+        return scaler.transform(v) - scaler.transform(-v)
+
+    top = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        v = min(scaler.inverse_transform(top / 2), top)
+        while np.isfinite(swing(np.nextafter(v, np.inf))):
+            v = np.nextafter(v, np.inf)
+        while not np.isfinite(swing(v)):
+            v = np.nextafter(v, 0.0)
+    return float(v)
 
 
 def shaped(shape: str, n: int, seed: int, magnitude: float) -> np.ndarray:
@@ -35,6 +51,13 @@ def shaped(shape: str, n: int, seed: int, magnitude: float) -> np.ndarray:
         values = rng.standard_normal(n) * magnitude
         values[n * 3 // 5 :] = rng.choice([-1.5e158, 1.5e158], size=n - n * 3 // 5)
         return values
+    elif shape == "top-scores":  # from the test window on, +-v in turn (see widest_swing)
+        values = rng.standard_normal(n) * magnitude
+        train, test = round(n * 0.5), round(n * 0.5) + round(n * 0.2)  # the default split's
+        if train >= 2:
+            v = widest_swing(fit_scaler(values[:train]))
+            values[test:] = np.tile([-v, v], n)[: n - test]
+        return values
     elif shape == "period-4":
         values = np.tile(rng.standard_normal(4), n // 4 + 1)[:n]
     elif shape == "rounded":
@@ -47,8 +70,8 @@ def shaped(shape: str, n: int, seed: int, magnitude: float) -> np.ndarray:
 
 
 SHAPES = st.sampled_from([
-    "walk", "plateaus", "steps", "walk-then-constant", "spikes", "huge-tail", "period-4",
-    "rounded", "near-constant",
+    "walk", "plateaus", "steps", "walk-then-constant", "spikes", "huge-tail", "top-scores",
+    "period-4", "rounded", "near-constant",
 ])
 # 4 points is the shortest series whose three windows are all non-empty
 LENGTHS = st.integers(1, 12) | st.sampled_from([40, 120, 400])
@@ -83,6 +106,8 @@ METHODS = st.sampled_from(["none", "split", "aci", "agaci"])
          forecaster=("segmented_ar", {}), method="split")
 @example(shape="huge-tail", n=400, seed=0, magnitude=1e-150,  # a score that overflows
          forecaster=("persistence", {}), method="aci")
+@example(shape="top-scores", n=400, seed=2, magnitude=1.0,  # a weighted width that overflows
+         forecaster=("persistence", {}), method="agaci")
 def test_every_series_shape_runs_or_fails_in_one_line(
     tmp_path_factory, shape, n, seed, magnitude, forecaster, method
 ):
