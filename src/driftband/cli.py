@@ -65,20 +65,13 @@ def _write_runs(out_dir: Path, results) -> None:
         print(f"{line}rmse={fmt(result.rmse)}")
 
 
-def _generate(payload):
-    """The series of a generator spec document and its regime path (None for lorenz)."""
-    spec = datagen.generator_spec_from_json(payload)
-    if isinstance(spec, datagen.SwitchingArSpec):
-        return datagen.generate_toy(spec)
-    return datagen.generate_lorenz(spec), None
-
-
 def cmd_generate(args) -> int:
     spec_arg = str(args.spec)
     if spec_arg in ("toy", "lorenz"):
-        (series, regimes), name = _generate({"kind": spec_arg}), spec_arg
+        (series, regimes), name = datagen.generate({"kind": spec_arg}), spec_arg
     else:  # a spec whose series overflows or blows up is named like one that fails to parse
-        (series, regimes), name = _parse_json_file(Path(spec_arg), _generate), Path(spec_arg).stem
+        series, regimes = _parse_json_file(Path(spec_arg), datagen.generate)
+        name = Path(spec_arg).stem
     out_dir = _out_dir(args)
     series_path = out_dir / f"{name}.csv"
     write_series_csv(series_path, series)
@@ -194,7 +187,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -283,3 +283,11 @@ def generator_spec_from_json(payload: dict) -> SwitchingArSpec | LorenzSpec:
         check_keys(payload, _LORENZ_SPEC_TYPES, "lorenz generator spec")
         return LorenzSpec(**{key: value for key, value in payload.items() if key != "kind"})
     raise ConfigError(f"generator spec 'kind' must be 'toy' or 'lorenz', got {kind!r}")
+
+
+def generate(payload: dict) -> tuple[TimeSeries, np.ndarray | None]:
+    """The series of a generator spec document and its regime path (None for lorenz)."""
+    spec = generator_spec_from_json(payload)
+    if isinstance(spec, SwitchingArSpec):
+        return generate_toy(spec)
+    return generate_lorenz(spec), None

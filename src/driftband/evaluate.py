@@ -168,11 +168,8 @@ def dataset_label(dataset: str) -> str:
 
 def load_dataset(config: RunConfig) -> TimeSeries:
     """Materialize the configured dataset (builtin generators use the run seed)."""
-    if config.dataset == "toy":
-        series, _ = datagen.generate_toy(datagen.default_toy_spec(seed=config.seed))
-        return series
-    if config.dataset == "lorenz":
-        return datagen.generate_lorenz(datagen.LorenzSpec(seed=config.seed))
+    if config.dataset in ("toy", "lorenz"):
+        return datagen.generate({"kind": config.dataset, "seed": config.seed})[0]
     return load_series_csv(config.dataset)
 
 
@@ -247,11 +244,12 @@ def _native_forecast(config: RunConfig) -> Forecast:
     """The forecast pass of the configured native forecaster.
 
     Persistence is the standardized series ``z`` shifted by one step. An AR
-    is fit on the training window of ``z``, then predicts and observes each
-    index of [train_end, test_end) in turn on views of ``z``; its column is
-    cut after the first non-finite prediction (``run_rolling`` names it). A
-    numeric failure while observing is re-raised naming its phase and
-    series index.
+    is fit on the training window of ``z``, then predicts each index of
+    [train_end, test_end) in turn on views of ``z``, observing each value
+    just before the forecast that reads it, so never the last one. Its
+    column is cut after the first non-finite prediction (``run_rolling``
+    names it). A numeric failure while observing is re-raised naming the
+    phase and series index of the value observed.
     """
 
     # An AR fed huge values overflows to inf, and inf - inf is NaN: the observe
@@ -273,19 +271,18 @@ def _native_forecast(config: RunConfig) -> Forecast:
             raise NumericError(
                 f"while fitting the forecaster on the training window: {exc}"
             ) from None
-        predictions = []
-        for t in range(split.train_end, split.test_end):
-            y_hat = forecaster.predict_one(z[:t])
-            predictions.append(y_hat)
-            if not math.isfinite(y_hat):
+        predictions = [forecaster.predict_one(z[: split.train_end])]
+        for t in range(split.train_end + 1, split.test_end):
+            if not math.isfinite(predictions[-1]):
                 break
             try:
-                forecaster.observe(z[: t + 1])
+                forecaster.observe(z[:t])  # the value at t - 1
             except NumericError as exc:
-                phase = "calibration seeding" if t < split.cal_end else "test step"
+                phase = "calibration seeding" if t <= split.cal_end else "test step"
                 raise NumericError(
-                    f"{phase}: while observing series index {series.start_index + t}: {exc}"
+                    f"{phase}: while observing series index {series.start_index + t - 1}: {exc}"
                 ) from None
+            predictions.append(forecaster.predict_one(z[:t]))
         return np.array(predictions, dtype=float)
 
     return forecast

@@ -142,16 +142,19 @@ class ArForecaster(Forecaster):
     """Autoregression refit periodically on a rolling window of the history.
 
     The window length is pinned to the training window length at fit
-    time; the model is refit every ``refit_every`` observations on a view
-    of the last min(window, segment) values of the history ``observe`` gets.
+    time, and each refit reads a view of the last min(window, segment)
+    values of the history ``observe`` gets. One clock times the refits:
+    ``_refit_at`` is the segment length at which the next is due. ``fit``
+    sets it to the window plus ``refit_every``, and each refit to its
+    segment length plus ``refit_every``.
 
     A ``detector`` (``make_forecaster("segmented_ar", ...)`` attaches a
     ``CusumDetector``) watches the one-step residuals. An alarm truncates
     the fit window to the observation that raised it, on the view that
-    older data came from a different regime. Until the new segment has
-    ``order + 2`` points the forecaster falls back to persistence, then
-    refits eagerly. Without a detector the segment never shrinks, so every
-    refit reads the whole window.
+    older data came from a different regime, and sets the clock to
+    ``order + 2``: until the new segment has that many points the
+    forecaster falls back to persistence. Without a detector the segment
+    never shrinks, so every refit reads the whole window.
     """
 
     def __init__(self, order: int, refit_every: int = 25) -> None:
@@ -164,14 +167,14 @@ class ArForecaster(Forecaster):
         self.detector: CusumDetector | None = None
         self._window = 0  # the fit window length
         self._model: ArModel | None = None  # None while a segment regrows
-        self._since_refit = 0
         self._segment_len = 0  # the fit window and later values, or those since an alarm
+        self._refit_at = 0
         self._last_pred: float | None = None
 
     def fit(self, window) -> None:
         self._model = ar_fit(window, self.order)
         self._window = self._segment_len = len(window)
-        self._since_refit = 0
+        self._refit_at = self._window + self.refit_every
         self._last_pred = None
         if self.detector is not None:
             self.detector.reset()
@@ -185,17 +188,12 @@ class ArForecaster(Forecaster):
         pred, self._last_pred = self._last_pred, None
         if self.detector is not None and pred is not None:
             if self.detector.update(float(history[-1]) - pred):
-                self._segment_len, self._model, self._since_refit = 1, None, 0
+                self._segment_len, self._model, self._refit_at = 1, None, self.order + 2
                 return
         self._segment_len += 1
-        self._since_refit += 1
-        if self._model is None:
-            due = self._segment_len >= self.order + 2
-        else:
-            due = self._since_refit >= self.refit_every
-        if due:
+        if self._segment_len >= self._refit_at:
             self._model = ar_fit(history[-min(self._segment_len, self._window) :], self.order)
-            self._since_refit = 0
+            self._refit_at = self._segment_len + self.refit_every
 
 
 class CusumDetector:

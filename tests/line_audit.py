@@ -31,7 +31,6 @@ ALLOWED = {
     ("__main__.py", "import sys"): _CHILD_ONLY,
     ("__main__.py", "from .cli import main"): _CHILD_ONLY,
     ("__main__.py", "sys.exit(main())"): _CHILD_ONLY,
-    ("cli.py", "sys.exit(main())"): "runs only when cli.py is the main module of a process",
 }
 
 

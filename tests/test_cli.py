@@ -958,6 +958,58 @@ def test_a_value_that_overflows_when_standardized_exits_4_with_one_line(
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+def last_value_overflows(tmp_path) -> Path:
+    """Values near 1e-150, so 1e160 as the last one standardizes to inf; no
+    forecast reads that value, and only a rolling buffer takes its score."""
+    values = np.random.default_rng(0).standard_normal(300) * 1e-150
+    values[-1] = 1e160
+    path = tmp_path / "last.csv"
+    write_series_csv(path, TimeSeries(values=values))
+    return path
+
+
+@pytest.mark.parametrize("forecaster, method, buffer_mode", [
+    ("ar", "split", "frozen"),
+    ("ar", "agaci", "frozen"),
+    ("segmented_ar", "split", "frozen"),
+    ("ar", "none", "rolling"),
+    ("segmented_ar", "none", "rolling"),
+    ("ar", "split", "rolling"),
+    ("segmented_ar", "split", "rolling"),
+])
+def test_the_value_after_the_last_forecast_is_never_observed(
+    tmp_path, capsys, forecaster, method, buffer_mode
+):
+    config = write_config(tmp_path, dataset=str(last_value_overflows(tmp_path)),
+                          forecaster=forecaster, method=method, buffer_mode=buffer_mode,
+                          forecaster_params={"order": 2, "refit_every": 1})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    if method != "none" and buffer_mode == "rolling":
+        assert (code, capsys.readouterr().err, caught) == (
+            4, "error: test step: the score at series index 299 is inf\n", [])
+    else:
+        assert (code, capsys.readouterr().err, caught) == (0, "", [])
+
+
+def test_a_frozen_cell_beside_a_failing_rolling_one_runs_as_alone(tmp_path, capsys):
+    cell = dict(dataset=str(last_value_overflows(tmp_path)), forecaster="ar", method="split",
+                forecaster_params={"order": 2, "refit_every": 1})
+    frozen, rolling = (tmp_path / f"{mode}.json" for mode in ("frozen", "rolling"))
+    for path in (frozen, rolling):
+        path.write_text(json.dumps({**cell, "buffer_mode": path.stem, "name": path.stem}))
+    assert main(["run", "--config", str(frozen), "--out", str(tmp_path / "alone")]) == 0
+    grid = ["run", "--config", str(frozen), str(rolling), "--out", str(tmp_path / "grid")]
+    assert main(grid) == 0
+    capsys.readouterr()
+    for ext in ("metrics.json", "bands.csv"):
+        assert ((tmp_path / "grid" / f"frozen.{ext}").read_bytes()
+                == (tmp_path / "alone" / f"frozen.{ext}").read_bytes())
+    failed = json.loads((tmp_path / "grid" / "rolling.metrics.json").read_text())
+    assert failed["error"] == "NumericError: test step: the score at series index 299 is inf"
+
+
 def test_duplicate_run_names_exit_2_before_any_load(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     a = write_config(tmp_path, "a.json", dataset=missing, seed=1)

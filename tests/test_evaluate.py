@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from driftband import conformal, datagen, evaluate
+from driftband import conformal, datagen, evaluate, forecasters
 from driftband.conformal import AgAciState, ScoreBuffer, agaci_step, agaci_update
 from driftband.errors import ConfigError, NumericError
 from driftband.evaluate import (
@@ -816,6 +816,21 @@ def test_grid_runs_one_load_and_one_forecast_pass_per_group(tmp_path, monkeypatc
         single = run_rolling(config)
         assert report_payload(result) == report_payload(single)
         assert same_columns(result.columns, single.columns)
+
+
+def test_an_ar_pass_refits_and_observes_only_what_a_forecast_reads(monkeypatch):
+    fits, observed = [], []
+    ar_fit, observe = forecasters.ar_fit, forecasters.ArForecaster.observe
+    monkeypatch.setattr(forecasters, "ar_fit", lambda w, p: fits.append(len(w)) or ar_fit(w, p))
+    monkeypatch.setattr(forecasters.ArForecaster, "observe",
+                        lambda self, h: observed.append(len(h)) or observe(self, h))
+    config = RunConfig(dataset="toy", forecaster="ar", method="none", seed=3,
+                       forecaster_params={"refit_every": 25})
+    assert run_rolling(config).n_steps == 900
+    # 1,500 forecasts read the 1,499 values after the training window but the
+    # last: the fit, then a refit every 25 of them
+    assert observed == list(range(1501, 3000))
+    assert fits == [1500] * 60
 
 
 def test_metrics_json_round_trip(tmp_path):

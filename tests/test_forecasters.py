@@ -411,6 +411,13 @@ _QUIET = [0.1 * (i % 7) - 0.3 for i in range(40)]
     + [(True, y) for y in _QUIET],
     refit_at=None,
 )
+@example(  # a second alarm at the 31st value after the first, before the segment has order + 2
+    segmented=True, order=30, refit_every=5, threshold=3.0, drift=0.0,
+    train=[float(i % 5) for i in range(40)], warm=_QUIET[:30],
+    steps=[(True, 80.0)] + [(True, y) for y in _QUIET[:30]] + [(True, 80.0)]
+    + [(True, y) for y in _QUIET],
+    refit_at=None,
+)
 @example(  # a plain AR whose refits must read the whole window
     segmented=False, order=3, refit_every=4, threshold=math.inf, drift=0.5,
     train=[float(i % 5) for i in range(30)], warm=_QUIET, steps=[], refit_at=None,
