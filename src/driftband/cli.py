@@ -20,11 +20,8 @@ from .fileio import atomic_write_text, read_json, shared_cells
 from .forecasters import ExternalForecastTrace
 from .series import load_series_csv, write_series_csv
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_NUMERIC = 4
-EXIT_ALIGNMENT = 5
+# The exit code of each error class ``main`` reports; success is 0.
+_EXIT_CODES = {AlignmentError: 5, ConfigError: 2, NumericError: 4, OSError: 3}
 
 # perfbench/tracing.py patches this name; nothing calls it.
 ReplayForecaster = None
@@ -65,7 +62,7 @@ def _write_runs(out_dir: Path, results) -> None:
         print(f"{line}rmse={fmt(result.rmse)}")
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     spec_arg = str(args.spec)
     if spec_arg in ("toy", "lorenz"):
         (series, regimes), name = datagen.generate({"kind": spec_arg}), spec_arg
@@ -80,10 +77,9 @@ def cmd_generate(args) -> int:
         datagen.write_regimes_csv(out_dir / f"{name}.regimes.csv", regimes)
         summary += f" regimes={int(np.unique(regimes).size)}"
     print(f"{summary} -> {series_path}")
-    return EXIT_OK
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     configs = [_parse_json_file(Path(p), evaluate.run_config_from_dict) for p in args.config]
@@ -102,10 +98,9 @@ def cmd_run(args) -> int:
     else:
         results = evaluate.grid_run(configs, jobs=args.jobs)
     _write_runs(out_dir, results)
-    return EXIT_OK
 
 
-def cmd_wrap(args) -> int:
+def cmd_wrap(args) -> None:
     config = _parse_json_file(Path(args.config), evaluate.run_config_from_dict)
     out_dir = _out_dir(args)
     series = load_series_csv(Path(args.series))
@@ -122,10 +117,9 @@ def cmd_wrap(args) -> int:
         return scaler.transform(trace.y_hat[start - trace.start : end - trace.start])
 
     _write_runs(out_dir, [evaluate.run_rolling(config, series=series, forecast=forecast)])
-    return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     payloads = [evaluate.load_metrics_json(Path(p)) for p in args.inputs]
     rows = evaluate.comparison_rows(payloads)
     out_dir = _out_dir(args)
@@ -133,7 +127,6 @@ def cmd_report(args) -> int:
     atomic_write_text(out_dir / "report.csv", evaluate.comparison_csv(rows))
     atomic_write_text(out_dir / "report.txt", table)
     print(table, end="")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,16 +167,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except AlignmentError as exc:
+        args.func(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALIGNMENT
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    return 0

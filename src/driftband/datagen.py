@@ -124,6 +124,7 @@ class SwitchingArSpec:
             raise ConfigError(
                 f"got {len(self.regimes)} regime parameter sets for a chain with {k} regimes"
             )
+        check_integer_fields(self, ("T", "seed"), numbers_only=True)
         _check_length(self.T)
         if not math.isfinite(self.y0):
             raise ConfigError(f"starting value must be finite, got {self.y0}")
@@ -185,6 +186,7 @@ class LorenzSpec:
     def __post_init__(self) -> None:
         if not self.dt > 0:  # also true for NaN
             raise ConfigError(f"integrator step must be positive, got {self.dt}")
+        check_integer_fields(self, ("T", "subsample", "seed"), numbers_only=True)
         if self.subsample < 1:
             raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
         _check_length(self.T)

@@ -113,6 +113,7 @@ class RunConfig:
             raise ConfigError(
                 f"buffer_mode must be 'rolling' or 'frozen', got {self.buffer_mode!r}"
             )
+        check_integer_fields(self, ("lag", "seed"), numbers_only=True)
         if self.lag < 1:
             raise ConfigError(f"lag must be >= 1, got {self.lag}")
         if self.seed < 0:

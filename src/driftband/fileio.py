@@ -272,15 +272,19 @@ def check_keys(payload, types: dict[str, str], where: str, required: Sequence[st
             raise ConfigError(f"{where} key {key!r} must be {types[key]}, got {value!r}")
 
 
-def check_integer_fields(obj, names: Sequence[str]) -> None:
+def check_integer_fields(obj, names: Sequence[str], numbers_only: bool = False) -> None:
     """Make each named field of a frozen dataclass a plain ``int``. A numpy
     integer is converted, so JSON output takes it; any other value, NaN
-    included, is a ``ConfigError`` naming the field."""
+    included, is a ``ConfigError`` naming the field. With ``numbers_only`` it
+    rejects only a value that is not a real number and converts nothing: run
+    before the range checks, it keeps them from comparing a string or None,
+    and a number out of range still gets their message."""
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, numbers.Integral):
+        if not isinstance(value, numbers.Real if numbers_only else numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+        if not numbers_only:
+            object.__setattr__(obj, name, int(value))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -18,7 +18,6 @@ original data units happens in the evaluation layer.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,24 +30,8 @@ from .series import TimeSeries
 TRACE_CSV_HEADER = ("index", "y_true", "y_hat")
 
 
-class Forecaster(ABC):  # perfbench/tracing.py subclasses it
-    """Contract between a per-step point forecaster and the forecast pass.
-
-    ``predict_one`` receives the entire history prefix observed so far
-    (training window included), oldest first.
-    """
-
-    @abstractmethod
-    def fit(self, window) -> None:
-        """Train on an initial window of observations."""
-
-    @abstractmethod
-    def predict_one(self, history) -> float:
-        """Point prediction for the value following ``history``."""
-
-    def observe(self, history) -> None:
-        """Ingest ``history``, the prefix given to the last ``predict_one``
-        plus the value realized after it; a forecaster may keep views of it."""
+# perfbench/tracing.py subclasses this name; nothing else reads it.
+Forecaster = object
 
 
 @dataclass(frozen=True)
@@ -138,8 +121,13 @@ def ar_fit(window, order: int) -> ArModel:
     return ArModel(coef=coef, intercept=intercept)
 
 
-class ArForecaster(Forecaster):
+class ArForecaster:
     """Autoregression refit periodically on a rolling window of the history.
+
+    The forecast pass calls ``fit(window)`` on the training window, then
+    ``predict_one(history)`` for the value after ``history``, the whole
+    prefix observed so far, oldest first; ``observe(history)`` gets that
+    prefix plus the value realized after it, and may keep views of it.
 
     The window length is pinned to the training window length at fit
     time, and each refit reads a view of the last min(window, segment)

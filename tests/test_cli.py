@@ -197,6 +197,26 @@ def test_run_mistyped_config_value_exits_2_naming_the_key(tmp_path, capsys, key,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("name", None), ("lag", 1)])
+def test_a_null_name_and_the_smallest_lag_run(tmp_path, capsys, key, value):
+    config = tmp_path / "cfg.json"  # written here: write_config takes a name of its own
+    config.write_text(json.dumps({"dataset": "toy", "forecaster": "ar", key: value}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "toy-ar-aci.bands.csv").is_file()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("name", 5, "run config key 'name' must be a string or null, got 5"),
+    ("alpha", 0, "alpha must lie in (0, 1), got 0"),
+    ("weight_floor", 1, "weight_floor must lie in [0, 1), got 1"),
+])
+def test_config_values_at_the_edge_of_their_range_exit_2(tmp_path, capsys, key, value, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dataset": "toy", key: value}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+
 def test_one_expert_agaci_writes_the_aci_bands(tmp_path, series_csv, capsys):
     aci = write_config(tmp_path, "aci.json", dataset=str(series_csv), gamma=0.02)
     agaci = write_config(tmp_path, "agaci.json", dataset=str(series_csv), method="agaci",
@@ -387,6 +407,40 @@ def test_wrap_truth_tolerance_is_1e_9(tmp_path, series_csv, capsys, offset, code
     assert ("index 200" in capsys.readouterr().err) == (code == 5)
 
 
+@pytest.mark.parametrize("first, extra, code", [(1001, 0, 0), (1001, 10, 0), (1151, 0, 5)],
+                         ids=["exact", "ten-extra-rows", "late-start"])
+def test_run_and_wrap_index_a_series_that_starts_at_1000_alike(
+    tmp_path, capsys, first, extra, code
+):
+    """The train/calibration/test split of 300 rows ends at 150, 210 and 300,
+    so the run needs forecasts for [1150, 1300) and writes bands from 1210.
+    A persistence trace that covers them wraps to the bytes the run writes,
+    whatever it holds past them; one that starts after 1150 exits 5."""
+    values = np.random.default_rng(4).normal(size=300)
+    series_csv = tmp_path / "late.csv"
+    write_series_csv(series_csv, TimeSeries(values=values, start_index=1000))
+    lines = ["index,y_true,y_hat"]
+    for t in range(first, 1300 + extra):
+        y, y_hat = (values[t - 1000], values[t - 1001]) if t < 1300 else (0.0, 0.0)
+        lines.append(f"{t},{float(y)!r},{float(y_hat)!r}")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dataset": str(series_csv), "forecaster": "persistence",
+                                  "name": "late"}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+    assert main(["wrap", "--trace", str(trace), "--series", str(series_csv),
+                 "--config", str(config), "--out", str(tmp_path / "w")]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"error: trace covers indices [{first}, 1300) but the run needs [1150, 1300)\n"
+        )
+        return
+    bands = (tmp_path / "r" / "late.bands.csv").read_bytes()
+    assert (tmp_path / "w" / "late.bands.csv").read_bytes() == bands
+    assert bands.splitlines()[1].startswith(b"1210,")
+
+
 def test_wrap_perfect_trace_gives_zero_width_full_coverage(tmp_path, series_csv, capsys):
     series = load_series_csv(series_csv)
     lines = ["index,y_true,y_hat"]
@@ -485,6 +539,37 @@ def test_report_identical_duplicates_collapse(tmp_path, series_csv, capsys):
     assert code == 0
     lines = (tmp_path / "rep" / "report.csv").read_text().splitlines()
     assert len(lines) == 2  # header + the single deduplicated row
+
+
+def metrics_file(tmp_path, forecaster, method, coverage, width, alpha=0.1):
+    payload = {
+        "dataset": "toy", "forecaster": forecaster, "method": method, "status": "ok",
+        "alpha": alpha, "metrics": {"rmse": 1.0, "coverage": coverage, "median_width": width,
+                                    "n_infinite": 0, "n_zero_width": 0, "n_steps": 900},
+    }
+    path = tmp_path / f"{forecaster}-{method}.metrics.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("cells, table", [
+    ([("persistence", "aci", 0.9, 1.25, 0.1), ("persistence", "split", 0.8765, 12.5, 0.1),
+      ("ar", "aci", 0.905, 0.5, 0.1), ("ar", "split", 0.88, 1234.5, 0.1)],
+     "                      Coverage@90%        Median width\n"
+     "dataset  forecaster   aci cov  split cov  aci width  split width\n"
+     "toy      ar           0.905    0.880      0.500      1234.500\n"
+     "toy      persistence  0.900    0.876      1.250      12.500\n"),
+    # the title is wider than the coverage column, which is padded to it
+    ([("ar", "split", 0.9, 1.5, 0.125)],
+     "                     Coverage@87.5%  Median width\n"
+     "dataset  forecaster  split cov       split width\n"
+     "toy      ar          0.900           1.500\n"),
+], ids=["two-by-two", "wide-title"])
+def test_report_txt_is_the_aligned_table_byte_for_byte(tmp_path, capsys, cells, table):
+    inputs = [metrics_file(tmp_path, *cell) for cell in cells]
+    assert main(["report", "--inputs", *inputs, "--out", str(tmp_path / "rep")]) == 0
+    assert (tmp_path / "rep" / "report.txt").read_bytes() == table.encode()
+    assert capsys.readouterr().out == table
 
 
 def test_report_missing_input_exits_3(tmp_path, capsys):

@@ -227,6 +227,14 @@ def test_flat_kernel_matches_the_object_oracle_bit_for_bit(
     floor=1e-6, cap=2.0, seed_scores=[0.25, 1.0, 2.5], capacity=3, rolling=True,
     steps=[(0.0, 0.0), (2.0, 0.0), (-1.0, 0.5), (0.0, 3.0)] * 3,
 )
+@example(  # a lone expert's -0.0 level: the step loop's fsum gives +0.0
+    experts=[(0.0, -0.0)], raw_weights=[1.0] * 6, eta=1.0, floor=1e-6, cap=2.0,
+    seed_scores=[0.25], capacity=1, rolling=False, steps=[(0.0, 0.0)] * 2,
+)
+@example(  # a lone expert reading a -0.0 score: the step loop's fsum gives +0.0
+    experts=[(0.0, 0.5)], raw_weights=[1.0] * 6, eta=1.0, floor=1e-6, cap=2.0,
+    seed_scores=[-0.0], capacity=1, rolling=False, steps=[(0.0, 0.0)] * 2,
+)
 def test_calibrate_matches_the_step_loop_and_the_object_oracle_bit_for_bit(
     experts, raw_weights, eta, floor, cap, seed_scores, capacity, rolling, steps
 ):
@@ -447,6 +455,8 @@ def test_buffer_rejects_bad_input():
         buf.append(-1.0)
     with pytest.raises(NumericError):
         buf.append(float("nan"))
+    with pytest.raises(NumericError, match="scores must be finite"):
+        buf.append(math.inf)
     with pytest.raises(NumericError):
         buf.max()
 
@@ -659,8 +669,9 @@ def test_from_gammas_is_the_constructor_with_uniform_weights(gammas):
     (1.0, [0.01, 0.02], {}, "nominal alpha must lie in (0, 1), got 1.0"),
     (math.nan, [0.01], {}, "nominal alpha must lie in (0, 1), got nan"),
     (0.1, [0.01, 0.1], {"weight_floor": 1.0}, "weight floor must lie in [0, 1), got 1.0"),
+    (0.1, [0.01], {"infinite_cap_factor": 0.0}, "infinite cap factor must be positive, got 0.0"),
 ], ids=["empty", "negative", "repeated", "inf", "nan", "alpha-0", "alpha-1", "alpha-nan",
-        "floor-1"])
+        "floor-1", "cap-0"])
 def test_from_gammas_messages(alpha, gammas, options, message):
     with pytest.raises(ConfigError) as raised:
         AgAciState.from_gammas(alpha, gammas, **options)

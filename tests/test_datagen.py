@@ -121,7 +121,11 @@ def test_switching_spec_validation():
     # values rejected before keep their messages
     ("T", 0.5, "series length must be >= 1, got 0.5"),
     ("seed", -1.5, "seed must be non-negative, got -1.5"),
-], ids=["T-nan", "T-2.5", "T-100.0", "seed-nan", "seed-2.5", "T-0.5", "seed-minus-1.5"])
+    # values that are not numbers are named before a range check compares them
+    ("T", "5", "T must be an integer, got '5'"),
+    ("seed", None, "seed must be an integer, got None"),
+], ids=["T-nan", "T-2.5", "T-100.0", "seed-nan", "seed-2.5", "T-0.5", "seed-minus-1.5",
+        "T-str", "seed-none"])
 def test_spec_rejects_a_non_integer_length_or_seed(make, key, value, message):
     with pytest.raises(ConfigError) as raised:
         make(**{key: value})
@@ -298,6 +302,8 @@ def test_lorenz_spec_validation():
         assert str(raised.value) == message
     with pytest.raises(ConfigError, match="^subsample must be an integer, got 2.5$"):
         LorenzSpec(subsample=2.5)
+    with pytest.raises(ConfigError, match="^subsample must be an integer, got None$"):
+        LorenzSpec(subsample=None)
     with pytest.raises(ConfigError, match="^obs_noise must be finite$"):
         LorenzSpec(obs_noise=math.inf)
     for T in (10**20, 2**62):

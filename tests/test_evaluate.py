@@ -164,8 +164,11 @@ def test_config_rejects_non_finite_steps(bad, message):
     # values rejected before keep their messages
     ({"lag": 0.5}, "lag must be >= 1, got 0.5"),
     ({"seed": -1.5}, "seed must be non-negative, got -1.5"),
+    # values that are not numbers are named before a range check compares them
+    ({"seed": None}, "seed must be an integer, got None"),
+    ({"lag": "3"}, "lag must be an integer, got '3'"),
 ], ids=["eta", "cap_factor", "split", "lag-nan", "lag-2.5", "seed-nan", "seed-2.5",
-        "lag-0.5", "seed-minus-1.5"])
+        "lag-0.5", "seed-minus-1.5", "seed-none", "lag-str"])
 def test_config_rejects_nan(bad, message):
     with pytest.raises(ConfigError) as raised:
         RunConfig(dataset="toy", **bad)
@@ -510,6 +513,44 @@ def test_degenerate_training_window_is_a_numeric_error():
     with pytest.raises(NumericError, match="^while fitting the forecaster on the training "
                                           "window: window of length 2 cannot fit an order-3 "):
         run_rolling(config, series=TimeSeries(values=np.arange(5.0)))
+
+
+@pytest.mark.parametrize("at, phase", [(209, "calibration seeding"), (210, "test step")])
+@pytest.mark.parametrize("kind", ["observe", "forecast", "score"])
+def test_a_failure_names_the_phase_of_its_position_and_the_series_index(
+    monkeypatch, kind, at, phase
+):
+    """Of 300 values the first 150 train, the next 60 seed the buffer and the
+    last 90 are test steps (cal_end = 210). A failure at position 209 is the
+    last of the seeding and one at 210 the first test step; each names the
+    series index, here offset by a start index of 1000."""
+    values = np.random.default_rng(0).normal(size=300)
+    config = RunConfig(dataset="late", forecaster="ar" if kind == "observe" else "persistence")
+
+    def forecast(series, split, scaler, z):
+        column = z[split.train_end - 1 : split.test_end - 1].copy()
+        column[at - split.train_end] = -z[at] if kind == "score" else math.inf
+        return column
+
+    if kind == "observe":
+        observe = forecasters.ArForecaster.observe
+
+        def failing(self, history):
+            if len(history) == at + 1:  # the value at ``at`` arrives
+                raise NumericError("refused")
+            observe(self, history)
+
+        monkeypatch.setattr(forecasters.ArForecaster, "observe", failing)
+        forecast, error = None, f"while observing series index {1000 + at}: refused"
+    elif kind == "forecast":
+        error = f"the forecast for series index {1000 + at} is inf"
+    else:  # the value at ``at`` standardizes to 0.9 * max, and its forecast to minus that
+        values[at] = 0.9 * np.finfo(float).max * fit_scaler(values[:150]).std
+        error = f"the score at series index {1000 + at} is inf"
+    series = TimeSeries(values=values, start_index=1000)
+    with pytest.raises(NumericError) as raised:
+        run_rolling(config, series, forecast)
+    assert str(raised.value) == f"{phase}: {error}"
 
 
 def test_too_short_series_is_a_config_error():

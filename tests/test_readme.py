@@ -7,6 +7,7 @@ from pathlib import Path
 
 import driftband
 from driftband import cli, datagen, evaluate
+from driftband.errors import AlignmentError, ConfigError, NumericError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -75,3 +76,16 @@ def test_the_generator_spec_blocks_are_the_defaults():
     toy, lorenz = re.findall(r"```json\n(.*?)```", section, re.S)
     assert datagen.generator_spec_from_json(json.loads(toy)) == datagen.default_toy_spec()
     assert datagen.generator_spec_from_json(json.loads(lorenz)) == datagen.LorenzSpec()
+
+
+def test_the_exit_code_table_is_the_cli_table():
+    """Codes 2-5 of the "Exit codes" table are the codes ``cli.main`` gives
+    the four error classes, and each row names its class's kind of problem."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| (\d+) \| (.*) \|$", section, re.M))
+    kinds = {ConfigError: "config/spec problem", OSError: "I/O problem",
+             NumericError: "numeric failure", AlignmentError: "trace/series alignment failure"}
+    assert sorted(rows) == ["0", *sorted(map(str, cli._EXIT_CODES.values()))]
+    for cls, code in cli._EXIT_CODES.items():
+        assert rows[str(code)].startswith(kinds[cls]), (cls, rows[str(code)])
