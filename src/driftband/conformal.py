@@ -236,21 +236,17 @@ class AgAciState:
         return _effective_alpha(self.weights, self.alphas)
 
     @classmethod
-    def from_gammas(
-        cls, alpha_nominal: float, gammas: Sequence[float], eta: float = 1.0,
-        weight_floor: float = 1e-6, infinite_cap_factor: float = 2.0,
-    ) -> "AgAciState":
+    def from_gammas(cls, alpha_nominal: float, gammas: Sequence[float], **options) -> "AgAciState":
         """A bank of one expert per step size, all at the nominal level, with
-        uniform weights."""
+        uniform weights; ``options`` (``eta``, ``weight_floor``,
+        ``infinite_cap_factor``) go to the constructor."""
         gammas = tuple(float(g) for g in gammas)
         if any(g < 0 for g in gammas) or len(set(gammas)) != len(gammas):
             raise ConfigError(f"step sizes must be distinct and non-negative, got {gammas}")
         if not all(map(math.isfinite, gammas)):
             raise ConfigError(f"step sizes must be finite, got {gammas}")
-        return cls(
-            alpha_nominal, [AciState(alpha_nominal, g) for g in gammas],
-            [1.0 / len(gammas) for _ in gammas], eta, weight_floor, infinite_cap_factor,
-        )
+        return cls(alpha_nominal, [AciState(alpha_nominal, g) for g in gammas],
+                   [1.0 / len(gammas) for _ in gammas], **options)
 
 
 def _effective_alpha(weights: Sequence[float], alphas: Sequence[float]) -> float:
@@ -273,37 +269,25 @@ def _aggregate(
         return math.inf
 
 
-def _ewa(bank: AgAciState) -> tuple | None:
-    """The bank's reweighing constants for ``_reweigh``, or None when its
-    weights stay fixed: ``eta``, the pinball level ``tau``, the mix ``1 -
-    floor`` and ``floor / K``, and the mixed uniform fallback. A lone
-    expert's weight is a fixed point of the mix ((1 - floor) + floor rounds
-    to 1), so a one-expert bank keeps its weight."""
-    k, floor = len(bank.experts), bank.weight_floor
-    if k == 1 or not bank.eta > 0:
-        return None
-    keep, share = 1.0 - floor, floor / k
-    return bank.eta, 1.0 - bank.alpha_nominal, keep, share, [keep * (1.0 / k) + share] * k
-
-
 def _reweigh(
-    weights: Sequence[float], widths: Sequence[float], score: float, ewa: tuple | None
+    bank: AgAciState, weights: Sequence[float], widths: Sequence[float], score: float
 ) -> Sequence[float]:
-    """The bank's next weights (see ``agaci_update``): ``weights`` without
-    ``ewa`` (see ``_ewa``); with it, each expert's raw factor w * exp(-eta *
-    pinball loss at ``tau`` of its half-width against ``score``), 0 for an
-    infinite width, normalized and mixed with uniform at the floor rate, or
-    the uniform fallback when every factor is 0."""
-    if ewa is None:
+    """The weights after ``weights`` by ``agaci_update``'s rule, for half-widths
+    ``widths`` and ``score``, or the mixed uniform when every factor is 0; kept
+    for ``eta`` 0 and for a lone expert, whose weight the mix leaves at 1."""
+    k, floor, eta = len(weights), bank.weight_floor, bank.eta
+    if k == 1 or not eta > 0:
         return weights
-    eta, tau, keep, share, uniform = ewa
+    tau, keep, share = 1.0 - bank.alpha_nominal, 1.0 - floor, floor / k
     raw = []
     for w, hw in zip(weights, widths):
         diff = score - hw
         loss = tau * diff if diff >= 0 else (tau - 1.0) * diff
         raw.append(0.0 if hw == math.inf else w * math.exp(-eta * loss))
     total = math.fsum(raw)
-    return [keep * (r / total) + share for r in raw] if total > 0 else uniform
+    if total > 0:
+        return [keep * (r / total) + share for r in raw]
+    return [keep * (1.0 / k) + share] * k
 
 
 def _bank_with(
@@ -358,7 +342,7 @@ def agaci_update(
     y, center, alpha = float(y), float(y_hat), state.alpha_nominal
     alphas = [_next_level(alpha, e.alpha_t, e.gamma, hw, y, center)
               for e, hw in zip(state.experts, half_widths)]
-    weights = _reweigh(state.weights, half_widths, abs(y - center), _ewa(state))
+    weights = _reweigh(state, state.weights, half_widths, abs(y - center))
     return _bank_with(state, alphas, weights)
 
 
@@ -403,12 +387,12 @@ def calibrate(
                 half_widths += [w * hw + 0.0 for hw in widths]
                 levels += [w * a + 0.0 for a in column]
                 continue
-            ewa, cap_factor = _ewa(b), b.infinite_cap_factor
+            cap_factor = b.infinite_cap_factor
             columns = zip(*[walk[3] for walk in bank]), zip(*[walk[4] for walk in bank])
             for y, f, top, step_alphas, step_widths in zip(ys, fs, peaks, *columns):
                 levels.append(_effective_alpha(weights, step_alphas))
                 half_widths.append(_aggregate(weights, step_widths, top, cap_factor))
-                weights = _reweigh(weights, step_widths, abs(y - f), ewa)
+                weights = _reweigh(b, weights, step_widths, abs(y - f))
             out[i] = half_widths, levels, weights
     return [(half_widths, levels, _bank_with(b, [walk[0] for walk in bank], weights))
             for b, bank, (half_widths, levels, weights) in zip(banks, walks, out)]

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -63,9 +64,9 @@ class RunConfig:
     alpha: float = 0.1
     gamma: float = 0.01
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
-    eta: float = 1.0
-    weight_floor: float = 1e-6
-    cap_factor: float = 2.0
+    eta: float = conformal.AgAciState.eta  # the bank's defaults
+    weight_floor: float = conformal.AgAciState.weight_floor
+    cap_factor: float = conformal.AgAciState.infinite_cap_factor
     lag: int = 24
     split: tuple[float, float, float] = (0.5, 0.2, 0.3)
     seed: int = 0
@@ -84,13 +85,16 @@ class RunConfig:
             )
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        for key in ("alpha", "gamma", "eta", "weight_floor", "cap_factor"):
+            if not isinstance(getattr(self, key), numbers.Real):  # named before a range check
+                raise ConfigError(f"{key} must be a number, got {getattr(self, key)!r}")
         if not 0 < self.alpha < 1:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.gamma < 0:
             raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
         if not math.isfinite(self.gamma):
             raise ConfigError(f"gamma must be finite, got {self.gamma}")
-        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
+        _set_floats(self, "gamma_grid", "gamma_grid must be distinct non-negative steps")
         if self.method == "agaci" and not self.gamma_grid:
             raise ConfigError("agaci needs a nonempty gamma grid")
         grid = self.gamma_grid
@@ -104,7 +108,7 @@ class RunConfig:
             raise ConfigError(f"weight_floor must lie in [0, 1), got {self.weight_floor}")
         if not self.cap_factor > 0:
             raise ConfigError(f"cap_factor must be positive, got {self.cap_factor}")
-        object.__setattr__(self, "split", tuple(float(f) for f in self.split))
+        _set_floats(self, "split", "split must be three positive fractions")
         if len(self.split) != 3 or any(not f > 0 for f in self.split):
             raise ConfigError(f"split must be three positive fractions, got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
@@ -134,6 +138,16 @@ class RunConfig:
         if self.name:
             return self.name
         return f"{dataset_label(self.dataset)}-{self.forecaster}-{self.method}"
+
+
+def _set_floats(config: RunConfig, key: str, rule: str) -> None:
+    """Make field ``key`` a tuple of floats; a value that is not a sequence of
+    real numbers is a ``ConfigError``: ``rule``, with the value."""
+    value = getattr(config, key)
+    items = tuple(value) if isinstance(value, Iterable) else None
+    if items is None or not all(isinstance(x, numbers.Real) for x in items):
+        raise ConfigError(f"{rule}, got {value!r}")
+    object.__setattr__(config, key, tuple(map(float, items)))
 
 
 # The JSON type each key of a run config must have.

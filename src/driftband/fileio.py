@@ -88,15 +88,15 @@ def read_indexed_csv(path: str | Path, header: Sequence[str]) -> tuple[int, np.n
     if not size:
         raise ConfigError(f"{path}: no data rows")
     start = int(index[0])
-    if not _INDEX_MIN <= start <= _INDEX_MAX - size:
+    if not _INDEX_MIN <= start <= _INDEX_MAX:
         raise ConfigError(f"{path}: line {line_of[0]}: index {start} is outside the 64-bit range")
-    gaps = np.flatnonzero(index != np.arange(start, start + size))
-    if gaps.size:
-        row = gaps[0]
-        raise ConfigError(
-            f"{path}: line {line_of[row]}: index {index[row]} breaks the gap-free order "
-            f"(previous was {index[row - 1]})"
-        )
+    fit = min(size, _INDEX_MAX - start + 1)  # the rows whose gap-free index is in range
+    gaps = np.flatnonzero(index[:fit] != np.arange(fit) + start)
+    row = int(gaps[0]) if gaps.size else fit
+    if row < size:  # a gap, or a gap-free index past the largest
+        rule = ("is outside the 64-bit range" if int(index[row]) == start + row
+                else f"breaks the gap-free order (previous was {index[row - 1]})")
+        raise ConfigError(f"{path}: line {line_of[row]}: index {index[row]} {rule}")
     if not np.isfinite(values).all():
         row, column = np.argwhere(~np.isfinite(values))[0]
         raise ConfigError(

@@ -3,10 +3,8 @@ list every executable line of ``src/driftband`` that no test ran.
 
     python tests/line_audit.py
 
-Run it from any directory. Each line that never
-ran is printed as ``file:line: source``, followed by its reason when
-``ALLOWED`` lists it. The audit exits 1 if a test fails, if a line that never
-ran is not on ``ALLOWED``, or if an ``ALLOWED`` entry ran or no longer exists;
+Run it from any directory. Each line that never ran is printed as
+``file:line: source``. The audit exits 1 if a test fails or a line never ran;
 otherwise 0. Lines that run only in child processes (``--jobs`` workers, the
 console-script test) are not seen. Tracing roughly doubles the suite's time, so
 tier-1 does not run the audit.
@@ -23,15 +21,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "driftband"
-
-_CHILD_ONLY = "runs only as `python -m driftband`, in the console-script test's child process"
-
-# (file, the line's source without indentation) -> why no test runs it.
-ALLOWED = {
-    ("__main__.py", "import sys"): _CHILD_ONLY,
-    ("__main__.py", "from .cli import main"): _CHILD_ONLY,
-    ("__main__.py", "sys.exit(main())"): _CHILD_ONLY,
-}
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -69,21 +58,15 @@ def main() -> int:
         print("line audit: the suite replaced the tracer, so lines run after that are unseen")
         return 1
 
-    unlisted, matched = 0, set()
+    unrun = 0
     print("\nlines of src/driftband that no test ran:")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines()
         for line in sorted(executable_lines(path) - {l for f, l in hits if f == str(path)}):
-            key = (path.name, source[line - 1].strip())
-            reason = ALLOWED.get(key)
-            matched.add(key)
-            unlisted += reason is None
-            print(f"  {path.name}:{line}: {key[1]}\n    {reason or 'NOT ON THE ALLOW-LIST'}")
-    stale = sorted(set(ALLOWED) - matched)
-    for name, text in stale:
-        print(f"  allow-list entry that ran or is gone: {name}: {text}")
-    print(f"line audit: {unlisted} unlisted, {len(stale)} stale, pytest exit {int(status)}")
-    return int(bool(unlisted or stale or status != 0))
+            unrun += 1
+            print(f"  {path.name}:{line}: {source[line - 1].strip()}")
+    print(f"line audit: {unrun} unrun, pytest exit {int(status)}")
+    return int(bool(unrun or status != 0))
 
 
 if __name__ == "__main__":

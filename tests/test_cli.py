@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -441,6 +442,39 @@ def test_run_and_wrap_index_a_series_that_starts_at_1000_alike(
     assert bands.splitlines()[1].startswith(b"1210,")
 
 
+def test_a_series_that_ends_at_the_largest_index_runs_and_wraps(tmp_path, capsys):
+    """A 300-row series whose last index is 2**63 - 1 runs, and wraps a
+    persistence trace, to bands whose index column ends there; a series
+    that runs one past it exits 2 naming that row."""
+    top = 2**63 - 1
+    values = np.random.default_rng(4).normal(size=300)
+    series_csv = tmp_path / "top.csv"
+    write_series_csv(series_csv, TimeSeries(values=values, start_index=top - 299))
+    assert load_series_csv(series_csv).start_index == top - 299
+    trace = tmp_path / "trace.csv"
+    trace.write_text("index,y_true,y_hat\n" + "".join(
+        f"{top - 299 + t},{float(values[t])!r},{float(values[t - 1])!r}\n" for t in range(1, 300)
+    ))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dataset": str(series_csv), "forecaster": "persistence",
+                                  "name": "top"}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+    assert main(["wrap", "--trace", str(trace), "--series", str(series_csv),
+                 "--config", str(config), "--out", str(tmp_path / "w")]) == 0
+    bands = (tmp_path / "r" / "top.bands.csv").read_text()
+    assert (tmp_path / "w" / "top.bands.csv").read_text() == bands
+    index = [int(line.split(",")[0]) for line in bands.splitlines()[1:]]
+    assert index == list(range(top - 89, top + 1))
+    past = tmp_path / "past.csv"
+    past.write_text("index,value\n" + "".join(f"{top - 1 + i},1.0\n" for i in range(3)))
+    config = write_config(tmp_path, dataset=str(past))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {past}: line 4: index 9223372036854775808 is outside the 64-bit range\n"
+    )
+
+
 def test_wrap_perfect_trace_gives_zero_width_full_coverage(tmp_path, series_csv, capsys):
     series = load_series_csv(series_csv)
     lines = ["index,y_true,y_hat"]
@@ -616,6 +650,17 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "generated toy" in proc.stdout
+
+
+def test_the_package_runs_as_a_module_in_this_process(tmp_path, monkeypatch, capsys):
+    # what `python -m driftband` runs, seen by the line audit's tracer
+    monkeypatch.setattr(sys, "argv", ["driftband", "generate", "--spec", "toy",
+                                      "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("driftband", run_name="__main__")
+    assert exited.value.code == 0
+    assert "generated toy" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv", "toy.regimes.csv"]
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

@@ -23,6 +23,7 @@ from driftband.evaluate import (
     comparison_csv,
     comparison_rows,
     compute_metrics,
+    format_number,
     grid_run,
     load_metrics_json,
     render_comparison_table,
@@ -167,8 +168,16 @@ def test_config_rejects_non_finite_steps(bad, message):
     # values that are not numbers are named before a range check compares them
     ({"seed": None}, "seed must be an integer, got None"),
     ({"lag": "3"}, "lag must be an integer, got '3'"),
+    ({"alpha": "0.1"}, "alpha must be a number, got '0.1'"),
+    ({"eta": None}, "eta must be a number, got None"),
+    ({"gamma": None}, "gamma must be a number, got None"),
+    ({"weight_floor": None}, "weight_floor must be a number, got None"),
+    ({"cap_factor": "2"}, "cap_factor must be a number, got '2'"),
+    ({"gamma_grid": ["a"]}, "gamma_grid must be distinct non-negative steps, got ['a']"),
+    ({"split": None}, "split must be three positive fractions, got None"),
 ], ids=["eta", "cap_factor", "split", "lag-nan", "lag-2.5", "seed-nan", "seed-2.5",
-        "lag-0.5", "seed-minus-1.5", "seed-none", "lag-str"])
+        "lag-0.5", "seed-minus-1.5", "seed-none", "lag-str", "alpha-str", "eta-none",
+        "gamma-none", "weight_floor-none", "cap_factor-str", "gamma_grid-str", "split-none"])
 def test_config_rejects_nan(bad, message):
     with pytest.raises(ConfigError) as raised:
         RunConfig(dataset="toy", **bad)
@@ -181,6 +190,12 @@ def test_config_takes_numpy_integers_as_ints(tmp_path):
     assert (type(config.lag), type(config.seed)) == (int, int)
     write_metrics_json(tmp_path / "m.json", run_rolling(config))
     assert load_metrics_json(tmp_path / "m.json")["seed"] == 3
+
+
+def test_format_number_switches_to_exponent_form_at_1e16():
+    assert format_number(1e16) == "1.000e+16"
+    assert format_number(-1e16) == "-1.000e+16"
+    assert format_number(9999999999999998.0) == "9999999999999998.000"
 
 
 def test_compute_metrics_oracles():

@@ -1,3 +1,4 @@
+import csv
 import errno
 import os
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftband import fileio
+from driftband.errors import ConfigError
 from driftband.fileio import format_csv, shared_cells
 from driftband.forecasters import ExternalForecastTrace
 from driftband.series import TimeSeries, load_series_csv, write_series_csv
@@ -158,6 +160,40 @@ def test_written_files_are_parsed_by_numpy_and_a_python_spelling_row_by_row(
     python_only.write_text("index,value\n0,1_0\n1,2\n")
     assert load_series_csv(python_only).values.tolist() == [10.0, 2.0]
     assert calls == [python_only]
+
+
+def test_a_line_at_the_csv_field_size_limit_is_parsed_by_numpy(tmp_path, monkeypatch):
+    read_rows, calls = fileio._read_rows, []
+
+    def spy(path, *args):
+        calls.append(path)
+        return read_rows(path, *args)
+
+    monkeypatch.setattr(fileio, "_read_rows", spy)
+    limit = csv.field_size_limit()
+    for length in (limit, limit + 1):  # the second line is one character longer
+        path = tmp_path / f"{length}.csv"
+        value = "1.5".rjust(length - 2, "0")
+        path.write_text(f"index,value\n0,{value}\n1,-2\n")
+        assert len(path.read_text().splitlines()[1]) == length
+        assert load_series_csv(path).values.tolist() == [1.5, -2.0]
+    assert calls == [tmp_path / f"{limit + 1}.csv"]
+
+
+@pytest.mark.parametrize("first, rows, error", [
+    (2**63 - 3, 3, None),
+    (2**63 - 1, 1, None),
+    (2**63 - 2, 3, "line 4: index 9223372036854775808 is outside the 64-bit range"),
+], ids=["last-is-largest", "only-the-largest", "one-past"])
+def test_an_index_may_end_at_the_largest_int64(tmp_path, first, rows, error):
+    path = tmp_path / "top.csv"
+    path.write_text("index,value\n" + "".join(f"{first + i},{i}\n" for i in range(rows)))
+    if error is None:
+        assert load_series_csv(path).start_index == first
+        return
+    with pytest.raises(ConfigError) as raised:
+        load_series_csv(path)
+    assert str(raised.value) == f"{path}: {error}"
 
 
 @pytest.mark.parametrize("fault, raised", [

@@ -503,6 +503,32 @@ def test_cusum_discards_a_warmup_whose_statistics_overflow():
     assert not det.update(0.5) and det.update(100.0)
 
 
+def test_cusum_discards_a_warmup_whose_std_alone_overflows():
+    # +-1.5e308 and zeros: every partial sum is finite, whatever the order
+    # numpy adds in, so the mean is 0; the squares overflow, so the std is inf
+    warmup = [1.5e308, -1.5e308] + [0.0] * 28
+    with np.errstate(over="ignore"):
+        assert np.mean(warmup) == 0.0 and np.std(warmup, ddof=1) == math.inf
+    det = CusumDetector(warmup=30)
+    assert not any(det.update(v) for v in warmup)
+    # an inf reference std would make every z 0; the fresh warm-up is the reference
+    rng = np.random.default_rng(3)
+    assert not any(det.update(v) for v in rng.standard_normal(30))
+    assert not det.update(0.5) and det.update(100.0)
+
+
+def test_cusum_alarms_only_past_the_threshold():
+    # integers with mean 0 and sample std exactly 2, so each z below is exact
+    warmup = [2.0] * 18 + [-2.0] * 18 + [0.0]
+    det = CusumDetector(drift=0.5, threshold=5.0, warmup=37)
+    assert not any(det.update(v) for v in warmup)
+    assert not det.update(11.0)  # z = 5.5: S+ = 5.5 - 0.5, exactly the threshold
+    assert det.update(2.0)  # z = 1: S+ = 5.5
+    assert not any(det.update(v) for v in warmup)
+    assert not det.update(-11.0)  # the same on the downward side
+    assert det.update(-2.0)
+
+
 def test_cusum_rejects_a_warmup_constant_up_to_rounding():
     # 50 copies of one residual have a sample std of a few ulps, not 0; a
     # reference std that small would turn the next residual into an alarm
@@ -589,6 +615,20 @@ def test_trace_tolerates_tiny_truth_noise():
     y_true = np.arange(5.0, 15.0) + 1e-12
     trace = ExternalForecastTrace(start=5, y_true=y_true, y_hat=np.zeros(10))
     trace.validate_against(series, 5, 15)
+
+
+def test_trace_accepts_a_truth_exactly_at_the_tolerance():
+    series = TimeSeries(values=np.zeros(20), start_index=0)
+    y_true = np.zeros(10)
+    y_true[[2, 7]] = 1e-9, -1e-9
+    ExternalForecastTrace(start=5, y_true=y_true, y_hat=np.zeros(10)).validate_against(
+        series, 5, 15
+    )
+    y_true[4] = np.nextafter(1e-9, 1.0)
+    with pytest.raises(AlignmentError, match="index 9"):
+        ExternalForecastTrace(start=5, y_true=y_true, y_hat=np.zeros(10)).validate_against(
+            series, 5, 15
+        )
 
 
 def test_make_forecaster_dispatch():

@@ -142,10 +142,14 @@ def reference_read_indexed_csv(path, header):
     if not index:
         raise ConfigError(f"{path}: no data rows")
     start = index[0]
-    if not _INDEX_MIN <= start <= _INDEX_MAX - len(index):
-        raise ConfigError(f"{path}: line {line_of[0]}: index {start} is outside the 64-bit range")
-    if index != list(range(start, start + len(index))):
-        row = next(i for i in range(1, len(index)) if index[i] != index[i - 1] + 1)
+    # the first row that breaks the gap-free order or is outside the 64-bit range
+    row = next((i for i, k in enumerate(index)
+                if k != start + i or not _INDEX_MIN <= k <= _INDEX_MAX), None)
+    if row is not None and index[row] == start + row:
+        raise ConfigError(
+            f"{path}: line {line_of[row]}: index {index[row]} is outside the 64-bit range"
+        )
+    if row is not None:
         raise ConfigError(
             f"{path}: line {line_of[row]}: index {index[row]} breaks the gap-free order "
             f"(previous was {index[row - 1]})"
