@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fileio import atomic_write_text, check_integer_fields, check_keys, format_csv
+from .fileio import atomic_write_text, check_fields, check_keys, format_csv
 from .series import TimeSeries
 
 _PROB_TOL = 1e-12
 
 REGIME_CSV_HEADER = ("index", "regime")
 
-# The JSON type each key of a generator spec must have.
+# The kind each generator spec key must have; the spec classes check their fields by it.
 _TOY_SPEC_TYPES = {
     "kind": "a string", "regimes": "a list of objects", "chain": "an object",
     "T": "an integer", "seed": "an integer", "y0": "a number",
@@ -86,6 +86,7 @@ class SwitchingArSpec:
     y0: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self, {key: _TOY_SPEC_TYPES[key] for key in ("T", "seed", "y0")})
         for intercept, coef, noise_std in self.regimes:
             if not abs(coef) < 1:
                 raise ConfigError(
@@ -124,13 +125,11 @@ class SwitchingArSpec:
             raise ConfigError(
                 f"got {len(self.regimes)} regime parameter sets for a chain with {k} regimes"
             )
-        check_integer_fields(self, ("T", "seed"), numbers_only=True)
         _check_length(self.T)
         if not math.isfinite(self.y0):
             raise ConfigError(f"starting value must be finite, got {self.y0}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        check_integer_fields(self, ("T", "seed"))
         object.__setattr__(self, "regimes", tuple(tuple(map(float, r)) for r in self.regimes))
         object.__setattr__(self, "transition", tuple(map(tuple, transition.tolist())))
         object.__setattr__(self, "initial", tuple(initial.tolist()))
@@ -184,9 +183,9 @@ class LorenzSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:  # also true for NaN
+        check_fields(self, _LORENZ_SPEC_TYPES)
+        if not self.dt > 0:
             raise ConfigError(f"integrator step must be positive, got {self.dt}")
-        check_integer_fields(self, ("T", "subsample", "seed"), numbers_only=True)
         if self.subsample < 1:
             raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
         _check_length(self.T)
@@ -197,7 +196,6 @@ class LorenzSpec:
         for name in ("sigma", "rho", "beta", "x0", "y0", "z0", "obs_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        check_integer_fields(self, ("T", "subsample", "seed"))
 
 
 def lorenz_derivative(state, sigma: float, rho: float, beta: float) -> np.ndarray:

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import conformal, datagen, forecasters
 from .errors import ConfigError, NumericError
-from .fileio import atomic_write_text, check_integer_fields, check_keys, format_csv, read_json
+from .fileio import atomic_write_text, check_fields, check_keys, format_csv, read_json
 from .forecasters import make_forecaster  # perfbench/tracing.py patches this name
 from .series import (
     SplitSpec,
@@ -73,6 +72,7 @@ class RunConfig:
     buffer_mode: str = "rolling"
 
     def __post_init__(self) -> None:
+        check_fields(self, _RUN_CONFIG_TYPES)
         if not self.dataset:
             raise ConfigError("config needs a dataset")
         # a run writes <name>.metrics.json and <name>.bands.csv into its output directory
@@ -85,16 +85,13 @@ class RunConfig:
             )
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        for key in ("alpha", "gamma", "eta", "weight_floor", "cap_factor"):
-            if not isinstance(getattr(self, key), numbers.Real):  # named before a range check
-                raise ConfigError(f"{key} must be a number, got {getattr(self, key)!r}")
         if not 0 < self.alpha < 1:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.gamma < 0:
             raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
         if not math.isfinite(self.gamma):
             raise ConfigError(f"gamma must be finite, got {self.gamma}")
-        _set_floats(self, "gamma_grid", "gamma_grid must be distinct non-negative steps")
+        object.__setattr__(self, "gamma_grid", tuple(map(float, self.gamma_grid)))
         if self.method == "agaci" and not self.gamma_grid:
             raise ConfigError("agaci needs a nonempty gamma grid")
         grid = self.gamma_grid
@@ -102,13 +99,13 @@ class RunConfig:
             raise ConfigError(f"gamma_grid must be distinct non-negative steps, got {list(grid)}")
         if not all(map(math.isfinite, grid)):
             raise ConfigError(f"gamma_grid steps must be finite, got {list(grid)}")
-        if not self.eta >= 0:  # also true for NaN
+        if not self.eta >= 0:
             raise ConfigError(f"eta must be non-negative, got {self.eta}")
         if not 0 <= self.weight_floor < 1:
             raise ConfigError(f"weight_floor must lie in [0, 1), got {self.weight_floor}")
         if not self.cap_factor > 0:
             raise ConfigError(f"cap_factor must be positive, got {self.cap_factor}")
-        _set_floats(self, "split", "split must be three positive fractions")
+        object.__setattr__(self, "split", tuple(map(float, self.split)))
         if len(self.split) != 3 or any(not f > 0 for f in self.split):
             raise ConfigError(f"split must be three positive fractions, got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
@@ -117,12 +114,10 @@ class RunConfig:
             raise ConfigError(
                 f"buffer_mode must be 'rolling' or 'frozen', got {self.buffer_mode!r}"
             )
-        check_integer_fields(self, ("lag", "seed"), numbers_only=True)
         if self.lag < 1:
             raise ConfigError(f"lag must be >= 1, got {self.lag}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        check_integer_fields(self, ("lag", "seed"))
         where = f"{self.forecaster} forecaster_params"
         check_keys(self.forecaster_params, _FORECASTER_PARAM_TYPES[self.forecaster], where)
         if self.forecaster in ("ar", "segmented_ar"):
@@ -140,17 +135,7 @@ class RunConfig:
         return f"{dataset_label(self.dataset)}-{self.forecaster}-{self.method}"
 
 
-def _set_floats(config: RunConfig, key: str, rule: str) -> None:
-    """Make field ``key`` a tuple of floats; a value that is not a sequence of
-    real numbers is a ``ConfigError``: ``rule``, with the value."""
-    value = getattr(config, key)
-    items = tuple(value) if isinstance(value, Iterable) else None
-    if items is None or not all(isinstance(x, numbers.Real) for x in items):
-        raise ConfigError(f"{rule}, got {value!r}")
-    object.__setattr__(config, key, tuple(map(float, items)))
-
-
-# The JSON type each key of a run config must have.
+# The kind (a key of ``fileio._KINDS``) each run config key and RunConfig field must have.
 _RUN_CONFIG_TYPES = {
     "dataset": "a string", "forecaster": "a string", "method": "a string",
     "name": "a string or null", "forecaster_params": "an object", "alpha": "a number",

@@ -230,27 +230,30 @@ def format_csv(
 
 def _is_number(value) -> bool:
     """true/false are not numbers, nor are NaN and integers beyond a double's range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return abs(value) <= sys.float_info.max if isinstance(value, int) else not math.isnan(value)
+    integral = isinstance(value, numbers.Integral)
+    return abs(value) <= sys.float_info.max if integral else not math.isnan(value)
 
 
 def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
 
 
-# The JSON kinds a key table may name, each with its test on a parsed value.
+# The kinds a key table may name, each with its test on a parsed JSON value or a Python
+# field (``check_fields``), where a tuple is also a list and numpy numbers are numbers.
 _KINDS = {
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
     '"ok" or "failed"': lambda v: v in ("ok", "failed"),
     "a number": _is_number,
     "a number or null": lambda v: v is None or _is_number(v),
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     "an object": lambda v: isinstance(v, dict),
     "a list of numbers": _is_numbers,
-    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
-    "a list of equal-length lists of numbers": lambda v: isinstance(v, list)
+    "a list of objects": lambda v: isinstance(v, (list, tuple))
+    and all(isinstance(x, dict) for x in v),
+    "a list of equal-length lists of numbers": lambda v: isinstance(v, (list, tuple))
     and all(map(_is_numbers, v)) and len({len(row) for row in v}) <= 1,
 }
 
@@ -272,18 +275,18 @@ def check_keys(payload, types: dict[str, str], where: str, required: Sequence[st
             raise ConfigError(f"{where} key {key!r} must be {types[key]}, got {value!r}")
 
 
-def check_integer_fields(obj, names: Sequence[str], numbers_only: bool = False) -> None:
-    """Make each named field of a frozen dataclass a plain ``int``. A numpy
-    integer is converted, so JSON output takes it; any other value, NaN
-    included, is a ``ConfigError`` naming the field. With ``numbers_only`` it
-    rejects only a value that is not a real number and converts nothing: run
-    before the range checks, it keeps them from comparing a string or None,
-    and a number out of range still gets their message."""
-    for name in names:
+def check_fields(obj, types: dict[str, str]) -> None:
+    """Check the fields of a frozen dataclass that a key table names, in the
+    table's order, by the tests ``check_keys`` uses (a table key the class has
+    no field for, such as ``kind``, is skipped). A value of the wrong kind is a
+    ``ConfigError`` naming the field; an integer is made a plain ``int``."""
+    for name, kind in types.items():
+        if name not in obj.__dataclass_fields__:
+            continue
         value = getattr(obj, name)
-        if not isinstance(value, numbers.Real if numbers_only else numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not numbers_only:
+        if not _KINDS[kind](value):
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        if kind == "an integer":
             object.__setattr__(obj, name, int(value))
 
 

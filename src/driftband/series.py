@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fileio import atomic_write_text, format_csv, read_indexed_csv
+from .fileio import (
+    _INDEX_MAX, _INDEX_MIN, atomic_write_text, check_fields, format_csv, read_indexed_csv,
+)
 
 SERIES_CSV_HEADER = ("index", "value")
 
@@ -30,6 +32,7 @@ class TimeSeries:
     start_index: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self, {"start_index": "an integer"})
         values = np.array(self.values, dtype=float)
         if values.ndim != 1:
             raise ConfigError(f"series must be one-dimensional, got shape {values.shape}")
@@ -38,9 +41,11 @@ class TimeSeries:
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ConfigError(f"series contains a non-finite value at position {bad}")
+        if not _INDEX_MIN <= self.start_index <= _INDEX_MAX - values.size + 1:
+            raise ConfigError(f"start_index must keep the {values.size} indices within "
+                              f"the 64-bit range, got {self.start_index}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "start_index", int(self.start_index))
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -118,9 +118,9 @@ def test_switching_spec_validation():
     ("T", 100.0, "T must be an integer, got 100.0"),
     ("seed", math.nan, "seed must be an integer, got nan"),
     ("seed", 2.5, "seed must be an integer, got 2.5"),
-    # values rejected before keep their messages
-    ("T", 0.5, "series length must be >= 1, got 0.5"),
-    ("seed", -1.5, "seed must be non-negative, got -1.5"),
+    # a non-integer is named as one before a range check, out of range or not
+    ("T", 0.5, "T must be an integer, got 0.5"),
+    ("seed", -1.5, "seed must be an integer, got -1.5"),
     # values that are not numbers are named before a range check compares them
     ("T", "5", "T must be an integer, got '5'"),
     ("seed", None, "seed must be an integer, got None"),
@@ -129,6 +129,21 @@ def test_switching_spec_validation():
 def test_spec_rejects_a_non_integer_length_or_seed(make, key, value, message):
     with pytest.raises(ConfigError) as raised:
         make(**{key: value})
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("make, bad, message", [
+    (LorenzSpec, {"dt": "a"}, "dt must be a number, got 'a'"),
+    (LorenzSpec, {"obs_noise": None}, "obs_noise must be a number, got None"),
+    (LorenzSpec, {"sigma": 10**400}, f"sigma must be a number, got {10**400!r}"),
+    (LorenzSpec, {"seed": True}, "seed must be an integer, got True"),
+    (SwitchingArSpec, {"y0": "a"}, "y0 must be a number, got 'a'"),
+    (SwitchingArSpec, {"y0": math.nan}, "y0 must be a number, got nan"),
+    (SwitchingArSpec, {"T": True}, "T must be an integer, got True"),
+], ids=["dt-str", "obs_noise-none", "sigma-huge", "seed-bool", "y0-str", "y0-nan", "T-bool"])
+def test_a_python_spec_field_is_checked_as_its_json_key(make, bad, message):
+    with pytest.raises(ConfigError) as raised:
+        make(**bad)
     assert str(raised.value) == message
 
 
@@ -291,10 +306,10 @@ def test_lorenz_spec_validation():
         LorenzSpec(subsample=0)
     with pytest.raises(ConfigError):
         LorenzSpec(obs_noise=-0.1)
-    # NaN fails every comparison; each check is written to reject it
+    # NaN is not a number, so it is named before any comparison
     for key, message in [
-        ("dt", "integrator step must be positive, got nan"),
-        ("obs_noise", "observation noise must be non-negative, got nan"),
+        ("dt", "dt must be a number, got nan"),
+        ("obs_noise", "obs_noise must be a number, got nan"),
         ("subsample", "subsample must be an integer, got nan"),
     ]:
         with pytest.raises(ConfigError) as raised:

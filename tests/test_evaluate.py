@@ -139,9 +139,9 @@ def test_run_name_must_be_a_plain_file_name(name):
 
 @pytest.mark.parametrize("bad, message", [
     ({"gamma": math.inf}, "gamma must be finite, got inf"),
-    ({"gamma": math.nan}, "gamma must be finite, got nan"),
+    ({"gamma": math.nan}, "gamma must be a number, got nan"),
     ({"gamma_grid": (0.01, math.inf)}, "gamma_grid steps must be finite, got [0.01, inf]"),
-    ({"gamma_grid": (math.nan,)}, "gamma_grid steps must be finite, got [nan]"),
+    ({"gamma_grid": (math.nan,)}, "gamma_grid must be a list of numbers, got (nan,)"),
     # a negative infinity is named as negative, as before
     ({"gamma": -math.inf}, "gamma must be non-negative, got -inf"),
     ({"gamma_grid": (-math.inf,)}, "gamma_grid must be distinct non-negative steps, got [-inf]"),
@@ -153,18 +153,19 @@ def test_config_rejects_non_finite_steps(bad, message):
 
 
 @pytest.mark.parametrize("bad, message", [
-    ({"eta": math.nan}, "eta must be non-negative, got nan"),
-    ({"cap_factor": math.nan}, "cap_factor must be positive, got nan"),
-    ({"split": (math.nan, 0.5, 0.5)},
-     "split must be three positive fractions, got (nan, 0.5, 0.5)"),
+    ({"eta": math.nan}, "eta must be a number, got nan"),
+    ({"cap_factor": math.nan}, "cap_factor must be a number, got nan"),
+    ({"split": (math.nan, 0.5, 0.5)}, "split must be a list of numbers, got (nan, 0.5, 0.5)"),
     # a non-integer lag ran as some AR order, and a non-integer seed failed in numpy
     ({"lag": math.nan}, "lag must be an integer, got nan"),
     ({"lag": 2.5}, "lag must be an integer, got 2.5"),
     ({"seed": math.nan}, "seed must be an integer, got nan"),
     ({"seed": 2.5}, "seed must be an integer, got 2.5"),
-    # values rejected before keep their messages
-    ({"lag": 0.5}, "lag must be >= 1, got 0.5"),
-    ({"seed": -1.5}, "seed must be non-negative, got -1.5"),
+    # a non-integer is named as one before a range check, out of range or not
+    ({"lag": 0.5}, "lag must be an integer, got 0.5"),
+    ({"seed": -1.5}, "seed must be an integer, got -1.5"),
+    # an integer out of range gets the range message
+    ({"lag": 0}, "lag must be >= 1, got 0"),
     # values that are not numbers are named before a range check compares them
     ({"seed": None}, "seed must be an integer, got None"),
     ({"lag": "3"}, "lag must be an integer, got '3'"),
@@ -173,15 +174,43 @@ def test_config_rejects_non_finite_steps(bad, message):
     ({"gamma": None}, "gamma must be a number, got None"),
     ({"weight_floor": None}, "weight_floor must be a number, got None"),
     ({"cap_factor": "2"}, "cap_factor must be a number, got '2'"),
-    ({"gamma_grid": ["a"]}, "gamma_grid must be distinct non-negative steps, got ['a']"),
-    ({"split": None}, "split must be three positive fractions, got None"),
+    ({"gamma_grid": ["a"]}, "gamma_grid must be a list of numbers, got ['a']"),
+    ({"split": None}, "split must be a list of numbers, got None"),
 ], ids=["eta", "cap_factor", "split", "lag-nan", "lag-2.5", "seed-nan", "seed-2.5",
-        "lag-0.5", "seed-minus-1.5", "seed-none", "lag-str", "alpha-str", "eta-none",
+        "lag-0.5", "seed-minus-1.5", "lag-0", "seed-none", "lag-str", "alpha-str", "eta-none",
         "gamma-none", "weight_floor-none", "cap_factor-str", "gamma_grid-str", "split-none"])
 def test_config_rejects_nan(bad, message):
     with pytest.raises(ConfigError) as raised:
         RunConfig(dataset="toy", **bad)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"dataset": 5}, "dataset must be a string, got 5"),
+    ({"name": 5}, "name must be a string or null, got 5"),
+    ({"forecaster_params": None}, "forecaster_params must be an object, got None"),
+    ({"eta": True}, "eta must be a number, got True"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"gamma": 10**400}, f"gamma must be a number, got {10**400!r}"),
+    ({"cap_factor": 10**400}, f"cap_factor must be a number, got {10**400!r}"),
+    ({"split": (10**400, 0.5, 0.5)},
+     f"split must be a list of numbers, got {(10**400, 0.5, 0.5)!r}"),
+    ({"gamma_grid": np.array([0.1])}, "gamma_grid must be a list of numbers, got array([0.1])"),
+    # the first field of the wrong kind in the key table's order is named
+    ({"seed": "1", "name": 5}, "name must be a string or null, got 5"),
+], ids=["dataset-int", "name-int", "params-none", "eta-bool", "seed-bool", "gamma-huge",
+        "cap_factor-huge", "split-huge", "grid-array", "first-in-table-order"])
+def test_a_python_config_field_is_checked_as_its_json_key(bad, message):
+    with pytest.raises(ConfigError) as raised:
+        RunConfig(**{"dataset": "toy", **bad})
+    assert str(raised.value) == message
+
+
+def test_config_takes_tuples_and_numpy_numbers_as_json_does():
+    config = RunConfig(dataset="toy", alpha=np.float64(0.2), gamma=np.float32(0.5),
+                       gamma_grid=(1, np.float64(0.5)), split=[np.float32(0.5), 0.25, 0.25])
+    assert config.gamma_grid == (1.0, 0.5) and config.split == (0.5, 0.25, 0.25)
+    assert all(type(x) is float for x in config.gamma_grid + config.split)
 
 
 def test_config_takes_numpy_integers_as_ints(tmp_path):

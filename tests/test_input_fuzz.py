@@ -1,19 +1,20 @@
 """Fuzz every parser of outside input: whatever the document, only ConfigError escapes."""
 
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from driftband.datagen import generator_spec_from_json
+from driftband.datagen import _LORENZ_SPEC_TYPES, LorenzSpec, generator_spec_from_json
 from driftband.errors import ConfigError
-from driftband.evaluate import run_config_from_dict
+from driftband.evaluate import _RUN_CONFIG_TYPES, RunConfig, run_config_from_dict
 from driftband.fileio import _INDEX_MAX, _INDEX_MIN, _read_text, read_indexed_csv
 from driftband.forecasters import ExternalForecastTrace
-from driftband.series import load_series_csv
+from driftband.series import TimeSeries, load_series_csv
 
 WORDS = st.sampled_from([
     "toy", "lorenz", "persistence", "ar", "segmented_ar", "replay", "none", "split", "aci",
@@ -97,6 +98,60 @@ def test_run_config_parser_raises_only_config_errors(payload):
 @given(GENERATOR_SPECS)
 def test_generator_spec_parser_raises_only_config_errors(payload):
     only_config_errors(generator_spec_from_json, payload)
+
+
+def accepts(make, *args, **kwargs) -> bool:
+    """Whether ``make`` accepts its arguments; only a ConfigError rejects them."""
+    try:
+        make(*args, **kwargs)
+    except ConfigError:
+        return False
+    return True
+
+
+def fields_of(cls, payload) -> dict:
+    assume(isinstance(payload, dict))
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {key: value for key, value in payload.items() if key in names}
+
+
+@pytest.mark.parametrize("cls, types", [(RunConfig, _RUN_CONFIG_TYPES),
+                                        (LorenzSpec, _LORENZ_SPEC_TYPES)])
+def test_every_field_has_a_kind_in_its_key_table(cls, types):
+    assert {f.name for f in dataclasses.fields(cls)} == set(types) - {"kind"}
+
+
+@FUZZ
+@given(RUN_CONFIGS)
+@example({"dataset": "toy", "name": 5})
+@example({"dataset": "toy", "eta": True})
+@example({"dataset": "toy", "gamma": 10**400})
+def test_a_python_run_config_takes_exactly_what_the_json_parser_does(payload):
+    fields = fields_of(RunConfig, payload)
+    assume("dataset" in fields)
+    assert accepts(RunConfig, **fields) == accepts(run_config_from_dict, fields)
+
+
+@FUZZ
+@given(GENERATOR_SPECS)
+@example({"dt": "a"})
+@example({"obs_noise": None})
+@example({"seed": True})
+def test_a_python_lorenz_spec_takes_exactly_what_the_json_parser_does(payload):
+    fields = fields_of(LorenzSpec, payload)
+    assert accepts(LorenzSpec, **fields) == accepts(
+        generator_spec_from_json, {**fields, "kind": "lorenz"})
+
+
+@FUZZ
+@given(VALUES)
+@example(2.7)
+@example(2**63 - 2)
+@example(2**63 - 1)
+@example(-2**63)
+def test_a_series_start_index_is_an_integer_whose_indices_fit_int64(start):
+    fits = type(start) is int and _INDEX_MIN <= start <= _INDEX_MAX - 1
+    assert accepts(TimeSeries, [1.0, 2.0], start_index=start) == fits
 
 
 @FUZZ

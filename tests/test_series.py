@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftband.errors import ConfigError, NumericError
-from driftband.evaluate import RunConfig
+from driftband.evaluate import RunConfig, run_rolling
 from driftband.forecasters import ExternalForecastTrace
 from driftband.series import (
     SplitSpec,
@@ -39,6 +39,38 @@ def test_series_values_are_read_only():
 def test_series_rejects_bad_values(values):
     with pytest.raises(ConfigError):
         TimeSeries(values=values)
+
+
+@pytest.mark.parametrize("start, message", [
+    (2.7, "start_index must be an integer, got 2.7"),
+    (True, "start_index must be an integer, got True"),
+    ("3", "start_index must be an integer, got '3'"),
+    (2**63 - 2, "start_index must keep the 3 indices within the 64-bit range, "
+                "got 9223372036854775806"),
+    (-2**63 - 1, "start_index must keep the 3 indices within the 64-bit range, "
+                 "got -9223372036854775809"),
+], ids=["float", "bool", "str", "last-past-int64", "first-below-int64"])
+def test_series_start_index_is_an_integer_whose_indices_fit_int64(start, message):
+    with pytest.raises(ConfigError) as raised:
+        TimeSeries(values=[1.0, 2.0, 3.0], start_index=start)
+    assert str(raised.value) == message
+
+
+def test_series_indices_may_span_all_of_int64_and_numpy_starts_become_ints():
+    for start in (-2**63, 2**63 - 3, np.int64(-2**63), np.uint64(2**63 - 3)):
+        series = TimeSeries(values=[1.0, 2.0, 3.0], start_index=start)
+        assert type(series.start_index) is int and series.start_index == int(start)
+
+
+def test_a_python_series_whose_index_would_wrap_does_not_run():
+    """The bands index column is int64: a start whose last index passes 2**63 - 1
+    wrapped it to negative indices."""
+    values = np.random.default_rng(0).normal(size=300)
+    config = RunConfig(dataset="x", forecaster="persistence")
+    with pytest.raises(ConfigError, match="^start_index must keep the 300 indices"):
+        run_rolling(config, TimeSeries(values=values, start_index=2**63 - 100))
+    report = run_rolling(config, TimeSeries(values=values, start_index=2**63 - 300))
+    assert report.columns["index"][-1] == 2**63 - 1
 
 
 def test_split_from_fractions_thirds():
